@@ -113,16 +113,12 @@ def _as_block_state(path, k: int) -> tuple[BlockState, list[str]]:
     """Load a convertible object: block certificate, bipartite state, or
     full-space extension. Bipartite states are solved for a witness first."""
     notes = []
-    try:
-        bs = mio.load_blocks(path)
-    except mio.MatrixFileError:
-        bs = None
-    if bs is not None:
-        if bs.k != k:
-            raise _UsageError(f"{path}: certificate is for k={bs.k}, not k={k}")
+    state = mio.load_block_or_state(path)
+    if isinstance(state, BlockState):
+        if state.k != k:
+            raise _UsageError(f"{path}: certificate is for k={state.k}, not k={k}")
         notes.append("input: block certificate")
-        return bs, notes
-    state = mio.load_state(path)
+        return state, notes
     if len(state.dims) == 2 and state.dims[1] == 2 and k != 1:
         notes.append("input: bipartite state, solving for a witness")
         report = solve_symmetric(state, k, SolverConfig())

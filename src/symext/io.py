@@ -76,13 +76,16 @@ def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict |
         fh.write("\n".join(lines) + "\n")
 
 
-def load_matrix_file(path) -> MatrixFile:
+def _read_json(path):
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _matrix_file(path, doc) -> MatrixFile:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: top level is not an object")
     version = doc.get("format_version")
@@ -115,18 +118,25 @@ def load_matrix_file(path) -> MatrixFile:
     return mf
 
 
+def load_matrix_file(path) -> MatrixFile:
+    return _matrix_file(path, _read_json(path))
+
+
 def save_state(state: DensityMatrix, path, metadata: dict | None = None) -> None:
     save_matrix_file(path, state.matrix, list(state.dims), kind="state", metadata=metadata)
 
 
-def load_state(path) -> DensityMatrix:
-    mf = load_matrix_file(path)
+def _state(path, mf: MatrixFile) -> DensityMatrix:
     if any(not isinstance(e, int) for e in mf.layout):
         raise MatrixFileError(f"{path}: layout {mf.layout} is not a plain state layout")
     try:
         return DensityMatrix(mf.entries, mf.dims())
     except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
+
+
+def load_state(path) -> DensityMatrix:
+    return _state(path, load_matrix_file(path))
 
 
 def save_bosonic(sigma: BosonicState, path, metadata: dict | None = None) -> None:
@@ -140,7 +150,7 @@ def load_extension(path) -> DensityMatrix | BosonicState:
     mf = load_matrix_file(path)
     tags = [e for e in mf.layout if isinstance(e, str)]
     if not tags:
-        return load_state(path)
+        return _state(path, mf)
     if len(mf.layout) != 2 or not isinstance(mf.layout[0], int) or tags != [mf.layout[1]]:
         raise MatrixFileError(f"{path}: bosonic layout must be [dA, \"sym(k)\"], got {mf.layout}")
     k = int(_SYM_TAG.match(mf.layout[1]).group(1))
@@ -170,14 +180,8 @@ def save_blocks(bs: BlockState, path, metadata: dict | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_blocks(path) -> BlockState:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if doc.get("format_version") != FORMAT_VERSION or doc.get("kind") != "blocks":
+def _blocks(path, doc) -> BlockState:
+    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION or doc.get("kind") != "blocks":
         raise MatrixFileError(f"{path}: not a blocks certificate file")
     try:
         k = int(doc["k"])
@@ -192,3 +196,20 @@ def load_blocks(path) -> BlockState:
         return BlockState(k, dA, blocks)
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
+
+
+def load_blocks(path) -> BlockState:
+    return _blocks(path, _read_json(path))
+
+
+def load_block_or_state(path) -> BlockState | DensityMatrix:
+    """A block certificate if the file holds a valid one, else a plain state.
+
+    The file is read and parsed once; a file that is neither raises the error
+    `load_state` would.
+    """
+    doc = _read_json(path)
+    try:
+        return _blocks(path, doc)
+    except MatrixFileError:
+        return _state(path, _matrix_file(path, doc))

@@ -10,10 +10,23 @@ constraint residual on it certifies feasibility outright. When the sets are
 disjoint the step length decreases to the distance between them, so a stalled
 step length above tol_infeasible_gap is reported as infeasibility with that
 gap estimate. Everything else times out as UNDECIDED.
+
+The affine set's linear map depends only on the shape of the problem, not on
+the state: it is built in closed form from index arrays, keeps only the
+columns of the coordinates it touches (the weight-diagonal and
+weight-adjacent dA x dA sub-blocks of each sector), and is cached, read-only,
+with its Gram pseudo-inverse. The key is (k, dA, sectors) for the qubit
+solvers and (dA, dB) for the two-leg pair solver; only the target vector is
+built per state, and the affine projection works on the touched coordinates
+alone. A map takes about 8 * (4 dA^2 + 2) bytes per touched coordinate:
+under 1 MB for k <= 10 and dA <= 4, 1.8 MB at k = 16, dA = 4 and 26 MB at the
+block cap (k = 64, dA = 4), where the dense map would take 399 MB. The cache
+evicts the least recently used maps once they hold more than 64 MB together.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
@@ -21,9 +34,10 @@ from typing import Any
 
 import numpy as np
 
-from .blocks import BlockState, raw_marginal_from_blocks
+from .blocks import BlockState
 from .caps import block_cap
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix
+from .schur import alpha_coeff, diag_coeffs
 from .young import YoungDiagram, hook_dim, list_diagrams
 
 FEASIBLE = "FEASIBLE"
@@ -58,28 +72,56 @@ class SolverReport:
     certificate: Any = None
 
 
-@lru_cache(maxsize=64)
-def _triu(n: int):
-    return np.triu_indices(n, 1)
+_SQRT2 = sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
+
+# Bound on the bytes of the cached constraint maps: room for the map at the
+# block cap (k=64, dA=4, about 26 MB) next to many small ones, so that a batch
+# cycling through a handful of shapes builds each map once.
+_MAP_CACHE_BYTES = 64 * 2**20
+
+
+@lru_cache(maxsize=256)
+def _herm_index(n: int):
+    """Index maps between an n x n complex matrix and its real coordinates.
+
+    The coordinates are the diagonal, then sqrt(2) times the real and then the
+    imaginary parts of the upper triangle, row by row: an isometry. `read`
+    picks them from the float view of the flattened matrix; `write` puts
+    coordinates `src`, multiplied by `scale`, back in place, lower triangle
+    included.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    diag = np.arange(n) * (n + 1)
+    up = iu * n + ju
+    low = ju * n + iu
+    m = len(up)
+    read = np.concatenate([2 * diag, 2 * up, 2 * up + 1])
+    write = np.concatenate([read, 2 * low, 2 * low + 1])
+    src = np.concatenate([np.arange(n * n), np.arange(n, n * n)])
+    scale = np.concatenate([np.ones(n), np.full(3 * m, _INV_SQRT2), np.full(m, -_INV_SQRT2)])
+    for a in (read, write, src, scale):
+        a.flags.writeable = False
+    return read, write, src, scale
 
 
 def _herm_to_vec(h: np.ndarray) -> np.ndarray:
-    # isometric real coordinates: diagonal, then sqrt(2) * upper real/imag
     n = h.shape[0]
-    iu = _triu(n)
-    s = sqrt(2.0)
-    return np.concatenate([np.real(np.diag(h)), s * np.real(h[iu]), s * np.imag(h[iu])])
+    v = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(np.float64)[_herm_index(n)[0]]
+    v[n:] *= _SQRT2
+    return v
 
 
 def _vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    iu = _triu(n)
-    m = n * (n - 1) // 2
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = v[:n]
-    upper = (v[n : n + m] + 1j * v[n + m :]) / sqrt(2.0)
-    h[iu] = upper
-    h[(iu[1], iu[0])] = upper.conj()
-    return h
+    _, write, src, scale = _herm_index(n)
+    h = np.zeros(2 * n * n)
+    h[write] = v[src] * scale
+    return h.view(complex).reshape(n, n)
+
+
+def _triu_position(i, j, n):
+    # index of the upper-triangle entry (i, j), i < j, in row-by-row order
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 class _BlockSpace:
@@ -94,9 +136,6 @@ class _BlockSpace:
             at += n * n
         self.dim = at
 
-    def to_vec(self, mats) -> np.ndarray:
-        return np.concatenate([_herm_to_vec(m) for m in mats])
-
     def to_mats(self, v: np.ndarray) -> list[np.ndarray]:
         return [_vec_to_herm(v[sl], n) for sl, n in zip(self.slices, self.sizes)]
 
@@ -105,19 +144,117 @@ class _BlockSpace:
         for sl, n in zip(self.slices, self.sizes):
             h = _vec_to_herm(v[sl], n)
             w, u = np.linalg.eigh(h)
-            np.clip(w, 0.0, None, out=w)
+            np.maximum(w, 0.0, out=w)
             out[sl] = _herm_to_vec((u * w) @ u.conj().T)
         return out
 
 
-def _douglas_rachford(space: _BlockSpace, amap: np.ndarray, b: np.ndarray, cfg: SolverConfig):
+@dataclass(frozen=True)
+class _ConstraintMap:
+    """The affine constraint's linear map, restricted to the coordinates it touches.
+
+    Its rows are the real coordinates of the pinned marginal, then the weighted
+    trace; `amap` holds the columns of the coordinates `cols` (ascending), and
+    every other column of the full map is zero. All arrays are read-only.
+    """
+
+    space: _BlockSpace
+    cols: np.ndarray
+    amap: np.ndarray
+    gram_pinv: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.cols.nbytes + self.amap.nbytes + self.gram_pinv.nbytes
+
+
+def _compact_map(sizes, trace_weights, dim_out: int, terms) -> _ConstraintMap:
+    """Real-coordinate constraint map of a linear map from blocks to a marginal.
+
+    Each of `terms` is (block, p, q, i, j, coeff), p to coeff arrays of one
+    length: entry (p, q) of that block adds coeff (real) times itself to entry
+    (i, j) of the dim_out x dim_out marginal. The marginal of a Hermitian input is
+    Hermitian, so only terms with i <= j are read. The last row is the trace of
+    each block times its weight.
+    """
+    space = _BlockSpace(sizes)
+    blk = np.concatenate([np.full(len(t[1]), t[0]) for t in terms])
+    p, q, i, j, coeff = (np.concatenate([t[f] for t in terms]) for f in range(1, 6))
+    keep = i <= j
+    blk, p, q, i, j, coeff = blk[keep], p[keep], q[keep], i[keep], j[keep], coeff[keep]
+    n = np.asarray(space.sizes)[blk]
+    offset = np.asarray([sl.start for sl in space.slices])[blk]
+
+    # Rows: the marginal's diagonal is read as is, its upper triangle times
+    # sqrt(2), real parts first. Columns: a diagonal block entry is its own
+    # coordinate; entry (p, q) off the diagonal is (re + i im) / sqrt(2) of its
+    # pair's two coordinates when p < q, and the conjugate when p > q.
+    on_diag = i == j
+    upper = _triu_position(i, j, dim_out)
+    row_re = np.where(on_diag, i, dim_out + upper)
+    row_im = dim_out + dim_out * (dim_out - 1) // 2 + upper
+    col_re = offset + n + _triu_position(np.minimum(p, q), np.maximum(p, q), n)
+    col_im = col_re + n * (n - 1) // 2
+    sign = np.where(p < q, 1.0, -1.0)
+    out_scale = np.where(on_diag, 1.0, _SQRT2)
+    scaled = coeff * _INV_SQRT2
+    off = p != q
+    im = off & ~on_diag  # the imaginary part of the marginal's diagonal is not read
+    rows = [row_re[~off], row_re[off], row_im[im]]
+    cols = [(offset + p)[~off], col_re[off], col_im[im]]
+    vals = [(out_scale * coeff)[~off], (out_scale * scaled)[off], (_SQRT2 * (sign * scaled))[im]]
+    trace_row = dim_out * dim_out
+    for sl, nb, wt in zip(space.slices, space.sizes, trace_weights):
+        rows.append(np.full(nb, trace_row))
+        cols.append(sl.start + np.arange(nb))
+        vals.append(np.full(nb, float(wt)))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    is_touched = np.zeros(space.dim, dtype=bool)
+    is_touched[cols] = True
+    touched = np.flatnonzero(is_touched)
+    # repeated (row, column) pairs add up; the sector maps have none
+    flat = rows * len(touched) + np.searchsorted(touched, cols)
+    amap = np.bincount(flat, weights=vals, minlength=(trace_row + 1) * len(touched)).reshape(trace_row + 1, -1)
+    gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
+    for a in (touched, amap, gram_pinv):
+        a.flags.writeable = False
+    return _ConstraintMap(space, touched, amap, gram_pinv)
+
+
+class _MapCache:
+    """Constraint maps by key, least recently used first out, bounded in bytes.
+
+    The newest map always stays, so one map larger than the bound is built
+    once per solve rather than refused.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._maps: OrderedDict = OrderedDict()
+
+    def get(self, key, build) -> _ConstraintMap:
+        cmap = self._maps.get(key)
+        if cmap is not None:
+            self._maps.move_to_end(key)
+            return cmap
+        cmap = self._maps[key] = build()
+        while len(self._maps) > 1 and sum(m.nbytes for m in self._maps.values()) > self.max_bytes:
+            self._maps.popitem(last=False)
+        return cmap
+
+
+_MAPS = _MapCache(_MAP_CACHE_BYTES)
+
+
+def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
     """Returns (status, residual, gap_estimate, iterations, feasible_vec_or_None)."""
+    space, cols, amap, gram_pinv = cmap.space, cmap.cols, cmap.amap, cmap.gram_pinv
     at = amap.T
-    gram = amap @ at
-    gram_inv = np.linalg.pinv(gram, hermitian=True)
 
     def affine_project(z: np.ndarray) -> np.ndarray:
-        return z - at @ (gram_inv @ (amap @ z - b))
+        # in place; coordinates outside cols are not constrained
+        z[cols] -= at @ (gram_pinv @ (amap @ z[cols] - b))
+        return z
 
     x = affine_project(np.zeros(space.dim))
     steps: list[float] = []
@@ -125,7 +262,7 @@ def _douglas_rachford(space: _BlockSpace, amap: np.ndarray, b: np.ndarray, cfg: 
     step = np.nan
     for it in range(1, cfg.max_iter + 1):
         y = space.cone_project(x)
-        res = float(np.linalg.norm(amap @ y - b))
+        res = float(np.linalg.norm(amap @ y[cols] - b))
         best_res = min(best_res, res)
         if res <= cfg.tol_feasible:
             return FEASIBLE, res, 0.0, it, y
@@ -140,24 +277,34 @@ def _douglas_rachford(space: _BlockSpace, amap: np.ndarray, b: np.ndarray, cfg: 
     return UNDECIDED, best_res, step, cfg.max_iter, None
 
 
-def _build_sector_affine(k: int, dA: int, diagrams: list[YoungDiagram], rho_ab: DensityMatrix):
-    """Constraint matrix for: glued marginal equals rho_ab, weighted trace is 1."""
-    sizes = [dA * lam.num_weights for lam in diagrams]
-    space = _BlockSpace(sizes)
-    cols = np.zeros((4 * dA * dA + 1, space.dim))
-    at = 0
-    for lam, n in zip(diagrams, sizes):
+def _sector_map(k: int, dA: int, diagrams: tuple[YoungDiagram, ...]) -> _ConstraintMap:
+    """Map of the sector blocks to their (A, B1) marginal and weighted trace.
+
+    The marginal reads only the weight-diagonal and weight-adjacent dA x dA
+    sub-blocks, with the coefficients of `blocks.raw_marginal_from_blocks`.
+    """
+    sizes, weights, terms = [], [], []
+    for blk, lam in enumerate(diagrams):
         d = hook_dim(lam)
-        for t in range(n * n):
-            unit = np.zeros(n * n)
-            unit[t] = 1.0
-            h = _vec_to_herm(unit, n)
-            marg = raw_marginal_from_blocks(k, dA, [(lam, h)])
-            cols[:-1, at + t] = _herm_to_vec(marg)
-            cols[-1, at + t] = d * float(h.trace().real)
-        at += n * n
-    b = np.concatenate([_herm_to_vec(rho_ab.matrix), [1.0]])
-    return space, cols, b
+        nw = lam.num_weights
+        ws = lam.weights()
+        sizes.append(dA * nw)
+        weights.append(d)
+        t = np.array([[d * c for c in diag_coeffs(k, w)] for w in ws])
+        a, c, iw = (g.ravel() for g in np.meshgrid(np.arange(dA), np.arange(dA), np.arange(nw), indexing="ij"))
+        for s in (0, 1):
+            terms.append((blk, a * nw + iw, c * nw + iw, 2 * a + s, 2 * c + s, t[iw, s]))
+        if nw > 1:
+            alpha = np.array([d * alpha_coeff(lam, w, w + 1) for w in ws[:-1]])
+            adj = iw < nw - 1
+            a, c, iw = a[adj], c[adj], iw[adj]
+            terms.append((blk, a * nw + iw, c * nw + iw + 1, 2 * a, 2 * c + 1, alpha[iw]))
+            terms.append((blk, a * nw + iw + 1, c * nw + iw, 2 * a + 1, 2 * c, alpha[iw]))
+    return _compact_map(sizes, weights, 2 * dA, terms)
+
+
+def _marginal_target(rho_ab: DensityMatrix) -> np.ndarray:
+    return np.concatenate([_herm_to_vec(rho_ab.matrix), [1.0]])
 
 
 def _solve_sectors(rho_ab: DensityMatrix, k: int, diagrams: list[YoungDiagram], cfg: SolverConfig) -> SolverReport:
@@ -166,11 +313,12 @@ def _solve_sectors(rho_ab: DensityMatrix, k: int, diagrams: list[YoungDiagram], 
     if not 1 <= k <= block_cap():
         raise ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
     dA = rho_ab.dims[0]
-    space, amap, b = _build_sector_affine(k, dA, diagrams, rho_ab)
-    status, res, gap, it, y = _douglas_rachford(space, amap, b, cfg)
+    diagrams = tuple(diagrams)
+    cmap = _MAPS.get(("sectors", k, dA, diagrams), lambda: _sector_map(k, dA, diagrams))
+    status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
     certificate = None
     if status == FEASIBLE:
-        mats = space.to_mats(y)
+        mats = cmap.space.to_mats(y)
         certificate = BlockState(k, dA, dict(zip(diagrams, mats)), atol=max(1e-6, 10 * cfg.tol_feasible))
     return SolverReport(status, res, gap, it, certificate)
 
@@ -201,6 +349,21 @@ def sym2_isometry(dB: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _pair_map(dA: int, dB: int) -> _ConstraintMap:
+    """Map of a state on A tensor Sym^2(C^dB) to the (A, B1) marginal of its
+    embedding in A tensor B tensor B, and its trace."""
+    nsym = dB * (dB + 1) // 2
+    v = sym2_isometry(dB).reshape(dB, dB, nsym)
+    # tracing out B2: entry (s, t) of the pair block feeds (b1, b1') with pair[b1, b1', s, t]
+    pair = np.einsum("xbs,ybt->xyst", v, v)
+    b1, b1p, s, t = np.nonzero(pair)
+    a, ap = (x[:, None] for x in np.divmod(np.arange(dA * dA), dA))
+    p, q, i, j, coeff = np.broadcast_arrays(
+        a * nsym + s, ap * nsym + t, a * dB + b1, ap * dB + b1p, pair[b1, b1p, s, t]
+    )
+    return _compact_map([dA * nsym], [1], dA * dB, [(0, p.ravel(), q.ravel(), i.ravel(), j.ravel(), coeff.ravel())])
+
+
 def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig | None = None) -> SolverReport:
     """Two-leg bosonic extendibility for any B dimension.
 
@@ -213,26 +376,11 @@ def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig |
         raise ValueError(f"layout {rho_ab.dims} does not match a B dimension of {dB}")
     dA = rho_ab.dims[0]
     nsym = dB * (dB + 1) // 2
-    n = dA * nsym
-    lift = np.kron(np.eye(dA), sym2_isometry(dB))
-
-    def embed_marginal(h: np.ndarray) -> np.ndarray:
-        full = lift @ h @ lift.conj().T
-        return partial_trace(full, (dA, dB, dB), (0, 1))
-
-    space = _BlockSpace([n])
-    amap = np.zeros(((dA * dB) ** 2 + 1, n * n))
-    for t in range(n * n):
-        unit = np.zeros(n * n)
-        unit[t] = 1.0
-        h = _vec_to_herm(unit, n)
-        amap[:-1, t] = _herm_to_vec(embed_marginal(h))
-        amap[-1, t] = float(h.trace().real)
-    b = np.concatenate([_herm_to_vec(rho_ab.matrix), [1.0]])
-    status, res, gap, it, y = _douglas_rachford(space, amap, b, cfg)
+    cmap = _MAPS.get(("pair", dA, dB), lambda: _pair_map(dA, dB))
+    status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
     certificate = None
     if status == FEASIBLE:
-        certificate = DensityMatrix(space.to_mats(y)[0], (dA, nsym), atol=max(1e-6, 10 * cfg.tol_feasible), check_psd=False)
+        certificate = DensityMatrix(cmap.space.to_mats(y)[0], (dA, nsym), atol=max(1e-6, 10 * cfg.tol_feasible), check_psd=False)
     return SolverReport(status, res, gap, it, certificate)
 
 

@@ -296,3 +296,44 @@ def test_main_prints_and_exits(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: FEASIBLE" in out
     assert MARKER in out
+
+
+def test_convert_and_verify_parse_each_file_once(tmp_path, monkeypatch):
+    import symext.io as mio
+    from symext.blocks import blocks_to_global
+    from symext.schur import build_schur_basis
+
+    rho, witness = gen_random_extendible(3, 2, 6)
+    full = write_state(blocks_to_global(witness, build_schur_basis(3)), tmp_path / "full.state")
+    marginal = write_state(rho, tmp_path / "rho.state")
+    cert = tmp_path / "w.blocks"
+    save_blocks(witness, cert)
+    sigma = str(tmp_path / "sigma.state")
+    parsed = []
+    read = mio._read_json
+    monkeypatch.setattr(mio, "_read_json", lambda path: parsed.append(str(path)) or read(path))
+    for argv, files in (
+        (["convert", "--k", "3", "--in", full, "--out", sigma], [full]),
+        (["convert", "--k", "3", "--in", str(cert), "--out", sigma], [str(cert)]),
+        (["verify", "--k", "3", "--ext", full, "--marginal", marginal], [full, marginal]),
+    ):
+        parsed.clear()
+        code, report = run_command(argv)
+        assert code == 0, report
+        assert parsed == files
+
+
+def test_convert_reports_unreadable_inputs(tmp_path):
+    out = str(tmp_path / "sigma.state")
+    listing = tmp_path / "list.state"
+    listing.write_text("[1, 2]")
+    code, report = run_command(["convert", "--k", "2", "--in", str(listing), "--out", out])
+    assert code == 1
+    assert "top level is not an object" in report
+    # a blocks file that fails validation is reported as the state it is not
+    broken = tmp_path / "broken.blocks"
+    save_blocks(gen_random_extendible(2, 2, 0)[1], broken)
+    broken.write_text(broken.read_text().replace('"k": 2', '"k": 5'))
+    code, report = run_command(["convert", "--k", "2", "--in", str(broken), "--out", out])
+    assert code == 1
+    assert "missing or empty layout" in report
