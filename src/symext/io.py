@@ -4,6 +4,11 @@ States and certificates are stored as JSON with every float written with 17
 significant digits, which round-trips IEEE doubles exactly; writing the same
 object twice yields identical bytes. A layout entry is either a local
 dimension or the tag "sym(k)" marking the symmetric weight space of k qubits.
+
+Loading converts the entries of a matrix file in one numpy pass when they are
+all plain [re, im] number pairs; any other list is checked entry by entry, so
+an error names the first entry that is not a pair of numbers or does not fit
+in a float.
 """
 
 from __future__ import annotations
@@ -109,13 +114,28 @@ def _matrix_file(path, doc) -> MatrixFile:
     dim = prod(mf.dims())
     if len(entries) != dim * dim:
         raise MatrixFileError(f"{path}: expected {dim * dim} entries for layout {clean_layout}, found {len(entries)}")
-    flat = np.empty(dim * dim, dtype=complex)
+    mf.entries = _complex_entries(path, entries).reshape(dim, dim)
+    return mf
+
+
+def _complex_entries(path, entries: list) -> np.ndarray:
+    """The [re, im] pairs of a matrix file as a flat complex array."""
+    try:
+        pairs = np.asarray(entries)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is not None and pairs.dtype.kind in "biuf" and pairs.shape == (len(entries), 2):
+        # a view keeps every part as parsed; re + 1j*im would turn inf into nan
+        return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
+    flat = np.empty(len(entries), dtype=complex)
     for i, pair in enumerate(entries):
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair)):
             raise MatrixFileError(f"{path}: entry {i} is not a [re, im] pair")
-        flat[i] = complex(pair[0], pair[1])
-    mf.entries = flat.reshape(dim, dim)
-    return mf
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise MatrixFileError(f"{path}: entry {i} does not fit in a float: {exc}") from exc
+    return flat
 
 
 def load_matrix_file(path) -> MatrixFile:
@@ -194,7 +214,7 @@ def _blocks(path, doc) -> BlockState:
             flat = np.array([complex(p[0], p[1]) for p in part["entries"]])
             blocks[lam] = flat.reshape(n, n)
         return BlockState(k, dA, blocks)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 
 

@@ -10,8 +10,14 @@ from symext.blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
-from symext.convert import BosonicState, sym_to_bos, tilde_state, verify_extension
-from symext.linalg import DensityMatrix, partial_trace, random_density
+from symext.convert import BosonicState, _swap_adjacent_legs, sym_to_bos, tilde_state, verify_extension
+from symext.linalg import (
+    DensityMatrix,
+    adjacent_transposition,
+    partial_trace,
+    permutation_operator,
+    random_density,
+)
 from symext.schur import build_schur_basis, coeff_matrix_P
 from symext.solver import qutrit_counterexample
 from symext.young import YoungDiagram, hook_dim, list_diagrams
@@ -142,6 +148,50 @@ def test_verify_flags_broken_invariance():
     rho = DensityMatrix(np.kron(a, b1), (2, 2))
     report = verify_extension(sigma, rho, 2)
     assert not report.invariance_ok
+
+
+@pytest.mark.parametrize(
+    "k,d", [(k, 2) for k in range(2, 9)] + [(k, 3) for k in range(2, 6)]
+)
+def test_leg_swap_equals_dense_permutation_conjugation(k, d):
+    # the axis permutation must give exactly the entries of the dense
+    # conjugation, on matrices that are not invariant, for every transposition
+    for dA in (1, 2, 3):
+        dims = (dA,) + (d,) * k
+        n = dA * d**k
+        g = np.random.default_rng(10 * k + dA).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+        m = g + g.conj().T
+        for t in range(k - 1):
+            p = np.kron(np.eye(dA), permutation_operator(k, adjacent_transposition(k, t), d))
+            dense = p @ m @ p.T
+            swapped = _swap_adjacent_legs(m, dims, t)
+            assert np.array_equal(swapped, dense)
+            assert np.linalg.norm(swapped - m) == np.linalg.norm(dense - m) > 0
+
+
+def test_verify_flags_asymmetry_between_the_last_two_legs():
+    # legs 1..3 are equal and leg 4 differs, so only transposition t=2, the
+    # last one, moves the state
+    gen = np.random.default_rng(12)
+    a, b, c = (random_density(2, gen) for _ in range(3))
+    matrix = np.kron(a, np.kron(np.kron(b, b), np.kron(b, c)))
+    dims = (2, 2, 2, 2, 2)
+    sigma = DensityMatrix(matrix, dims)
+    moved = [np.linalg.norm(_swap_adjacent_legs(sigma.matrix, dims, t) - sigma.matrix) > 1e-6 for t in range(3)]
+    assert moved == [False, False, True]
+    report = verify_extension(sigma, DensityMatrix(np.kron(a, b), (2, 2)), 4)
+    assert not report.invariance_ok
+    assert report.invariance_deviation > 1e-6
+
+
+def test_weight_coordinates_report_invariance_by_construction():
+    rho, witness = gen_random_extendible(9, 2, 3)
+    for ext in (witness, sym_to_bos(witness)):
+        report = verify_extension(ext, rho, 9)
+        assert report.by_construction
+        assert report.invariance_deviation == 0.0
+    small, w = gen_random_extendible(3, 2, 3)
+    assert not verify_extension(sym_to_bos(w), small, 3).by_construction
 
 
 def test_verify_layout_errors():

@@ -337,3 +337,102 @@ def test_convert_reports_unreadable_inputs(tmp_path):
     code, report = run_command(["convert", "--k", "2", "--in", str(broken), "--out", out])
     assert code == 1
     assert "missing or empty layout" in report
+
+
+def _write_entries(path, layout, entries_text):
+    path.write_text(
+        '{\n"format_version": 1,\n"kind": "state",\n'
+        f'"layout": {layout},\n"metadata": {{}},\n"entries": {entries_text}\n}}\n'
+    )
+
+
+def _loop_entries(entries):
+    # the entry-by-entry conversion the numpy pass replaces
+    return np.array([complex(re, im) for re, im in entries], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0.5, 0.0], [0.25, -0.125], [0.25, 0.125], [0.5, 0.0]],
+        [[1, 0], [0, 0], [0, 0], [0, 0]],
+        [[True, False], [False, True], [True, False], [False, False]],
+        [[-0.0, -0.0], [0, -0.0], [-0.0, 0], [1e-300, -2.5e-310]],
+        [[1, -0.0], [True, 0.1], [3, -1e308], [0.5, False]],
+    ],
+    ids=["float", "int", "bool", "negative-zero", "mixed"],
+)
+def test_fast_entry_parse_matches_the_loop(tmp_path, entries):
+    import json
+
+    path = tmp_path / "m.state"
+    _write_entries(path, "[2]", json.dumps(entries))
+    got = load_matrix_file(path).entries.reshape(-1)
+    want = _loop_entries(entries)
+    assert got.dtype == want.dtype
+    # bit-identical, so the sign of every zero is kept too
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ['"1.5"', '["1.5", 0]', "[1, 2, 3]", "[1, [2, 3]]", "[[1], [2]]", "null", "{}", '{"re": 1, "im": 0}'],
+)
+def test_malformed_entries_name_their_index(tmp_path, bad):
+    path = tmp_path / "m.state"
+    _write_entries(path, "[2]", f"[[0.5, 0], [0, 0], {bad}, [0.5, 0]]")
+    with pytest.raises(MatrixFileError, match=r"entry 2 is not a \[re, im\] pair"):
+        load_matrix_file(path)
+
+
+def test_entries_too_large_for_a_float_are_file_errors(tmp_path):
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.state"
+    _write_entries(path, "[2, 2]", f"[[{huge}, 0]" + ", [0, 0]" * 15 + "]")
+    code, report = run_command(["tilde", "--k", "2", "--in", str(path)])
+    assert code == 1
+    assert f"error: {path}: entry 0 does not fit in a float" in report
+    blocks = tmp_path / "huge.blocks"
+    save_blocks(gen_random_extendible(2, 2, 0)[1], blocks)
+    text = blocks.read_text()
+    first = text.index('"entries": [[') + len('"entries": [[')
+    blocks.write_text(text[:first] + huge + text[text.index(",", first):])
+    with pytest.raises(MatrixFileError, match="too large"):
+        load_blocks(blocks)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    rho = str(tmp_path / "rho.state")
+    witness = tmp_path / "w.blocks"
+    gen = ["gen", "--k", "2", "--dA", "2", "--seed", "1", "--out", rho]
+    code, report = run_command(gen + ["--witness", str(witness)])
+    assert code == 0 and "witness:" in report
+    witness.unlink()
+    code, report = run_command(gen)
+    assert code == 0
+    assert "witness" not in above_marker(report)
+    assert not witness.exists()
+    code, report = run_command(["gen", "--k", "2", "--dA", "2", "--out", rho])
+    assert code == 1 and "status: ERROR" in report
+    for _ in range(2):
+        code, report = run_command(["selftest", "--only", "6"])
+        assert code == 0
+        assert above_marker(report).count("criterion ") == 1
+
+
+def test_verify_above_the_full_check_cutoff(tmp_path):
+    rho = tmp_path / "rho.state"
+    witness = tmp_path / "w.blocks"
+    sigma = tmp_path / "sigma.state"
+    for argv in (
+        ["gen", "--k", "10", "--dA", "2", "--seed", "4", "--out", str(rho), "--witness", str(witness)],
+        ["convert", "--k", "10", "--in", str(witness), "--out", str(sigma)],
+    ):
+        code, report = run_command(argv)
+        assert code == 0, report
+    code, report = run_command(["verify", "--k", "10", "--ext", str(sigma), "--marginal", str(rho)])
+    assert code == 0, report
+    head = above_marker(report)
+    assert "invariance: structural\n" in head
+    assert "support: structural\n" in head
+    assert "status: PASS" in head
