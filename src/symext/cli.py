@@ -4,6 +4,11 @@ Every subcommand prints a report whose content above the "--- timings ---"
 marker is a deterministic function of the arguments and input files; wall
 times go below the marker. Exit codes: 0 FEASIBLE/PASS, 2 INFEASIBLE/FAIL,
 3 UNDECIDED, 1 usage or file errors.
+
+check-sym and check-bos share one handler: for a qubit B side a k-symmetric
+extension exists if and only if a k-bosonic one does, and both are decided
+by the top-sector problem, so they print the same report and write the same
+certificate.
 """
 
 from __future__ import annotations
@@ -28,9 +33,7 @@ from .schur import build_schur_basis
 from .solver import (
     FEASIBLE,
     INFEASIBLE,
-    SolverConfig,
     SolverReport,
-    solve_bosonic,
     solve_bosonic_k2_generic,
     solve_symmetric,
 )
@@ -74,26 +77,14 @@ def _load_bipartite(path, expect_db: int | None = None) -> DensityMatrix:
     return state
 
 
-def _cmd_check_sym(args, lines, timings):
+def _cmd_check_qubit(args, lines, timings):
     rho = _load_bipartite(args.infile, expect_db=2)
     t0 = time.perf_counter()
-    report = solve_symmetric(rho, args.k, SolverConfig(seed=args.seed))
+    report = solve_symmetric(rho, args.k)
     timings.append(("solve", time.perf_counter() - t0))
     lines += _solver_lines(report)
     if report.certificate is not None and args.cert:
-        mio.save_blocks(report.certificate, args.cert, metadata={"k": args.k, "seed": args.seed})
-        lines.append(f"certificate: {args.cert}")
-    return _status_code(report.status)
-
-
-def _cmd_check_bos(args, lines, timings):
-    rho = _load_bipartite(args.infile, expect_db=2)
-    t0 = time.perf_counter()
-    report = solve_bosonic(rho, args.k, SolverConfig(seed=args.seed))
-    timings.append(("solve", time.perf_counter() - t0))
-    lines += _solver_lines(report)
-    if report.certificate is not None and args.cert:
-        mio.save_blocks(report.certificate, args.cert, metadata={"k": args.k, "seed": args.seed})
+        mio.save_blocks(report.certificate, args.cert, metadata={"k": args.k})
         lines.append(f"certificate: {args.cert}")
     return _status_code(report.status)
 
@@ -101,7 +92,7 @@ def _cmd_check_bos(args, lines, timings):
 def _cmd_check_bos2(args, lines, timings):
     rho = _load_bipartite(args.infile, expect_db=args.dB)
     t0 = time.perf_counter()
-    report = solve_bosonic_k2_generic(rho, args.dB, SolverConfig(seed=args.seed))
+    report = solve_bosonic_k2_generic(rho, args.dB)
     timings.append(("solve", time.perf_counter() - t0))
     lines += _solver_lines(report)
     if report.certificate is not None and args.cert:
@@ -122,7 +113,7 @@ def _as_block_state(path, k: int) -> tuple[BlockState, list[str]]:
         return state, notes
     if len(state.dims) == 2 and state.dims[1] == 2 and k != 1:
         notes.append("input: bipartite state, solving for a witness")
-        report = solve_symmetric(state, k, SolverConfig())
+        report = solve_symmetric(state, k)
         notes += _solver_lines(report)
         if report.certificate is None:
             raise _SolveFailed(report.status, notes)
@@ -243,23 +234,19 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    p = add("check-sym", _cmd_check_sym, "decide k-symmetric extendibility (qubit B)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cert", default=None, help="write a block certificate here when feasible")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("check-bos", _cmd_check_bos, "decide k-bosonic extendibility (qubit B)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cert", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    for name, helptext in (
+        ("check-sym", "decide k-symmetric extendibility (qubit B)"),
+        ("check-bos", "decide k-bosonic extendibility (qubit B); the same problem as check-sym"),
+    ):
+        p = add(name, _cmd_check_qubit, helptext)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--cert", default=None, help="write a block certificate here when feasible")
 
     p = add("check-bos2", _cmd_check_bos2, "decide 2-bosonic extendibility for any B dimension")
     p.add_argument("--dB", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cert", default=None)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("convert", _cmd_convert, "produce a bosonic extension from a state, certificate, or extension")
     p.add_argument("--k", type=int, required=True)

@@ -12,7 +12,6 @@ from math import prod
 import numpy as np
 
 HERMITIAN_ATOL = 1e-10
-PSD_ATOL = 1e-10
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -24,25 +23,10 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def tensor_many(*factors: np.ndarray) -> np.ndarray:
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = tensor_product(out, f)
-    return out
-
-
 def herm_deviation(m: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part of m."""
     m = np.asarray(m)
     return float(np.linalg.norm(m - m.conj().T)) / 2
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return herm_deviation(m) <= atol
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
@@ -120,19 +104,6 @@ def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
     if dev > atol:
         raise ValueError(f"input is not Hermitian (anti-Hermitian norm {dev:.3e})")
     return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
-
-
-def psd_project(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm (eigenvalue clip)."""
-    h = np.asarray(h, dtype=complex)
-    dev = herm_deviation(h)
-    if dev > atol:
-        raise ValueError(f"input is not Hermitian (anti-Hermitian norm {dev:.3e})")
-    hh = (h + h.conj().T) / 2
-    w, v = np.linalg.eigh(hh)
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

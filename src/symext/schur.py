@@ -45,30 +45,17 @@ class SchurBasis:
         self.paths = paths
         self._sectors = sectors
         cols = []
-        offsets = {}
-        at = 0
         for lam in self.diagrams:
             arr = sectors[lam]
             _, d, nw = arr.shape
-            offsets[lam] = at
             cols.append(arr.reshape(2**self.k, d * nw))
-            at += d * nw
             arr.flags.writeable = False
         self.matrix = np.concatenate(cols, axis=1)
         self.matrix.flags.writeable = False
-        self._offsets = offsets
 
     def sector(self, lam: YoungDiagram) -> np.ndarray:
         """Basis vectors of one sector, shape (2^k, paths, weights)."""
         return self._sectors[lam]
-
-    def column_range(self, lam: YoungDiagram) -> slice:
-        """Columns of `matrix` holding the sector, path major, weight minor."""
-        off = self._offsets[lam]
-        return slice(off, off + len(self.paths[lam]) * lam.num_weights)
-
-    def vector(self, lam: YoungDiagram, mu: int, omega: float) -> np.ndarray:
-        return self._sectors[lam][:, mu, lam.weight_index(omega)].copy()
 
     def __repr__(self):
         return f"SchurBasis(k={self.k}, sectors={len(self.diagrams)})"
@@ -238,17 +225,3 @@ def coeff_matrix_P(lam: YoungDiagram, k: int | None = None) -> np.ndarray:
         for i in range(lam.num_weights - 1):
             p[i, i + 1] = p[i + 1, i] = p_coeff(lam, ws[i], ws[i + 1], k)
     return p
-
-
-def export_basis(basis: SchurBasis) -> str:
-    """Text dump, one line per basis vector: rows | path | weight | amplitudes."""
-    lines = []
-    for lam in basis.diagrams:
-        sec = basis.sector(lam)
-        ws = lam.weights()
-        for mu, path in enumerate(basis.paths[lam]):
-            path_txt = ",".join(format(x, "g") for x in path)
-            for iw, w in enumerate(ws):
-                amps = " ".join(f"{a:.17g}{0.0:+.17g}i" for a in sec[:, mu, iw])
-                lines.append(f"{lam.lambda1},{lam.lambda2} | {path_txt} | {format(w, 'g')} | {amps}")
-    return "\n".join(lines) + "\n"

@@ -1,27 +1,32 @@
 """Extendibility feasibility by projection splitting.
 
-Both extension problems are intersections of a product of PSD cones (one
-block per allowed sector) with an affine set pinning the (A, B1) marginal and
-the normalization. The solver runs Douglas-Rachford splitting between the two
-sets: both projections are exact (eigenvalue clipping per block, a
-precomputed pseudo-inverse for the affine part) and the governing iterate
-advances by reflections. The cone shadow is PSD by construction, so a small
-constraint residual on it certifies feasibility outright. When the sets are
-disjoint the step length decreases to the distance between them, so a stalled
-step length above tol_infeasible_gap is reported as infeasibility with that
-gap estimate. Everything else times out as UNDECIDED.
+Every problem here is the intersection of the PSD cone of one Hermitian
+block with an affine set pinning the (A, B1) marginal and the trace. For a
+qubit B side the block is the top (fully symmetric) sector, of size
+dA (k + 1): a k-leg permutation-invariant extension exists if and only if a
+bosonic one does, so this one problem decides both k-symmetric and
+k-bosonic extendibility. For the two-leg pair solver the block is the state
+on A tensor the symmetric pair subspace.
+
+The solver runs Douglas-Rachford splitting between the two sets: both
+projections are exact (an eigenvalue clip of the block, a precomputed
+pseudo-inverse for the affine part) and the governing iterate advances by
+reflections. The cone shadow is PSD by construction, so a small constraint
+residual on it certifies feasibility outright. When the sets are disjoint
+the step length decreases to the distance between them, so a stalled step
+length above tol_infeasible_gap is reported as infeasibility with that gap
+estimate. Everything else times out as UNDECIDED.
 
 The affine set's linear map depends only on the shape of the problem, not on
 the state: it is built in closed form from index arrays, keeps only the
-columns of the coordinates it touches (the weight-diagonal and
-weight-adjacent dA x dA sub-blocks of each sector), and is cached, read-only,
-with its Gram pseudo-inverse. The key is (k, dA, sectors) for the qubit
-solvers and (dA, dB) for the two-leg pair solver; only the target vector is
-built per state, and the affine projection works on the touched coordinates
-alone. A map takes about 8 * (4 dA^2 + 2) bytes per touched coordinate:
-under 1 MB for k <= 10 and dA <= 4, 1.8 MB at k = 16, dA = 4 and 26 MB at the
-block cap (k = 64, dA = 4), where the dense map would take 399 MB. The cache
-evicts the least recently used maps once they hold more than 64 MB together.
+columns of the coordinates it touches (for the top sector, the
+weight-diagonal and weight-adjacent dA x dA sub-blocks), and is cached,
+read-only, with its Gram pseudo-inverse. The key is (k, dA) for the top
+sector and (dA, dB) for the pair solver; only the target vector is built per
+state, and the affine projection works on the touched coordinates alone. At
+the block cap (k = 64, dA = 4) the top-sector map takes 1.6 MB. The cache
+evicts the least recently used maps once they hold more than 64 MB together,
+which bounds the pair maps, whose size grows as dB^4.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .blocks import BlockState
 from .caps import block_cap
 from .linalg import DensityMatrix
 from .schur import alpha_coeff, diag_coeffs
-from .young import YoungDiagram, hook_dim, list_diagrams
+from .young import YoungDiagram
 
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
@@ -54,7 +59,6 @@ class SolverConfig:
     tol_feasible: float = 1e-8
     tol_infeasible_gap: float = 1e-6
     max_iter: int = 20000
-    seed: int = 0  # echoed in reports; the iteration itself is deterministic
 
     def __post_init__(self):
         if self.tol_feasible <= 0 or self.tol_infeasible_gap <= 0:
@@ -75,9 +79,8 @@ class SolverReport:
 _SQRT2 = sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 
-# Bound on the bytes of the cached constraint maps: room for the map at the
-# block cap (k=64, dA=4, about 26 MB) next to many small ones, so that a batch
-# cycling through a handful of shapes builds each map once.
+# Bound on the bytes of the cached constraint maps: room for many shapes, so
+# that a batch cycling through a handful of them builds each map once.
 _MAP_CACHE_BYTES = 64 * 2**20
 
 
@@ -124,41 +127,24 @@ def _triu_position(i, j, n):
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-class _BlockSpace:
-    """Stacked real coordinates for a list of Hermitian block sizes."""
-
-    def __init__(self, sizes):
-        self.sizes = list(sizes)
-        self.slices = []
-        at = 0
-        for n in self.sizes:
-            self.slices.append(slice(at, at + n * n))
-            at += n * n
-        self.dim = at
-
-    def to_mats(self, v: np.ndarray) -> list[np.ndarray]:
-        return [_vec_to_herm(v[sl], n) for sl, n in zip(self.slices, self.sizes)]
-
-    def cone_project(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for sl, n in zip(self.slices, self.sizes):
-            h = _vec_to_herm(v[sl], n)
-            w, u = np.linalg.eigh(h)
-            np.maximum(w, 0.0, out=w)
-            out[sl] = _herm_to_vec((u * w) @ u.conj().T)
-        return out
+def _cone_project(v: np.ndarray, n: int) -> np.ndarray:
+    """Nearest point of the PSD cone, in coordinates, to an n x n block (eigenvalue clip)."""
+    w, u = np.linalg.eigh(_vec_to_herm(v, n))
+    np.maximum(w, 0.0, out=w)
+    return _herm_to_vec((u * w) @ u.conj().T)
 
 
 @dataclass(frozen=True)
 class _ConstraintMap:
     """The affine constraint's linear map, restricted to the coordinates it touches.
 
-    Its rows are the real coordinates of the pinned marginal, then the weighted
-    trace; `amap` holds the columns of the coordinates `cols` (ascending), and
-    every other column of the full map is zero. All arrays are read-only.
+    The variable is one n x n Hermitian block. The map's rows are the real
+    coordinates of the pinned marginal, then the trace; `amap` holds the
+    columns of the coordinates `cols` (ascending), and every other column of
+    the full map is zero. All arrays are read-only.
     """
 
-    space: _BlockSpace
+    n: int
     cols: np.ndarray
     amap: np.ndarray
     gram_pinv: np.ndarray
@@ -168,22 +154,17 @@ class _ConstraintMap:
         return self.cols.nbytes + self.amap.nbytes + self.gram_pinv.nbytes
 
 
-def _compact_map(sizes, trace_weights, dim_out: int, terms) -> _ConstraintMap:
-    """Real-coordinate constraint map of a linear map from blocks to a marginal.
+def _compact_map(n: int, dim_out: int, terms) -> _ConstraintMap:
+    """Real-coordinate constraint map of a linear map from an n x n block to a marginal.
 
-    Each of `terms` is (block, p, q, i, j, coeff), p to coeff arrays of one
-    length: entry (p, q) of that block adds coeff (real) times itself to entry
-    (i, j) of the dim_out x dim_out marginal. The marginal of a Hermitian input is
-    Hermitian, so only terms with i <= j are read. The last row is the trace of
-    each block times its weight.
+    Each of `terms` is (p, q, i, j, coeff), arrays of one length: entry (p, q)
+    of the block adds coeff (real) times itself to entry (i, j) of the
+    dim_out x dim_out marginal. The marginal of a Hermitian input is
+    Hermitian, so only terms with i <= j are read. The last row is the trace.
     """
-    space = _BlockSpace(sizes)
-    blk = np.concatenate([np.full(len(t[1]), t[0]) for t in terms])
-    p, q, i, j, coeff = (np.concatenate([t[f] for t in terms]) for f in range(1, 6))
+    p, q, i, j, coeff = (np.concatenate([t[f] for t in terms]) for f in range(5))
     keep = i <= j
-    blk, p, q, i, j, coeff = blk[keep], p[keep], q[keep], i[keep], j[keep], coeff[keep]
-    n = np.asarray(space.sizes)[blk]
-    offset = np.asarray([sl.start for sl in space.slices])[blk]
+    p, q, i, j, coeff = p[keep], q[keep], i[keep], j[keep], coeff[keep]
 
     # Rows: the marginal's diagonal is read as is, its upper triangle times
     # sqrt(2), real parts first. Columns: a diagonal block entry is its own
@@ -193,32 +174,29 @@ def _compact_map(sizes, trace_weights, dim_out: int, terms) -> _ConstraintMap:
     upper = _triu_position(i, j, dim_out)
     row_re = np.where(on_diag, i, dim_out + upper)
     row_im = dim_out + dim_out * (dim_out - 1) // 2 + upper
-    col_re = offset + n + _triu_position(np.minimum(p, q), np.maximum(p, q), n)
+    col_re = n + _triu_position(np.minimum(p, q), np.maximum(p, q), n)
     col_im = col_re + n * (n - 1) // 2
     sign = np.where(p < q, 1.0, -1.0)
     out_scale = np.where(on_diag, 1.0, _SQRT2)
     scaled = coeff * _INV_SQRT2
     off = p != q
     im = off & ~on_diag  # the imaginary part of the marginal's diagonal is not read
-    rows = [row_re[~off], row_re[off], row_im[im]]
-    cols = [(offset + p)[~off], col_re[off], col_im[im]]
-    vals = [(out_scale * coeff)[~off], (out_scale * scaled)[off], (_SQRT2 * (sign * scaled))[im]]
     trace_row = dim_out * dim_out
-    for sl, nb, wt in zip(space.slices, space.sizes, trace_weights):
-        rows.append(np.full(nb, trace_row))
-        cols.append(sl.start + np.arange(nb))
-        vals.append(np.full(nb, float(wt)))
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    is_touched = np.zeros(space.dim, dtype=bool)
+    rows = np.concatenate([row_re[~off], row_re[off], row_im[im], np.full(n, trace_row)])
+    cols = np.concatenate([p[~off], col_re[off], col_im[im], np.arange(n)])
+    vals = np.concatenate(
+        [(out_scale * coeff)[~off], (out_scale * scaled)[off], (_SQRT2 * (sign * scaled))[im], np.ones(n)]
+    )
+    is_touched = np.zeros(n * n, dtype=bool)
     is_touched[cols] = True
     touched = np.flatnonzero(is_touched)
-    # repeated (row, column) pairs add up; the sector maps have none
+    # repeated (row, column) pairs add up; the top-sector map has none
     flat = rows * len(touched) + np.searchsorted(touched, cols)
     amap = np.bincount(flat, weights=vals, minlength=(trace_row + 1) * len(touched)).reshape(trace_row + 1, -1)
     gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
     for a in (touched, amap, gram_pinv):
         a.flags.writeable = False
-    return _ConstraintMap(space, touched, amap, gram_pinv)
+    return _ConstraintMap(n, touched, amap, gram_pinv)
 
 
 class _MapCache:
@@ -248,7 +226,7 @@ _MAPS = _MapCache(_MAP_CACHE_BYTES)
 
 def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
     """Returns (status, residual, gap_estimate, iterations, feasible_vec_or_None)."""
-    space, cols, amap, gram_pinv = cmap.space, cmap.cols, cmap.amap, cmap.gram_pinv
+    n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
     at = amap.T
 
     def affine_project(z: np.ndarray) -> np.ndarray:
@@ -256,12 +234,12 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         z[cols] -= at @ (gram_pinv @ (amap @ z[cols] - b))
         return z
 
-    x = affine_project(np.zeros(space.dim))
+    x = affine_project(np.zeros(n * n))
     steps: list[float] = []
     best_res = np.inf
     step = np.nan
     for it in range(1, cfg.max_iter + 1):
-        y = space.cone_project(x)
+        y = _cone_project(x, n)
         res = float(np.linalg.norm(amap @ y[cols] - b))
         best_res = min(best_res, res)
         if res <= cfg.tol_feasible:
@@ -277,62 +255,57 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
     return UNDECIDED, best_res, step, cfg.max_iter, None
 
 
-def _sector_map(k: int, dA: int, diagrams: tuple[YoungDiagram, ...]) -> _ConstraintMap:
-    """Map of the sector blocks to their (A, B1) marginal and weighted trace.
+def _top_sector_map(k: int, dA: int) -> _ConstraintMap:
+    """Map of the top-sector block to its (A, B1) marginal and trace.
 
     The marginal reads only the weight-diagonal and weight-adjacent dA x dA
-    sub-blocks, with the coefficients of `blocks.raw_marginal_from_blocks`.
+    sub-blocks, with the coefficients of `blocks.raw_marginal_from_blocks`
+    (the top sector's multiplicity is 1).
     """
-    sizes, weights, terms = [], [], []
-    for blk, lam in enumerate(diagrams):
-        d = hook_dim(lam)
-        nw = lam.num_weights
-        ws = lam.weights()
-        sizes.append(dA * nw)
-        weights.append(d)
-        t = np.array([[d * c for c in diag_coeffs(k, w)] for w in ws])
-        a, c, iw = (g.ravel() for g in np.meshgrid(np.arange(dA), np.arange(dA), np.arange(nw), indexing="ij"))
-        for s in (0, 1):
-            terms.append((blk, a * nw + iw, c * nw + iw, 2 * a + s, 2 * c + s, t[iw, s]))
-        if nw > 1:
-            alpha = np.array([d * alpha_coeff(lam, w, w + 1) for w in ws[:-1]])
-            adj = iw < nw - 1
-            a, c, iw = a[adj], c[adj], iw[adj]
-            terms.append((blk, a * nw + iw, c * nw + iw + 1, 2 * a, 2 * c + 1, alpha[iw]))
-            terms.append((blk, a * nw + iw + 1, c * nw + iw, 2 * a + 1, 2 * c, alpha[iw]))
-    return _compact_map(sizes, weights, 2 * dA, terms)
+    lam = YoungDiagram(k, 0)
+    nw = lam.num_weights
+    ws = lam.weights()
+    t = np.array([diag_coeffs(k, w) for w in ws])
+    a, c, iw = (g.ravel() for g in np.meshgrid(np.arange(dA), np.arange(dA), np.arange(nw), indexing="ij"))
+    terms = [(a * nw + iw, c * nw + iw, 2 * a + s, 2 * c + s, t[iw, s]) for s in (0, 1)]
+    if nw > 1:
+        alpha = np.array([alpha_coeff(lam, w, w + 1) for w in ws[:-1]])
+        adj = iw < nw - 1
+        a, c, iw = a[adj], c[adj], iw[adj]
+        terms.append((a * nw + iw, c * nw + iw + 1, 2 * a, 2 * c + 1, alpha[iw]))
+        terms.append((a * nw + iw + 1, c * nw + iw, 2 * a + 1, 2 * c, alpha[iw]))
+    return _compact_map(dA * nw, 2 * dA, terms)
 
 
 def _marginal_target(rho_ab: DensityMatrix) -> np.ndarray:
     return np.concatenate([_herm_to_vec(rho_ab.matrix), [1.0]])
 
 
-def _solve_sectors(rho_ab: DensityMatrix, k: int, diagrams: list[YoungDiagram], cfg: SolverConfig) -> SolverReport:
+def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:
+    """Decide k-extendibility of rho_ab with the extension confined to the top sector.
+
+    For a qubit B side a k-leg permutation-invariant extension exists if and
+    only if a bosonic one does, so this one problem decides both; it is bound
+    to both names, and the certificate holds the top sector alone.
+    """
+    cfg = cfg or SolverConfig()
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:
         raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use the generic pair solver for other B dimensions")
-    if not 1 <= k <= block_cap():
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > block_cap():
         raise ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
     dA = rho_ab.dims[0]
-    diagrams = tuple(diagrams)
-    cmap = _MAPS.get(("sectors", k, dA, diagrams), lambda: _sector_map(k, dA, diagrams))
+    cmap = _MAPS.get(("top", k, dA), lambda: _top_sector_map(k, dA))
     status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
     certificate = None
     if status == FEASIBLE:
-        mats = cmap.space.to_mats(y)
-        certificate = BlockState(k, dA, dict(zip(diagrams, mats)), atol=max(1e-6, 10 * cfg.tol_feasible))
+        top = _vec_to_herm(y, cmap.n)
+        certificate = BlockState(k, dA, {YoungDiagram(k, 0): top}, atol=max(1e-6, 10 * cfg.tol_feasible))
     return SolverReport(status, res, gap, it, certificate)
 
 
-def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:
-    """Decide whether rho_ab has a k-leg permutation-invariant extension."""
-    cfg = cfg or SolverConfig()
-    return _solve_sectors(rho_ab, k, list_diagrams(k), cfg)
-
-
-def solve_bosonic(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:
-    """Decide extendibility with the extension confined to the top sector."""
-    cfg = cfg or SolverConfig()
-    return _solve_sectors(rho_ab, k, list_diagrams(k)[:1], cfg)
+solve_bosonic = solve_symmetric
 
 
 def sym2_isometry(dB: int) -> np.ndarray:
@@ -361,7 +334,7 @@ def _pair_map(dA: int, dB: int) -> _ConstraintMap:
     p, q, i, j, coeff = np.broadcast_arrays(
         a * nsym + s, ap * nsym + t, a * dB + b1, ap * dB + b1p, pair[b1, b1p, s, t]
     )
-    return _compact_map([dA * nsym], [1], dA * dB, [(0, p.ravel(), q.ravel(), i.ravel(), j.ravel(), coeff.ravel())])
+    return _compact_map(dA * nsym, dA * dB, [(p.ravel(), q.ravel(), i.ravel(), j.ravel(), coeff.ravel())])
 
 
 def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig | None = None) -> SolverReport:
@@ -380,7 +353,8 @@ def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig |
     status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
     certificate = None
     if status == FEASIBLE:
-        certificate = DensityMatrix(cmap.space.to_mats(y)[0], (dA, nsym), atol=max(1e-6, 10 * cfg.tol_feasible), check_psd=False)
+        pair = _vec_to_herm(y, cmap.n)
+        certificate = DensityMatrix(pair, (dA, nsym), atol=max(1e-6, 10 * cfg.tol_feasible), check_psd=False)
     return SolverReport(status, res, gap, it, certificate)
 
 

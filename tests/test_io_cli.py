@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import product_state, singlet_state
-from symext.blocks import gen_random_extendible
+from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
 from symext.io import (
@@ -139,6 +139,33 @@ def test_check_bos_and_certificate(tmp_path):
     assert f"certificate: {cert}" in report
     bs = load_blocks(cert)
     assert set(bs.blocks) == {list_diagrams(3)[0]}
+
+
+def test_check_sym_and_check_bos_write_the_same_output(tmp_path):
+    # one problem decides both for a qubit B side; only the command line differs
+    rho, _ = gen_random_extendible(4, 2, 3, PROFILE_EXCLUDE_BOSONIC)
+    good = write_state(rho, tmp_path / "good.state")
+    bad = write_state(singlet_state(), tmp_path / "bad.state")
+    for i, state in enumerate((good, bad)):
+        heads, certs = [], []
+        for command in ("check-sym", "check-bos"):
+            cert = tmp_path / f"{command}-{i}.blocks"
+            _, report = run_command([command, "--k", "4", "--in", state, "--cert", str(cert)])
+            heads.append(above_marker(report).replace(command, "CMD").replace(str(cert), "CERT"))
+            certs.append(cert.read_bytes() if cert.exists() else None)
+        assert heads[0] == heads[1]
+        assert certs[0] == certs[1]
+        assert (certs[0] is None) == (state == bad)
+
+
+def test_solver_commands_take_no_seed(tmp_path):
+    good = write_state(product_state(), tmp_path / "good.state")
+    for argv in (["check-sym", "--k", "2"], ["check-bos", "--k", "2"], ["check-bos2", "--dB", "2"]):
+        code, report = run_command(argv + ["--in", good, "--seed", "1"])
+        assert code == 1 and "unrecognized arguments: --seed 1" in report
+    cert = tmp_path / "cert.blocks"
+    run_command(["check-sym", "--k", "2", "--in", good, "--cert", str(cert)])
+    assert '"seed"' not in cert.read_text()
 
 
 def test_check_bos2_exit_codes(tmp_path):

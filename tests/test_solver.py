@@ -6,7 +6,7 @@ import pytest
 from conftest import product_state, singlet_state
 from symext import solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
-from symext.convert import verify_extension
+from symext.convert import sym_to_bos, verify_extension
 from symext.linalg import DensityMatrix, partial_trace
 from symext.solver import (
     FEASIBLE,
@@ -19,7 +19,7 @@ from symext.solver import (
     solve_symmetric,
     sym2_isometry,
 )
-from symext.young import YoungDiagram, hook_dim, list_diagrams
+from symext.young import YoungDiagram
 
 
 def test_config_validation():
@@ -29,6 +29,30 @@ def test_config_validation():
         SolverConfig(tol_infeasible_gap=-1e-9)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+def test_symmetric_and_bosonic_are_one_solver():
+    # bound to one function, so neither name calls the other
+    assert solve_symmetric is solve_bosonic
+
+
+def _werner(p):
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)
+    return DensityMatrix(p * np.outer(psi, psi) + (1 - p) * np.eye(4) / 4, (2, 2))
+
+
+def test_werner_verdicts_match_closed_form_threshold():
+    # the Werner state has a k-symmetric extension iff p <= (k + 2) / (3k)
+    # (Johnson and Viola, PRA 88, 032323)
+    for k in range(2, 17):
+        pc = (k + 2) / (3 * k)
+        for off in (0.05, -0.05, 0.005, -0.005, 0.002, -0.002):
+            rho = _werner(pc + off)
+            report = solve_symmetric(rho, k)
+            assert report.status == (FEASIBLE if off < 0 else INFEASIBLE), (k, off, report)
+            if report.status == FEASIBLE:
+                assert verify_extension(report.certificate, rho, k, tol=1e-7).symmetric_ok, (k, off)
+                assert verify_extension(sym_to_bos(report.certificate), rho, k, tol=1e-7).bosonic_ok, (k, off)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
@@ -164,8 +188,23 @@ def test_equal_amplitude_qutrit_status_is_reported_not_asserted():
 
 
 def test_reports_echo_configuration_limits():
+    # the certificate of the top-sector problem holds exactly the top sector
     report = solve_symmetric(product_state(), 3)
-    assert list_diagrams(3) == sorted(report.certificate.blocks, key=lambda d: -d.lambda1)
+    assert list(report.certificate.blocks) == [YoungDiagram(3, 0)]
+    assert report.certificate.block(YoungDiagram(3, 0)).shape == (2 * 4, 2 * 4)
+
+
+def test_cone_project_idempotent_and_optimal(rng):
+    n = 5
+    v = rng.normal(size=n * n)
+    p = solver._cone_project(v, n)
+    assert np.linalg.eigvalsh(solver._vec_to_herm(p, n))[0] >= -1e-12
+    assert np.allclose(solver._cone_project(p, n), p, atol=1e-12)
+    # the coordinates are an isometry, so clipping gives the Frobenius-nearest
+    # PSD matrix; any other PSD point is farther
+    other = solver._cone_project(v + 0.3 * solver._herm_to_vec(np.eye(n)), n)
+    assert np.linalg.norm(v - p) <= np.linalg.norm(v - other) + 1e-12
+    assert np.linalg.norm(v - p) <= np.linalg.norm(v) + 1e-12
 
 
 def _reference_herm_to_vec(h):
@@ -197,24 +236,22 @@ def test_hermitian_coordinates_match_reference_bit_for_bit(n):
     assert solver._herm_to_vec(h).tobytes() == _reference_herm_to_vec(h).tobytes()
 
 
-def _column_map(k, dA, diagrams):
-    """The dense sector constraint map, one raw_marginal_from_blocks call per coordinate."""
-    sizes = [dA * lam.num_weights for lam in diagrams]
-    cols = np.zeros((4 * dA * dA + 1, sum(n * n for n in sizes)))
-    at = 0
-    for lam, n in zip(diagrams, sizes):
-        for t in range(n * n):
-            unit = np.zeros(n * n)
-            unit[t] = 1.0
-            h = _reference_vec_to_herm(unit, n)
-            cols[:-1, at + t] = _reference_herm_to_vec(raw_marginal_from_blocks(k, dA, [(lam, h)]))
-            cols[-1, at + t] = hook_dim(lam) * float(h.trace().real)
-        at += n * n
+def _column_map(k, dA):
+    """The dense top-sector constraint map, one raw_marginal_from_blocks call per coordinate."""
+    lam = YoungDiagram(k, 0)
+    n = dA * lam.num_weights
+    cols = np.zeros((4 * dA * dA + 1, n * n))
+    for t in range(n * n):
+        unit = np.zeros(n * n)
+        unit[t] = 1.0
+        h = _reference_vec_to_herm(unit, n)
+        cols[:-1, t] = _reference_herm_to_vec(raw_marginal_from_blocks(k, dA, [(lam, h)]))
+        cols[-1, t] = float(h.trace().real)
     return cols
 
 
 def _dense(cmap):
-    full = np.zeros((cmap.amap.shape[0], cmap.space.dim))
+    full = np.zeros((cmap.amap.shape[0], cmap.n * cmap.n))
     full[:, cmap.cols] = cmap.amap
     return full
 
@@ -222,12 +259,7 @@ def _dense(cmap):
 @pytest.mark.parametrize("dA", [1, 2, 3, 4])
 def test_sector_map_equals_column_by_column_map(dA):
     for k in range(1, 11):
-        diagrams = list_diagrams(k)
-        reference = _column_map(k, dA, diagrams)
-        assert np.array_equal(_dense(solver._sector_map(k, dA, tuple(diagrams))), reference), (k, dA)
-        # the top sector's coordinates come first
-        top = _dense(solver._sector_map(k, dA, tuple(diagrams[:1])))
-        assert np.array_equal(top, reference[:, : top.shape[1]]), (k, dA)
+        assert np.array_equal(_dense(solver._top_sector_map(k, dA)), _column_map(k, dA)), (k, dA)
 
 
 @pytest.mark.parametrize("dA,dB", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
@@ -249,8 +281,8 @@ def test_pair_map_matches_embedding_loop(dA, dB):
 def test_constraint_map_is_cached_per_shape(monkeypatch):
     monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
     built = []
-    build = solver._sector_map
-    monkeypatch.setattr(solver, "_sector_map", lambda *key: built.append(key) or build(*key))
+    build = solver._top_sector_map
+    monkeypatch.setattr(solver, "_top_sector_map", lambda *key: built.append(key) or build(*key))
     first, _ = gen_random_extendible(5, 2, 21)
     second, _ = gen_random_extendible(5, 2, 22, PROFILE_EXCLUDE_BOSONIC)
     cold = solve_symmetric(second, 5)
@@ -258,7 +290,7 @@ def test_constraint_map_is_cached_per_shape(monkeypatch):
     warm = solve_symmetric(second, 5)
     assert len(built) == 1
 
-    cmap = solver._MAPS.get(("sectors", 5, 2, tuple(list_diagrams(5))), pytest.fail)
+    cmap = solver._MAPS.get(("top", 5, 2), pytest.fail)
     for a in (cmap.cols, cmap.amap, cmap.gram_pinv):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
@@ -273,7 +305,7 @@ def test_constraint_map_is_cached_per_shape(monkeypatch):
 
 def test_cache_bound_evicts_least_recently_used():
     cache = solver._MapCache(max_bytes=3000)
-    maps = {key: solver._sector_map(key, 1, tuple(list_diagrams(key)[:1])) for key in (6, 7, 8)}
+    maps = {key: solver._top_sector_map(key, 1) for key in (6, 7, 8)}
     assert all(1000 < m.nbytes < 1500 for m in maps.values())
     for key in (6, 7, 6, 8):
         assert cache.get(key, lambda key=key: maps[key]) is maps[key]
@@ -287,9 +319,9 @@ def test_cache_bound_evicts_least_recently_used():
 def test_block_cap_planted_state_is_feasible():
     k, dA = 64, 4
     rho, _ = gen_random_extendible(k, dA, 3)
-    for solve in (solve_symmetric, solve_bosonic):
-        report = solve(rho, k)
-        assert report.status == FEASIBLE
-        assert np.linalg.norm(marginal_from_blocks(report.certificate).matrix - rho.matrix) <= 1e-8
-    cmap = solver._MAPS.get(("sectors", k, dA, tuple(list_diagrams(k))), pytest.fail)
-    assert cmap.nbytes < 32 * 2**20
+    report = solve_symmetric(rho, k)
+    assert report.status == FEASIBLE
+    assert np.linalg.norm(marginal_from_blocks(report.certificate).matrix - rho.matrix) <= 1e-8
+    cmap = solver._MAPS.get(("top", k, dA), pytest.fail)
+    assert cmap.n == dA * (k + 1)
+    assert cmap.nbytes < 2 * 2**20
