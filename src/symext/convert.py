@@ -25,14 +25,8 @@ import numpy as np
 
 from .blocks import BlockState, blocks_to_global, raw_marginal_from_blocks
 from .caps import full_space_cap
-from .linalg import (
-    DensityMatrix,
-    herm_deviation,
-    min_eigenvalue,
-    partial_transpose,
-    permutation_operator,
-)
-from .schur import build_schur_basis, coeff_matrix_P, dicke_isometry
+from .linalg import DensityMatrix, herm_deviation, min_eigenvalue, partial_transpose
+from .schur import build_schur_basis, coeff_matrix_P, dicke_isometry, sym2_isometry
 from .young import YoungDiagram, hook_dim
 
 _FULL_CHECK_MAX_K = 8
@@ -172,10 +166,7 @@ def _verify_full(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float
     if d == 2:
         lift = np.kron(np.eye(dims[0]), dicke_isometry(k))
     elif k == 2:
-        swap = permutation_operator(2, (1, 0), d)
-        sym = (np.eye(d * d) + swap) / 2
-        w, u = np.linalg.eigh(sym)
-        lift = np.kron(np.eye(dims[0]), u[:, w > 0.5])
+        lift = np.kron(np.eye(dims[0]), sym2_isometry(d))
     else:
         raise ValueError("support check available for qubit legs or for two legs")
     overlap = float(sigma.matrix.trace().real - np.trace(lift.conj().T @ sigma.matrix @ lift).real)

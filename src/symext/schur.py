@@ -122,6 +122,19 @@ def dicke_isometry(k: int) -> np.ndarray:
     return np.stack([dicke(k, -k / 2 + s) for s in range(k + 1)], axis=1)
 
 
+def sym2_isometry(d: int) -> np.ndarray:
+    """Isometry from the symmetric pair subspace into two d-level systems.
+
+    Column order is the pairs i <= j, row by row; for d = 2 it equals
+    `dicke_isometry(2)`.
+    """
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
+    v = np.zeros((d * d, len(pairs)))
+    for s, (i, j) in enumerate(pairs):
+        v[[i * d + j, j * d + i], s] = 1.0 if i == j else 1 / sqrt(2.0)
+    return v
+
+
 def jplus_apply(v: np.ndarray, k: int) -> np.ndarray:
     """Total raising map: flip each 0 to 1, summed over positions."""
     v = np.asarray(v)

@@ -1,12 +1,13 @@
 """Extendibility feasibility by projection splitting.
 
 Every problem here is the intersection of the PSD cone of one Hermitian
-block with an affine set pinning the (A, B1) marginal and the trace. For a
-qubit B side the block is the top (fully symmetric) sector, of size
-dA (k + 1): a k-leg permutation-invariant extension exists if and only if a
-bosonic one does, so this one problem decides both k-symmetric and
-k-bosonic extendibility. For the two-leg pair solver the block is the state
-on A tensor the symmetric pair subspace.
+block, a state on A tensor Sym^k(C^dB), with an affine set pinning the
+(A, B1) marginal of its embedding and the trace. For a qubit B side the
+block is the top (fully symmetric) sector, of size dA (k + 1): a k-leg
+permutation-invariant extension exists if and only if a bosonic one does, so
+this one problem decides both k-symmetric and k-bosonic extendibility. For
+the two-leg pair solver (k = 2, any dB) the block is the state on A tensor
+the symmetric pair subspace.
 
 The solver runs Douglas-Rachford splitting between the two sets: both
 projections are exact (an eigenvalue clip of the block, a precomputed
@@ -17,16 +18,19 @@ the step length decreases to the distance between them, so a stalled step
 length above tol_infeasible_gap is reported as infeasibility with that gap
 estimate. Everything else times out as UNDECIDED.
 
-The affine set's linear map depends only on the shape of the problem, not on
-the state: it is built in closed form from index arrays, keeps only the
-columns of the coordinates it touches (for the top sector, the
-weight-diagonal and weight-adjacent dA x dA sub-blocks), and is cached,
-read-only, with its Gram pseudo-inverse. The key is (k, dA) for the top
-sector and (dA, dB) for the pair solver; only the target vector is built per
-state, and the affine projection works on the touched coordinates alone. At
-the block cap (k = 64, dA = 4) the top-sector map takes 1.6 MB. The cache
-evicts the least recently used maps once they hold more than 64 MB together,
-which bounds the pair maps, whose size grows as dB^4.
+The affine set's linear map depends only on the shape (k, dA, dB) of the
+problem, not on the state. It is built in closed form in the occupation
+basis |n> of Sym^k(C^dB): tracing out B2..Bk takes |n><m| to
+sqrt(n_i m_j) / k times |i><j| when m = n - e_i + e_j, and to zero otherwise.
+The map keeps only the columns of the coordinates it touches and is cached,
+read-only, with its Gram pseudo-inverse under the key (k, dA, dB); only the
+target vector is built per state, and the affine projection works on the
+touched coordinates alone. At the block cap (k = 64, dA = 4, dB = 2) the map
+takes 1.6 MB. The cache evicts the least recently used maps once they hold
+more than 64 MB together. Pair maps grow about as dB^5 (4.3 MiB at dA = 2,
+dB = 8; 133 MiB at dB = 16), so a map whose dense array would exceed 1 GiB
+is refused with a ValueError before it is allocated (at dA = 2, from
+dB = 25 on).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import sqrt
 from typing import Any
 
@@ -42,7 +47,6 @@ import numpy as np
 from .blocks import BlockState
 from .caps import block_cap
 from .linalg import DensityMatrix
-from .schur import alpha_coeff, diag_coeffs
 from .young import YoungDiagram
 
 FEASIBLE = "FEASIBLE"
@@ -82,6 +86,9 @@ _INV_SQRT2 = 1.0 / _SQRT2
 # Bound on the bytes of the cached constraint maps: room for many shapes, so
 # that a batch cycling through a handful of them builds each map once.
 _MAP_CACHE_BYTES = 64 * 2**20
+# Bound on the dense bytes of one constraint map: a larger one is refused
+# before it is allocated.
+_MAP_BYTES_LIMIT = 2**30
 
 
 @lru_cache(maxsize=256)
@@ -154,15 +161,14 @@ class _ConstraintMap:
         return self.cols.nbytes + self.amap.nbytes + self.gram_pinv.nbytes
 
 
-def _compact_map(n: int, dim_out: int, terms) -> _ConstraintMap:
+def _compact_map(n: int, dim_out: int, p, q, i, j, coeff) -> _ConstraintMap:
     """Real-coordinate constraint map of a linear map from an n x n block to a marginal.
 
-    Each of `terms` is (p, q, i, j, coeff), arrays of one length: entry (p, q)
-    of the block adds coeff (real) times itself to entry (i, j) of the
-    dim_out x dim_out marginal. The marginal of a Hermitian input is
+    p, q, i, j and coeff are arrays of one length: entry (p, q) of the block
+    adds coeff (real) times itself to entry (i, j) of the dim_out x dim_out
+    marginal; repeated terms add up. The marginal of a Hermitian input is
     Hermitian, so only terms with i <= j are read. The last row is the trace.
     """
-    p, q, i, j, coeff = (np.concatenate([t[f] for t in terms]) for f in range(5))
     keep = i <= j
     p, q, i, j, coeff = p[keep], q[keep], i[keep], j[keep], coeff[keep]
 
@@ -190,7 +196,12 @@ def _compact_map(n: int, dim_out: int, terms) -> _ConstraintMap:
     is_touched = np.zeros(n * n, dtype=bool)
     is_touched[cols] = True
     touched = np.flatnonzero(is_touched)
-    # repeated (row, column) pairs add up; the top-sector map has none
+    nbytes = (trace_row + 1) * len(touched) * 8
+    if nbytes > _MAP_BYTES_LIMIT:
+        raise ValueError(
+            f"constraint map of a {n} x {n} block onto a {dim_out} x {dim_out} marginal needs "
+            f"{nbytes / 2**20:.1f} MiB, above the {_MAP_BYTES_LIMIT / 2**20:g} MiB limit"
+        )
     flat = rows * len(touched) + np.searchsorted(touched, cols)
     amap = np.bincount(flat, weights=vals, minlength=(trace_row + 1) * len(touched)).reshape(trace_row + 1, -1)
     gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
@@ -255,30 +266,50 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
     return UNDECIDED, best_res, step, cfg.max_iter, None
 
 
-def _top_sector_map(k: int, dA: int) -> _ConstraintMap:
-    """Map of the top-sector block to its (A, B1) marginal and trace.
+def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
+    """Map of a state on A tensor Sym^k(C^dB) to the (A, B1) marginal of its
+    embedding in A tensor B^k, and its trace.
 
-    The marginal reads only the weight-diagonal and weight-adjacent dA x dA
-    sub-blocks, with the coefficients of `blocks.raw_marginal_from_blocks`
-    (the top sector's multiplicity is 1).
+    The basis of Sym^k(C^dB) is the occupation vectors n, one per multiset of
+    k legs in `itertools.combinations_with_replacement` order: the weight
+    slots, ascending, for dB = 2, and the pairs i <= j for k = 2. Tracing out
+    B2..Bk takes |n><m| to sqrt(n_i m_j) / k times |i><j| when n = r + e_i and
+    m = r + e_j for one multiset r of k - 1 legs, and to zero otherwise.
     """
-    lam = YoungDiagram(k, 0)
-    nw = lam.num_weights
-    ws = lam.weights()
-    t = np.array([diag_coeffs(k, w) for w in ws])
-    a, c, iw = (g.ravel() for g in np.meshgrid(np.arange(dA), np.arange(dA), np.arange(nw), indexing="ij"))
-    terms = [(a * nw + iw, c * nw + iw, 2 * a + s, 2 * c + s, t[iw, s]) for s in (0, 1)]
-    if nw > 1:
-        alpha = np.array([alpha_coeff(lam, w, w + 1) for w in ws[:-1]])
-        adj = iw < nw - 1
-        a, c, iw = a[adj], c[adj], iw[adj]
-        terms.append((a * nw + iw, c * nw + iw + 1, 2 * a, 2 * c + 1, alpha[iw]))
-        terms.append((a * nw + iw + 1, c * nw + iw, 2 * a + 1, 2 * c, alpha[iw]))
-    return _compact_map(dA * nw, 2 * dA, terms)
+    legs = range(dB)
+    slot = {n: s for s, n in enumerate(combinations_with_replacement(legs, k))}
+    hops = [
+        (slot[tuple(sorted(r + (i,)))], slot[tuple(sorted(r + (j,)))], i, j,
+         sqrt((r.count(i) + 1) * (r.count(j) + 1)) / k)
+        for r in combinations_with_replacement(legs, k - 1)
+        for i in legs
+        for j in legs
+    ]
+    s, t, i, j, coeff = (np.array(x) for x in zip(*hops))
+    nsym = len(slot)
+    a, c = (x[:, None] for x in np.divmod(np.arange(dA * dA), dA))
+    terms = np.broadcast_arrays(a * nsym + s, c * nsym + t, a * dB + i, c * dB + j, coeff)
+    return _compact_map(dA * nsym, dA * dB, *(x.ravel() for x in terms))
 
 
 def _marginal_target(rho_ab: DensityMatrix) -> np.ndarray:
     return np.concatenate([_herm_to_vec(rho_ab.matrix), [1.0]])
+
+
+def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify) -> SolverReport:
+    """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
+
+    On FEASIBLE the certificate is certify(block, atol), with the state's
+    block in the basis of `_sym_map`.
+    """
+    cfg = cfg or SolverConfig()
+    dA, dB = rho_ab.dims
+    cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
+    status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
+    certificate = None
+    if status == FEASIBLE:
+        certificate = certify(_vec_to_herm(y, cmap.n), max(1e-6, 10 * cfg.tol_feasible))
+    return SolverReport(status, res, gap, it, certificate)
 
 
 def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:
@@ -288,7 +319,6 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
     only if a bosonic one does, so this one problem decides both; it is bound
     to both names, and the certificate holds the top sector alone.
     """
-    cfg = cfg or SolverConfig()
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:
         raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use the generic pair solver for other B dimensions")
     if k < 1:
@@ -296,45 +326,10 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
     if k > block_cap():
         raise ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
     dA = rho_ab.dims[0]
-    cmap = _MAPS.get(("top", k, dA), lambda: _top_sector_map(k, dA))
-    status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
-    certificate = None
-    if status == FEASIBLE:
-        top = _vec_to_herm(y, cmap.n)
-        certificate = BlockState(k, dA, {YoungDiagram(k, 0): top}, atol=max(1e-6, 10 * cfg.tol_feasible))
-    return SolverReport(status, res, gap, it, certificate)
+    return _solve_sym(rho_ab, k, cfg, lambda top, atol: BlockState(k, dA, {YoungDiagram(k, 0): top}, atol=atol))
 
 
 solve_bosonic = solve_symmetric
-
-
-def sym2_isometry(dB: int) -> np.ndarray:
-    """Isometry from the symmetric pair subspace into two B systems."""
-    cols = []
-    for i in range(dB):
-        for jq in range(i, dB):
-            v = np.zeros(dB * dB)
-            if i == jq:
-                v[i * dB + i] = 1.0
-            else:
-                v[i * dB + jq] = v[jq * dB + i] = 1 / sqrt(2.0)
-            cols.append(v)
-    return np.stack(cols, axis=1)
-
-
-def _pair_map(dA: int, dB: int) -> _ConstraintMap:
-    """Map of a state on A tensor Sym^2(C^dB) to the (A, B1) marginal of its
-    embedding in A tensor B tensor B, and its trace."""
-    nsym = dB * (dB + 1) // 2
-    v = sym2_isometry(dB).reshape(dB, dB, nsym)
-    # tracing out B2: entry (s, t) of the pair block feeds (b1, b1') with pair[b1, b1', s, t]
-    pair = np.einsum("xbs,ybt->xyst", v, v)
-    b1, b1p, s, t = np.nonzero(pair)
-    a, ap = (x[:, None] for x in np.divmod(np.arange(dA * dA), dA))
-    p, q, i, j, coeff = np.broadcast_arrays(
-        a * nsym + s, ap * nsym + t, a * dB + b1, ap * dB + b1p, pair[b1, b1p, s, t]
-    )
-    return _compact_map(dA * nsym, dA * dB, [(p.ravel(), q.ravel(), i.ravel(), j.ravel(), coeff.ravel())])
 
 
 def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig | None = None) -> SolverReport:
@@ -342,20 +337,12 @@ def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig |
 
     The variable lives on A tensor the symmetric pair subspace; the affine set
     pins the (A, B1) marginal of its embedding. The certificate is the state
-    on that subspace.
+    on that subspace, in the basis of `schur.sym2_isometry`.
     """
-    cfg = cfg or SolverConfig()
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != dB:
         raise ValueError(f"layout {rho_ab.dims} does not match a B dimension of {dB}")
-    dA = rho_ab.dims[0]
-    nsym = dB * (dB + 1) // 2
-    cmap = _MAPS.get(("pair", dA, dB), lambda: _pair_map(dA, dB))
-    status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
-    certificate = None
-    if status == FEASIBLE:
-        pair = _vec_to_herm(y, cmap.n)
-        certificate = DensityMatrix(pair, (dA, nsym), atol=max(1e-6, 10 * cfg.tol_feasible), check_psd=False)
-    return SolverReport(status, res, gap, it, certificate)
+    dims = (rho_ab.dims[0], dB * (dB + 1) // 2)
+    return _solve_sym(rho_ab, 2, cfg, lambda pair, atol: DensityMatrix(pair, dims, atol=atol, check_psd=False))
 
 
 def qutrit_counterexample(coeffs=(1.0, 2.0, 3.0)):

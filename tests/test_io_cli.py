@@ -183,6 +183,20 @@ def test_check_bos2_exit_codes(tmp_path):
     assert "status: ERROR" in report
 
 
+def test_check_bos2_refuses_an_oversized_map(tmp_path, monkeypatch):
+    from symext import solver
+
+    monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
+    monkeypatch.setattr(solver, "_MAP_BYTES_LIMIT", 2**20)
+    state = write_state(DensityMatrix(np.eye(16) / 16, (2, 8)), tmp_path / "big.state")
+    code, report = run_command(["check-bos2", "--dB", "8", "--in", state])
+    assert code == 1
+    errors = [ln for ln in report.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "above the 1 MiB limit" in errors[0]
+    with pytest.raises(pytest.fail.Exception):
+        solver._MAPS.get((2, 2, 8), pytest.fail)
+
+
 def test_pipeline_gen_check_convert_verify(tmp_path):
     rho = tmp_path / "rho.state"
     cert = tmp_path / "cert.blocks"

@@ -13,6 +13,7 @@ from symext.schur import (
     dicke_isometry,
     jplus_apply,
     p_coeff,
+    sym2_isometry,
     xi_vector,
 )
 from symext.young import YoungDiagram, hook_dim, list_diagrams
@@ -224,3 +225,15 @@ def test_build_rejects_bad_k(monkeypatch):
     monkeypatch.setenv("SYMEXT_MAX_K", "4")
     with pytest.raises(ValueError):
         build_schur_basis(5)
+
+
+def test_sym2_isometry_shape_and_range():
+    for d in (2, 3):
+        v = sym2_isometry(d)
+        assert v.shape == (d * d, d * (d + 1) // 2)
+        assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-14)
+        # range is swap invariant
+        swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+        assert np.allclose(swap @ v, v, atol=1e-14)
+    # for qubits the pairs (0,0), (0,1), (1,1) are the weight slots
+    assert np.array_equal(sym2_isometry(2), dicke_isometry(2))

@@ -17,8 +17,8 @@ from symext.solver import (
     solve_bosonic,
     solve_bosonic_k2_generic,
     solve_symmetric,
-    sym2_isometry,
 )
+from symext.schur import dicke_isometry, sym2_isometry
 from symext.young import YoungDiagram
 
 
@@ -135,16 +135,6 @@ def test_rejects_bad_k():
         solve_symmetric(product_state(), 0)
 
 
-def test_sym2_isometry_shape_and_range():
-    for d in (2, 3):
-        v = sym2_isometry(d)
-        assert v.shape == (d * d, d * (d + 1) // 2)
-        assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-14)
-        # range is swap invariant
-        swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-        assert np.allclose(swap @ v, v, atol=1e-14)
-
-
 def test_generic_pair_solver_agrees_on_qubits():
     rho = product_state()
     generic = solve_bosonic_k2_generic(rho, 2)
@@ -152,12 +142,35 @@ def test_generic_pair_solver_agrees_on_qubits():
     assert solve_bosonic(rho, 2).status == FEASIBLE
     assert generic.certificate is not None
     # certificate embeds to a valid two-leg extension
-    lift = np.kron(np.eye(2), sym2_isometry(2))
+    lift = np.kron(np.eye(2), dicke_isometry(2))
     full = lift @ generic.certificate.matrix @ lift.T
     sigma = DensityMatrix(full, (2, 2, 2), check_psd=False)
     assert verify_extension(sigma, rho, 2, tol=1e-7).symmetric_ok
 
     assert solve_bosonic_k2_generic(singlet_state(), 2).status == INFEASIBLE
+
+
+def _planted_two_copy(dA, dB, seed):
+    """A random full-rank state on A tensor Sym^2(C^dB), lifted into A tensor B tensor B."""
+    n = dA * dB * (dB + 1) // 2
+    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+    x = g @ g.conj().T
+    lift = np.kron(np.eye(dA), sym2_isometry(dB))
+    return DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
+
+
+@pytest.mark.parametrize("dA,dB", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_generic_pair_solver_certificates_verify(dA, dB):
+    for seed in range(3):
+        full = _planted_two_copy(dA, dB, seed)
+        rho = DensityMatrix(full.marginal((0, 1)), (dA, dB), check_psd=False)
+        report = solve_bosonic_k2_generic(rho, dB)
+        assert report.status == FEASIBLE, (dA, dB, seed)
+        cert = report.certificate
+        assert cert.dims == (dA, dB * (dB + 1) // 2)
+        lift = np.kron(np.eye(dA), sym2_isometry(dB))
+        sigma = DensityMatrix(lift @ cert.matrix @ lift.T, (dA, dB, dB), check_psd=False)
+        assert verify_extension(sigma, rho, 2, tol=1e-7).bosonic_ok, (dA, dB, seed)
 
 
 def test_generic_pair_solver_layout_check():
@@ -259,7 +272,7 @@ def _dense(cmap):
 @pytest.mark.parametrize("dA", [1, 2, 3, 4])
 def test_sector_map_equals_column_by_column_map(dA):
     for k in range(1, 11):
-        assert np.array_equal(_dense(solver._top_sector_map(k, dA)), _column_map(k, dA)), (k, dA)
+        assert np.array_equal(_dense(solver._sym_map(k, dA, 2)), _column_map(k, dA)), (k, dA)
 
 
 @pytest.mark.parametrize("dA,dB", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
@@ -274,15 +287,16 @@ def test_pair_map_matches_embedding_loop(dA, dB):
         h = _reference_vec_to_herm(unit, n)
         reference[:-1, t] = _reference_herm_to_vec(partial_trace(lift @ h @ lift.T, (dA, dB, dB), (0, 1)))
         reference[-1, t] = float(h.trace().real)
-    # the sums run in another order, so allow a few units in the last place
-    assert np.allclose(_dense(solver._pair_map(dA, dB)), reference, rtol=0, atol=1e-15)
+    # the reference multiplies rounded copies of 1/sqrt(2) where the closed
+    # form has exact 1/2 and sqrt(2)/2, so allow a unit in the last place
+    assert np.allclose(_dense(solver._sym_map(2, dA, dB)), reference, rtol=0, atol=1e-15)
 
 
 def test_constraint_map_is_cached_per_shape(monkeypatch):
     monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
     built = []
-    build = solver._top_sector_map
-    monkeypatch.setattr(solver, "_top_sector_map", lambda *key: built.append(key) or build(*key))
+    build = solver._sym_map
+    monkeypatch.setattr(solver, "_sym_map", lambda *key: built.append(key) or build(*key))
     first, _ = gen_random_extendible(5, 2, 21)
     second, _ = gen_random_extendible(5, 2, 22, PROFILE_EXCLUDE_BOSONIC)
     cold = solve_symmetric(second, 5)
@@ -290,7 +304,7 @@ def test_constraint_map_is_cached_per_shape(monkeypatch):
     warm = solve_symmetric(second, 5)
     assert len(built) == 1
 
-    cmap = solver._MAPS.get(("top", 5, 2), pytest.fail)
+    cmap = solver._MAPS.get((5, 2, 2), pytest.fail)
     for a in (cmap.cols, cmap.amap, cmap.gram_pinv):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
@@ -305,7 +319,7 @@ def test_constraint_map_is_cached_per_shape(monkeypatch):
 
 def test_cache_bound_evicts_least_recently_used():
     cache = solver._MapCache(max_bytes=3000)
-    maps = {key: solver._top_sector_map(key, 1) for key in (6, 7, 8)}
+    maps = {key: solver._sym_map(key, 1, 2) for key in (6, 7, 8)}
     assert all(1000 < m.nbytes < 1500 for m in maps.values())
     for key in (6, 7, 6, 8):
         assert cache.get(key, lambda key=key: maps[key]) is maps[key]
@@ -322,6 +336,19 @@ def test_block_cap_planted_state_is_feasible():
     report = solve_symmetric(rho, k)
     assert report.status == FEASIBLE
     assert np.linalg.norm(marginal_from_blocks(report.certificate).matrix - rho.matrix) <= 1e-8
-    cmap = solver._MAPS.get(("top", k, dA), pytest.fail)
+    cmap = solver._MAPS.get((k, dA, 2), pytest.fail)
     assert cmap.n == dA * (k + 1)
     assert cmap.nbytes < 2 * 2**20
+
+
+def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
+    # the dA = 2, dB = 8 pair map takes 3.8 MiB dense, over a 1 MiB bound
+    monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
+    monkeypatch.setattr(solver, "_MAP_BYTES_LIMIT", 2**20)
+    rho = DensityMatrix(np.eye(16) / 16, (2, 8))
+    with pytest.raises(ValueError, match=r"needs 3\.8 MiB, above the 1 MiB limit"):
+        solve_bosonic_k2_generic(rho, 8)
+    with pytest.raises(pytest.fail.Exception):
+        solver._MAPS.get((2, 2, 8), pytest.fail)
+    # smaller shapes are still built
+    assert solve_bosonic_k2_generic(DensityMatrix(np.eye(6) / 6, (2, 3)), 3).status == FEASIBLE
