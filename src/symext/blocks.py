@@ -37,7 +37,6 @@ class BlockState:
             raise ValueError(f"invalid A dimension {dA}")
         valid = set(list_diagrams(self.k))
         clean: dict[YoungDiagram, np.ndarray] = {}
-        total = 0.0
         for lam, x in blocks.items():
             if lam not in valid:
                 raise ValueError(f"[{lam.lambda1},{lam.lambda2}] is not a sector of {self.k} qubits")
@@ -54,10 +53,10 @@ class BlockState:
                 raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] has eigenvalue {low:.3e}")
             x.flags.writeable = False
             clean[lam] = x
-            total += hook_dim(lam) * float(x.trace().real)
+        self.blocks = clean
+        total = self.weighted_trace
         if abs(total - 1.0) > atol:
             raise ValueError(f"weighted block trace {total!r} is not 1 within {atol:g}")
-        self.blocks = clean
 
     def block(self, lam: YoungDiagram) -> np.ndarray:
         n = self.dA * lam.num_weights
@@ -139,7 +138,10 @@ def raw_marginal_from_blocks(k: int, dA: int, items) -> np.ndarray:
 
 
 def marginal_from_blocks(bs: BlockState) -> DensityMatrix:
-    """(A, B1) marginal of the glued state, from the weight coefficient tables."""
+    """(A, B1) marginal of the glued state, from the weight coefficient tables.
+
+    Only k, dA and blocks are read, so a BosonicState (its top sector) works too.
+    """
     matrix = raw_marginal_from_blocks(bs.k, bs.dA, bs.blocks.items())
     # positivity is structural: the glued global state is PSD
     return DensityMatrix(matrix, (bs.dA, 2), check_psd=False)

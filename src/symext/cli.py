@@ -25,7 +25,6 @@ from .blocks import (
     BlockState,
     gen_random_extendible,
     global_to_blocks,
-    marginal_from_blocks,
 )
 from .convert import BosonicState, sym_to_bos, tilde_state, verify_extension
 from .linalg import DensityMatrix

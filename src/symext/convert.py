@@ -8,13 +8,18 @@ weighted trace, and the adjacent-weight entries of the rescaling matrix are
 exactly the ratio of marginal coefficients, so the (A, B1) marginal is
 unchanged.
 
-Verification embeds small instances (k <= 8) into the full space and checks
+Certificates are verified in sector coordinates at every k: a BlockState
+sector by sector, a BosonicState as its one top sector. Gluing the blocks
+through the orthonormal sector basis (or lifting through the symmetric
+isometry) gives a full state that is permutation invariant whatever the
+blocks hold, whose nonzero spectrum is that of the blocks, whose k
+marginals are all equal, and whose weight outside the symmetric subspace is
+the weighted trace of the non-top sectors. So positivity, trace, marginal
+and that weight are measured on the blocks, and invariance holds by
+construction. A full-space DensityMatrix is checked in the full space:
 positivity, trace, every (A, B_i) marginal, invariance under each adjacent
 transposition of the legs (by permuting the axes of the reshaped matrix, so
-each transposition costs O((dA*d^k)^2)), and support on the symmetric
-subspace. Above that cutoff it works in weight or sector coordinates, where
-permutation invariance, and symmetric support for a bosonic state, hold by
-construction and are reported as such instead of measured.
+each costs O((dA*d^k)^2)), and the weight outside the symmetric subspace.
 """
 
 from __future__ import annotations
@@ -23,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockState, blocks_to_global, raw_marginal_from_blocks
+from .blocks import BlockState, raw_marginal_from_blocks
 from .caps import full_space_cap
 from .linalg import DensityMatrix, herm_deviation, min_eigenvalue, partial_transpose
-from .schur import build_schur_basis, coeff_matrix_P, dicke_isometry, sym2_isometry
+from .schur import coeff_matrix_P, sym_isometry
 from .young import YoungDiagram, hook_dim
-
-_FULL_CHECK_MAX_K = 8
 
 
 class BosonicState:
@@ -56,19 +59,18 @@ class BosonicState:
         matrix.flags.writeable = False
         self.matrix = matrix
 
+    @property
+    def blocks(self) -> dict:
+        """The one top sector [k, 0], as a BlockState would hold it."""
+        return {YoungDiagram(self.k, 0): self.matrix}
+
     def embed(self) -> DensityMatrix:
         """Full state on A plus k qubits."""
         if self.k > full_space_cap():
             raise ValueError(f"k={self.k} above the full-space cap {full_space_cap()}")
-        lift = np.kron(np.eye(self.dA), dicke_isometry(self.k))
+        lift = np.kron(np.eye(self.dA), sym_isometry(self.k, 2))
         full = lift @ self.matrix @ lift.conj().T
         return DensityMatrix(full, (self.dA,) + (2,) * self.k, check_psd=False)
-
-    def pair_marginal(self) -> DensityMatrix:
-        """(A, B1) marginal from the weight coefficient tables."""
-        top = YoungDiagram(self.k, 0)
-        matrix = raw_marginal_from_blocks(self.k, self.dA, [(top, self.matrix)])
-        return DensityMatrix(matrix, (self.dA, 2), check_psd=False)
 
     def __repr__(self):
         return f"BosonicState(dA={self.dA}, k={self.k})"
@@ -93,9 +95,10 @@ class ExtensionReport:
 
     nonsymmetric_overlap is the weight outside the symmetric subspace; it is
     only required to vanish for a bosonic extension. by_construction is True
-    when the extension was checked in weight or sector coordinates: then
-    permutation invariance holds by construction and invariance_deviation
-    reads 0.0 without a measurement, and so does nonsymmetric_overlap for a
+    when a certificate was checked in sector coordinates: then permutation
+    invariance holds by construction and invariance_deviation reads 0.0
+    without a measurement. nonsymmetric_overlap is still measured there, as
+    the weighted trace of the non-top sectors, which is exactly 0.0 for a
     BosonicState.
     """
 
@@ -163,62 +166,37 @@ def _verify_full(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float
     for t in range(k - 1):
         swapped = _swap_adjacent_legs(sigma.matrix, dims, t)
         inv_dev = max(inv_dev, float(np.linalg.norm(swapped - sigma.matrix)))
-    if d == 2:
-        lift = np.kron(np.eye(dims[0]), dicke_isometry(k))
-    elif k == 2:
-        lift = np.kron(np.eye(dims[0]), sym2_isometry(d))
-    else:
-        raise ValueError("support check available for qubit legs or for two legs")
+    lift = np.kron(np.eye(dims[0]), sym_isometry(k, d))
     overlap = float(sigma.matrix.trace().real - np.trace(lift.conj().T @ sigma.matrix @ lift).real)
     return ExtensionReport(tol, low, trace_dev, marg_dev, inv_dev, max(overlap, 0.0))
 
 
-def _verify_bosonic(sigma: BosonicState, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
+def _verify_sectors(sigma: BlockState | BosonicState, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
+    """Check a BlockState or a BosonicState on its blocks."""
     if sigma.k != k:
         raise ValueError(f"extension has k={sigma.k}, expected {k}")
-    if k <= _FULL_CHECK_MAX_K:
-        full = _verify_full(sigma.embed(), rho_ab, k, tol)
-        # embedding is supported on the symmetric subspace by construction
-        return full
     if rho_ab.dims != (sigma.dA, 2):
         raise ValueError(f"marginal layout {rho_ab.dims} does not match extension")
-    low = min_eigenvalue(sigma.matrix)
-    trace_dev = abs(float(sigma.matrix.trace().real) - 1.0)
-    marg_dev = float(np.linalg.norm(sigma.pair_marginal().matrix - rho_ab.matrix))
-    return ExtensionReport(tol, low, trace_dev, marg_dev, 0.0, 0.0, by_construction=True)
-
-
-def _verify_blocks(bs: BlockState, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
-    if bs.k != k:
-        raise ValueError(f"extension has k={bs.k}, expected {k}")
-    if k <= _FULL_CHECK_MAX_K:
-        return _verify_full(blocks_to_global(bs, build_schur_basis(k)), rho_ab, k, tol)
-    if rho_ab.dims != (bs.dA, 2):
-        raise ValueError(f"marginal layout {rho_ab.dims} does not match extension")
-    low = min(
-        (float(np.linalg.eigvalsh(x)[0]) for x in bs.blocks.values()), default=0.0
-    )
-    trace_dev = abs(bs.weighted_trace - 1.0)
-    marg = raw_marginal_from_blocks(k, bs.dA, bs.blocks.items())
+    items = sigma.blocks.items()
+    low = min((float(np.linalg.eigvalsh(x)[0]) for _, x in items), default=0.0)
+    weights = [(lam, hook_dim(lam) * float(x.trace().real)) for lam, x in items]
+    trace_dev = abs(sum(w for _, w in weights) - 1.0)
+    marg = raw_marginal_from_blocks(k, sigma.dA, items)
     marg_dev = float(np.linalg.norm(marg - rho_ab.matrix))
     top = YoungDiagram(k, 0)
-    outside = sum(
-        hook_dim(lam) * float(x.trace().real) for lam, x in bs.blocks.items() if lam != top
-    )
+    outside = sum(w for lam, w in weights if lam != top)
     return ExtensionReport(tol, low, trace_dev, marg_dev, 0.0, max(outside, 0.0), by_construction=True)
 
 
 def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) -> ExtensionReport:
     """Check an extension candidate against its claimed pair marginal.
 
-    Accepts a full-space DensityMatrix, a BosonicState, or a BlockState
-    certificate. Small instances are embedded and checked in the full space;
-    larger ones use the weight coefficient tables.
+    A BlockState or BosonicState certificate is checked in sector
+    coordinates at every k; a full-space DensityMatrix is checked in the full
+    space.
     """
-    if isinstance(sigma, BosonicState):
-        return _verify_bosonic(sigma, rho_ab, k, tol)
-    if isinstance(sigma, BlockState):
-        return _verify_blocks(sigma, rho_ab, k, tol)
+    if isinstance(sigma, (BosonicState, BlockState)):
+        return _verify_sectors(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
         return _verify_full(sigma, rho_ab, k, tol)
     raise TypeError(f"cannot verify extension of type {type(sigma).__name__}")

@@ -5,10 +5,11 @@ significant digits, which round-trips IEEE doubles exactly; writing the same
 object twice yields identical bytes. A layout entry is either a local
 dimension or the tag "sym(k)" marking the symmetric weight space of k qubits.
 
-Loading converts the entries of a matrix file in one numpy pass when they are
+Loading checks the entry count of a matrix, or of each block of a
+certificate, and then converts the entries in one numpy pass when they are
 all plain [re, im] number pairs; any other list is checked entry by entry, so
-an error names the first entry that is not a pair of numbers or does not fit
-in a float.
+an error names the first entry (and its block's diagram) that is not a pair
+of numbers or does not fit in a float.
 """
 
 from __future__ import annotations
@@ -118,8 +119,11 @@ def _matrix_file(path, doc) -> MatrixFile:
     return mf
 
 
-def _complex_entries(path, entries: list) -> np.ndarray:
-    """The [re, im] pairs of a matrix file as a flat complex array."""
+def _complex_entries(where, entries: list) -> np.ndarray:
+    """The [re, im] pairs of a matrix or block as a flat complex array.
+
+    `where` names the file, or the file and the block, in error messages.
+    """
     try:
         pairs = np.asarray(entries)
     except ValueError:  # ragged nesting
@@ -130,11 +134,11 @@ def _complex_entries(path, entries: list) -> np.ndarray:
     flat = np.empty(len(entries), dtype=complex)
     for i, pair in enumerate(entries):
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair)):
-            raise MatrixFileError(f"{path}: entry {i} is not a [re, im] pair")
+            raise MatrixFileError(f"{where}: entry {i} is not a [re, im] pair")
         try:
             flat[i] = complex(pair[0], pair[1])
         except OverflowError as exc:
-            raise MatrixFileError(f"{path}: entry {i} does not fit in a float: {exc}") from exc
+            raise MatrixFileError(f"{where}: entry {i} does not fit in a float: {exc}") from exc
     return flat
 
 
@@ -201,8 +205,11 @@ def save_blocks(bs: BlockState, path, metadata: dict | None = None) -> None:
 
 
 def _blocks(path, doc) -> BlockState:
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION or doc.get("kind") != "blocks":
+    if not isinstance(doc, dict) or doc.get("kind") != "blocks":
         raise MatrixFileError(f"{path}: not a blocks certificate file")
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise MatrixFileError(f"{path}: unsupported format_version {version!r}")
     try:
         k = int(doc["k"])
         dA = int(doc["dA"])
@@ -211,8 +218,10 @@ def _blocks(path, doc) -> BlockState:
             l1, l2 = (int(v) for v in part["diagram"])
             lam = YoungDiagram(l1, l2)
             n = dA * lam.num_weights
-            flat = np.array([complex(p[0], p[1]) for p in part["entries"]])
-            blocks[lam] = flat.reshape(n, n)
+            entries = part["entries"]
+            if len(entries) != n * n:
+                raise MatrixFileError(f"{path}: expected {n * n} entries for diagram [{l1},{l2}], found {len(entries)}")
+            blocks[lam] = _complex_entries(f"{path}: diagram [{l1},{l2}]", entries).reshape(n, n)
         return BlockState(k, dA, blocks)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
@@ -223,13 +232,13 @@ def load_blocks(path) -> BlockState:
 
 
 def load_block_or_state(path) -> BlockState | DensityMatrix:
-    """A block certificate if the file holds a valid one, else a plain state.
+    """A block certificate if the file's kind is "blocks", else a plain state.
 
-    The file is read and parsed once; a file that is neither raises the error
-    `load_state` would.
+    The file is read and parsed once. A blocks file that does not hold a valid
+    certificate raises the error `load_blocks` would; any other file raises
+    the error `load_state` would.
     """
     doc = _read_json(path)
-    try:
+    if isinstance(doc, dict) and doc.get("kind") == "blocks":
         return _blocks(path, doc)
-    except MatrixFileError:
-        return _state(path, _matrix_file(path, doc))
+    return _state(path, _matrix_file(path, doc))

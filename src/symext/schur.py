@@ -117,21 +117,23 @@ def dicke(k: int, omega: float) -> np.ndarray:
     return v / sqrt(comb(k, n1i))
 
 
-def dicke_isometry(k: int) -> np.ndarray:
-    """Isometry from the k+1 weight slots onto the symmetric subspace."""
-    return np.stack([dicke(k, -k / 2 + s) for s in range(k + 1)], axis=1)
+def sym_isometry(k: int, d: int) -> np.ndarray:
+    """Isometry from Sym^k(C^d), in the occupation basis, into k d-level legs.
 
-
-def sym2_isometry(d: int) -> np.ndarray:
-    """Isometry from the symmetric pair subspace into two d-level systems.
-
-    Column order is the pairs i <= j, row by row; for d = 2 it equals
-    `dicke_isometry(2)`.
+    Columns follow `itertools.combinations_with_replacement(range(d), k)`, the
+    basis of the solver's constraint maps: the weight slots, ascending, for
+    d = 2 and the pairs i <= j for k = 2. Each of the d^k words (leg 1 the
+    most significant digit) lands in the column of its multiset, with
+    amplitude one over the square root of the number of words that share it.
     """
-    pairs = list(itertools.combinations_with_replacement(range(d), 2))
-    v = np.zeros((d * d, len(pairs)))
-    for s, (i, j) in enumerate(pairs):
-        v[[i * d + j, j * d + i], s] = 1.0 if i == j else 1 / sqrt(2.0)
+    words = np.indices((d,) * k).reshape(k, -1).T
+    occupation = (words[:, :, None] == np.arange(d)).sum(axis=1)
+    # combinations_with_replacement order is the descending lexicographic
+    # order of the occupation vectors
+    _, col, count = np.unique(-occupation, axis=0, return_inverse=True, return_counts=True)
+    col = col.reshape(-1)  # numpy 2.0.0 returns the inverse as a column
+    v = np.zeros((len(col), len(count)))
+    v[np.arange(len(col)), col] = 1.0 / np.sqrt(count[col])
     return v
 
 

@@ -33,7 +33,6 @@ from .schur import alpha_coeff, build_schur_basis, dicke, jplus_apply
 from .solver import (
     FEASIBLE,
     INFEASIBLE,
-    SolverConfig,
     qutrit_counterexample,
     solve_bosonic_k2_generic,
     solve_symmetric,

@@ -337,7 +337,7 @@ def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig |
 
     The variable lives on A tensor the symmetric pair subspace; the affine set
     pins the (A, B1) marginal of its embedding. The certificate is the state
-    on that subspace, in the basis of `schur.sym2_isometry`.
+    on that subspace, in the basis of `schur.sym_isometry(2, dB)`.
     """
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != dB:
         raise ValueError(f"layout {rho_ab.dims} does not match a B dimension of {dB}")

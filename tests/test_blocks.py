@@ -14,7 +14,7 @@ from symext.blocks import (
     marginal_from_blocks,
 )
 from symext.linalg import DensityMatrix, random_density
-from symext.schur import build_schur_basis, dicke_isometry
+from symext.schur import build_schur_basis, sym_isometry
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
 
@@ -72,7 +72,7 @@ def test_top_sector_supported_on_symmetric_subspace():
         basis = build_schur_basis(k)
         bs = random_block_state(k, 2, seed=k, diagrams=[YoungDiagram(k, 0)])
         rho = blocks_to_global(bs, basis)
-        v = dicke_isometry(k)
+        v = sym_isometry(k, 2)
         proj = np.kron(np.eye(2), v @ v.T)
         assert np.allclose(proj @ rho.matrix @ proj, rho.matrix, atol=1e-12)
 

@@ -66,7 +66,7 @@ def test_conversion_preserves_trace_and_marginal(k, dA, seed):
     bs = random_block_state(k, dA, seed)
     bos = sym_to_bos(bs)
     assert abs(np.trace(bos.matrix).real - 1.0) < 1e-12
-    dev = np.linalg.norm(bos.pair_marginal().matrix - marginal_from_blocks(bs).matrix)
+    dev = np.linalg.norm(marginal_from_blocks(bos).matrix - marginal_from_blocks(bs).matrix)
     assert dev < 1e-10
 
 
@@ -108,7 +108,7 @@ def test_wrong_rescale_coefficient_breaks_the_marginal():
         lo = lam.lambda2
         out[:, lo : lo + nw, :, lo : lo + nw] += x.reshape(dA, nw, dA, nw) * scale[None, :, None, :]
     bad = BosonicState(dA, k, out.reshape(dA * (k + 1), dA * (k + 1)))
-    dev = np.linalg.norm(bad.pair_marginal().matrix - marginal_from_blocks(bs).matrix)
+    dev = np.linalg.norm(marginal_from_blocks(bad).matrix - marginal_from_blocks(bs).matrix)
     assert dev > 1e-6
 
 
@@ -120,14 +120,14 @@ def test_planted_non_bosonic_witness_converts():
 
 
 def test_large_k_weight_table_matches_embedding():
-    # above the full verification cutoff the pair marginal comes from the
-    # weight tables; check them against an explicit embedding once
+    # the verifier reads the pair marginal from the weight tables; check them
+    # against an explicit embedding once, at k = 9
     k, dA = 9, 2
     bs = random_block_state(k, dA, seed=21, diagrams=list_diagrams(k)[:3])
     bos = sym_to_bos(bs)
     full = bos.embed()
     brute = partial_trace(full.matrix, full.dims, (0, 1))
-    assert np.linalg.norm(bos.pair_marginal().matrix - brute) < 1e-10
+    assert np.linalg.norm(marginal_from_blocks(bos).matrix - brute) < 1e-10
     report = verify_extension(bos, marginal_from_blocks(bs), k)
     assert report.bosonic_ok
 
@@ -185,13 +185,16 @@ def test_verify_flags_asymmetry_between_the_last_two_legs():
 
 
 def test_weight_coordinates_report_invariance_by_construction():
-    rho, witness = gen_random_extendible(9, 2, 3)
-    for ext in (witness, sym_to_bos(witness)):
-        report = verify_extension(ext, rho, 9)
-        assert report.by_construction
-        assert report.invariance_deviation == 0.0
+    # certificates are checked in sector coordinates at every k; only a
+    # full-space state has its invariance measured
+    for k in (3, 9):
+        rho, witness = gen_random_extendible(k, 2, 3)
+        for ext in (witness, sym_to_bos(witness)):
+            report = verify_extension(ext, rho, k)
+            assert report.by_construction
+            assert report.invariance_deviation == 0.0
     small, w = gen_random_extendible(3, 2, 3)
-    assert not verify_extension(sym_to_bos(w), small, 3).by_construction
+    assert not verify_extension(sym_to_bos(w).embed(), small, 3).by_construction
 
 
 def test_verify_layout_errors():
@@ -203,10 +206,12 @@ def test_verify_layout_errors():
         verify_extension(sigma, DensityMatrix(np.eye(6) / 6, (3, 2)), 2)
     with pytest.raises(TypeError):
         verify_extension(np.eye(8) / 8, rho, 2)
-    # support certification needs qubit legs once k exceeds two
+    # d-level legs at k > 2 are measured too: Sym^3(C^3) holds 10 of the 27
+    # dimensions, so the maximally mixed extension has 17/27 outside it
     sig3 = DensityMatrix(np.eye(81) / 81, (3, 3, 3, 3))
-    with pytest.raises(ValueError, match="support check"):
-        verify_extension(sig3, DensityMatrix(np.eye(9) / 9, (3, 3)), 3)
+    report = verify_extension(sig3, DensityMatrix(np.eye(9) / 9, (3, 3)), 3)
+    assert report.symmetric_ok and not report.support_ok
+    assert abs(report.nonsymmetric_overlap - 17 / 27) < 1e-12
 
 
 def test_verify_accepts_block_certificates():

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from symext.io import (
     save_matrix_file,
     save_state,
 )
-from symext.linalg import DensityMatrix
+from symext.linalg import DensityMatrix, random_density
 from symext.solver import qutrit_counterexample
 from symext.young import list_diagrams
 
@@ -215,7 +218,7 @@ def test_pipeline_gen_check_convert_verify(tmp_path):
     )
     assert code == 0
     assert "layout: bosonic" in report
-    assert "support: pass" in report
+    assert "support: structural" in report
     assert "status: PASS" in report
 
 
@@ -371,13 +374,13 @@ def test_convert_reports_unreadable_inputs(tmp_path):
     code, report = run_command(["convert", "--k", "2", "--in", str(listing), "--out", out])
     assert code == 1
     assert "top level is not an object" in report
-    # a blocks file that fails validation is reported as the state it is not
+    # a blocks file that fails validation is reported as the blocks file it is
     broken = tmp_path / "broken.blocks"
     save_blocks(gen_random_extendible(2, 2, 0)[1], broken)
     broken.write_text(broken.read_text().replace('"k": 2', '"k": 5'))
     code, report = run_command(["convert", "--k", "2", "--in", str(broken), "--out", out])
     assert code == 1
-    assert "missing or empty layout" in report
+    assert "[2,0] is not a sector of 5 qubits" in report
 
 
 def _write_entries(path, layout, entries_text):
@@ -404,8 +407,6 @@ def _loop_entries(entries):
     ids=["float", "int", "bool", "negative-zero", "mixed"],
 )
 def test_fast_entry_parse_matches_the_loop(tmp_path, entries):
-    import json
-
     path = tmp_path / "m.state"
     _write_entries(path, "[2]", json.dumps(entries))
     got = load_matrix_file(path).entries.reshape(-1)
@@ -476,4 +477,55 @@ def test_verify_above_the_full_check_cutoff(tmp_path):
     head = above_marker(report)
     assert "invariance: structural\n" in head
     assert "support: structural\n" in head
+    assert "status: PASS" in head
+
+
+def _damaged_blocks(path, damage):
+    """A k=3, dA=2 witness file with the 16 entries of diagram [2,1] damaged."""
+    save_blocks(gen_random_extendible(3, 2, 0)[1], path)
+    doc = json.loads(path.read_text())
+    part = next(p for p in doc["blocks"] if p["diagram"] == [2, 1])
+    damage(part["entries"])
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _large_off_diagonal(entries):
+    # a Hermitian pair of large entries (0, 1) and (1, 0) of the 4 x 4 block
+    # keeps the trace and adds an eigenvalue near -10
+    entries[1] = entries[4] = [10.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (lambda e: e.__setitem__(5, "oops"), r"diagram \[2,1\]: entry 5 is not a \[re, im\] pair"),
+        (lambda e: e.pop(), r"expected 16 entries for diagram \[2,1\], found 15"),
+        (_large_off_diagonal, r"block for \[2,1\] has eigenvalue -"),
+    ],
+    ids=["bad-entry", "missing-entry", "not-psd"],
+)
+def test_convert_names_the_damage_in_a_block_certificate(tmp_path, damage, message):
+    cert = _damaged_blocks(tmp_path / "w.blocks", damage)
+    code, report = run_command(["convert", "--k", "3", "--in", cert, "--out", str(tmp_path / "sigma.state")])
+    assert code == 1
+    assert re.search(message, report), report
+    assert "missing or empty layout" not in report
+    with pytest.raises(MatrixFileError, match=message):
+        load_blocks(cert)
+
+
+def test_verify_full_space_with_qutrit_legs(tmp_path):
+    # a product extension with three equal qutrit legs: invariant, with the
+    # right marginal, and outside Sym^3 only where the legs are
+    gen = np.random.default_rng(2)
+    a, b = random_density(2, gen), random_density(3, gen)
+    ext = DensityMatrix(np.kron(a, np.kron(b, np.kron(b, b))), (2, 3, 3, 3))
+    sigma = write_state(ext, tmp_path / "ext.state")
+    rho = write_state(DensityMatrix(np.kron(a, b), (2, 3)), tmp_path / "rho.state")
+    code, report = run_command(["verify", "--k", "3", "--ext", sigma, "--marginal", rho])
+    assert code == 0, report
+    head = above_marker(report)
+    assert "layout: full-space\n" in head
+    assert "invariance: pass" in head
     assert "status: PASS" in head

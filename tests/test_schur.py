@@ -10,10 +10,9 @@ from symext.schur import (
     coeff_matrix_P,
     diag_coeffs,
     dicke,
-    dicke_isometry,
     jplus_apply,
     p_coeff,
-    sym2_isometry,
+    sym_isometry,
     xi_vector,
 )
 from symext.young import YoungDiagram, hook_dim, list_diagrams
@@ -49,7 +48,7 @@ def test_dicke_states_explicit():
     assert np.allclose(dicke(2, 0.0), np.array([0, 1, 1, 0]) / np.sqrt(2))
     assert np.allclose(dicke(3, -1.5), np.eye(8)[0])
     assert np.allclose(dicke(3, -0.5), (np.eye(8)[1] + np.eye(8)[2] + np.eye(8)[4]) / np.sqrt(3))
-    iso = dicke_isometry(3)
+    iso = sym_isometry(3, 2)
     assert iso.shape == (8, 4)
     assert np.allclose(iso.conj().T @ iso, np.eye(4))
 
@@ -229,11 +228,38 @@ def test_build_rejects_bad_k(monkeypatch):
 
 def test_sym2_isometry_shape_and_range():
     for d in (2, 3):
-        v = sym2_isometry(d)
+        v = sym_isometry(2, d)
         assert v.shape == (d * d, d * (d + 1) // 2)
         assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-14)
         # range is swap invariant
         swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
         assert np.allclose(swap @ v, v, atol=1e-14)
     # for qubits the pairs (0,0), (0,1), (1,1) are the weight slots
-    assert np.array_equal(sym2_isometry(2), dicke_isometry(2))
+    assert np.array_equal(sym_isometry(2, 2), np.stack([dicke(2, w) for w in (-1, 0, 1)], axis=1))
+
+
+def test_sym_isometry_equals_the_dicke_and_pair_bases():
+    # qubit legs: the Dicke vectors, weight ascending, entry for entry
+    for k in range(1, 9):
+        dicke_cols = np.stack([dicke(k, -k / 2 + s) for s in range(k + 1)], axis=1)
+        assert np.array_equal(sym_isometry(k, 2), dicke_cols)
+    # two legs: |ij> + |ji> over sqrt 2 for the pairs i < j, |ii> on the diagonal
+    for d in range(2, 7):
+        pairs = list(itertools.combinations_with_replacement(range(d), 2))
+        want = np.zeros((d * d, len(pairs)))
+        for s, (i, j) in enumerate(pairs):
+            want[[i * d + j, j * d + i], s] = 1.0 if i == j else 1 / np.sqrt(2.0)
+        assert np.array_equal(sym_isometry(2, d), want)
+
+
+@pytest.mark.parametrize("k,d", [(3, 3), (4, 3), (3, 4), (12, 2)])
+def test_sym_isometry_spans_the_symmetric_subspace(k, d):
+    v = sym_isometry(k, d)
+    nsym = len(list(itertools.combinations_with_replacement(range(d), k)))
+    assert v.shape == (d**k, nsym)
+    assert np.allclose(v.T @ v, np.eye(nsym), atol=1e-14)
+    # every adjacent transposition fixes each column, so the range lies in
+    # Sym^k, and it has the dimension of Sym^k, so it is all of it
+    for t in range(k - 1):
+        swapped = v.reshape((d,) * k + (nsym,)).swapaxes(t, t + 1).reshape(v.shape)
+        assert np.array_equal(swapped, v)

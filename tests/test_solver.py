@@ -18,7 +18,7 @@ from symext.solver import (
     solve_bosonic_k2_generic,
     solve_symmetric,
 )
-from symext.schur import dicke_isometry, sym2_isometry
+from symext.schur import sym_isometry
 from symext.young import YoungDiagram
 
 
@@ -142,7 +142,7 @@ def test_generic_pair_solver_agrees_on_qubits():
     assert solve_bosonic(rho, 2).status == FEASIBLE
     assert generic.certificate is not None
     # certificate embeds to a valid two-leg extension
-    lift = np.kron(np.eye(2), dicke_isometry(2))
+    lift = np.kron(np.eye(2), sym_isometry(2, 2))
     full = lift @ generic.certificate.matrix @ lift.T
     sigma = DensityMatrix(full, (2, 2, 2), check_psd=False)
     assert verify_extension(sigma, rho, 2, tol=1e-7).symmetric_ok
@@ -155,7 +155,7 @@ def _planted_two_copy(dA, dB, seed):
     n = dA * dB * (dB + 1) // 2
     g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
     x = g @ g.conj().T
-    lift = np.kron(np.eye(dA), sym2_isometry(dB))
+    lift = np.kron(np.eye(dA), sym_isometry(2, dB))
     return DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
 
 
@@ -168,7 +168,7 @@ def test_generic_pair_solver_certificates_verify(dA, dB):
         assert report.status == FEASIBLE, (dA, dB, seed)
         cert = report.certificate
         assert cert.dims == (dA, dB * (dB + 1) // 2)
-        lift = np.kron(np.eye(dA), sym2_isometry(dB))
+        lift = np.kron(np.eye(dA), sym_isometry(2, dB))
         sigma = DensityMatrix(lift @ cert.matrix @ lift.T, (dA, dB, dB), check_psd=False)
         assert verify_extension(sigma, rho, 2, tol=1e-7).bosonic_ok, (dA, dB, seed)
 
@@ -279,7 +279,7 @@ def test_sector_map_equals_column_by_column_map(dA):
 def test_pair_map_matches_embedding_loop(dA, dB):
     nsym = dB * (dB + 1) // 2
     n = dA * nsym
-    lift = np.kron(np.eye(dA), sym2_isometry(dB))
+    lift = np.kron(np.eye(dA), sym_isometry(2, dB))
     reference = np.zeros(((dA * dB) ** 2 + 1, n * n))
     for t in range(n * n):
         unit = np.zeros(n * n)
