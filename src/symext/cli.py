@@ -58,13 +58,16 @@ def _status_code(status: str) -> int:
     return {FEASIBLE: 0, "PASS": 0, INFEASIBLE: 2, "FAIL": 2}.get(status, 3)
 
 
-def _solver_lines(report: SolverReport) -> list[str]:
-    return [
+def _solver_lines(report: SolverReport, rho: DensityMatrix) -> list[str]:
+    lines = [
         f"status: {report.status}",
         f"residual: {_num(report.residual)}",
         f"gap_estimate: {_num(report.gap_estimate)}",
         f"iterations: {report.iterations}",
     ]
+    if report.witness is not None:
+        lines.append(f"witness: tr(W rho) + c = {_num(report.witness.value(rho))}")
+    return lines
 
 
 def _load_bipartite(path, expect_db: int | None = None) -> DensityMatrix:
@@ -81,7 +84,7 @@ def _cmd_check_qubit(args, lines, timings):
     t0 = time.perf_counter()
     report = solve_symmetric(rho, args.k)
     timings.append(("solve", time.perf_counter() - t0))
-    lines += _solver_lines(report)
+    lines += _solver_lines(report, rho)
     if report.certificate is not None and args.cert:
         mio.save_blocks(report.certificate, args.cert, metadata={"k": args.k})
         lines.append(f"certificate: {args.cert}")
@@ -93,7 +96,7 @@ def _cmd_check_bos2(args, lines, timings):
     t0 = time.perf_counter()
     report = solve_bosonic_k2_generic(rho, args.dB)
     timings.append(("solve", time.perf_counter() - t0))
-    lines += _solver_lines(report)
+    lines += _solver_lines(report, rho)
     if report.certificate is not None and args.cert:
         mio.save_state(report.certificate, args.cert, metadata={"dB": args.dB, "sym2": True})
         lines.append(f"certificate: {args.cert}")
@@ -113,7 +116,7 @@ def _as_block_state(path, k: int) -> tuple[BlockState, list[str]]:
     if len(state.dims) == 2 and state.dims[1] == 2 and k != 1:
         notes.append("input: bipartite state, solving for a witness")
         report = solve_symmetric(state, k)
-        notes += _solver_lines(report)
+        notes += _solver_lines(report, state)
         if report.certificate is None:
             raise _SolveFailed(report.status, notes)
         return report.certificate, notes
@@ -150,7 +153,8 @@ def _cmd_verify(args, lines, timings):
     ext = mio.load_extension(args.ext)
     rho = _load_bipartite(args.marginal)
     bosonic_input = isinstance(ext, BosonicState)
-    lines.append(f"layout: {'bosonic' if bosonic_input else 'full-space'}")
+    layout = "bosonic" if bosonic_input else "blocks" if isinstance(ext, BlockState) else "full-space"
+    lines.append(f"layout: {layout}")
     t0 = time.perf_counter()
     report = verify_extension(ext, rho, args.k, tol=args.tol)
     timings.append(("verify", time.perf_counter() - t0))
@@ -170,7 +174,7 @@ def _cmd_verify(args, lines, timings):
         lines.append(f"support: {measured(report.support_ok, 'overlap', report.nonsymmetric_overlap)}")
         ok = report.bosonic_ok
     else:
-        lines.append("support: skipped (full-space layout)")
+        lines.append(f"support: skipped ({layout} layout)")
         ok = report.symmetric_ok
     lines.append(f"status: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2

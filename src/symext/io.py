@@ -169,9 +169,13 @@ def save_bosonic(sigma: BosonicState, path, metadata: dict | None = None) -> Non
     )
 
 
-def load_extension(path) -> DensityMatrix | BosonicState:
-    """Load either a full-space extension or a bosonic one, by layout tag."""
-    mf = load_matrix_file(path)
+def load_extension(path) -> DensityMatrix | BosonicState | BlockState:
+    """Load a full-space extension, a bosonic one (by layout tag) or a block
+    certificate (by kind), parsing the file once."""
+    doc = _read_json(path)
+    if isinstance(doc, dict) and doc.get("kind") == "blocks":
+        return _blocks(path, doc)
+    mf = _matrix_file(path, doc)
     tags = [e for e in mf.layout if isinstance(e, str)]
     if not tags:
         return _state(path, mf)

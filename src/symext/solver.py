@@ -13,10 +13,24 @@ The solver runs Douglas-Rachford splitting between the two sets: both
 projections are exact (an eigenvalue clip of the block, a precomputed
 pseudo-inverse for the affine part) and the governing iterate advances by
 reflections. The cone shadow is PSD by construction, so a small constraint
-residual on it certifies feasibility outright. When the sets are disjoint
-the step length decreases to the distance between them, so a stalled step
-length above tol_infeasible_gap is reported as infeasibility with that gap
-estimate. Everything else times out as UNDECIDED.
+residual on it certifies feasibility outright.
+
+Infeasibility is certified too. When the sets are disjoint, the DR
+displacement d = x_n - x_{n+1} converges to the shortest vector from the
+affine set to the cone, which lies in the range of A^T and is PSD
+(Banjac, Goulart, Stellato and Boyd, JOTA 2019). The least-squares
+y = (A A^T)^+ A d is made exact on the cone side by adding -lambda_min(A^T y)
+to its trace entry: the trace row's A^T is the identity, so A^T y' is PSD.
+If then b^T y' < 0 beyond the rounding of the eigvalsh and of the dot
+product, no PSD block X can satisfy A X = b, since that would give
+b^T y' = <A^T y', X> >= 0. Read as operators, y' is a Farkas witness
+(W, c): W Hermitian on A tensor B, tensored with the identity on the other
+legs and compressed to the block's space, plus c I, is PSD, while
+tr(W rho) + c < 0. The test costs one eigvalsh and runs at iterations
+1, 2, 4, ..., 32 and then at every 32nd; on INFEASIBLE, gap_estimate is the
+certified lower bound -b^T y' / ||A^T y'|| on the distance between the two
+sets, and the witness is scaled to ||A^T y'|| = 1. A run that reaches
+max_iter with neither certificate is UNDECIDED.
 
 The affine set's linear map depends only on the shape (k, dA, dB) of the
 problem, not on the state. It is built in closed form in the occupation
@@ -53,22 +67,43 @@ FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
 UNDECIDED = "UNDECIDED"
 
-_STALL_WINDOW = 200
-_STALL_REL_CHANGE = 1e-7
-_STALL_CHECK_EVERY = 25
+# The infeasibility witness is tested at iterations 1, 2, 4, ..., and at
+# every multiple of this period.
+_WITNESS_PERIOD = 32
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol_feasible: float = 1e-8
-    tol_infeasible_gap: float = 1e-6
     max_iter: int = 20000
 
     def __post_init__(self):
-        if self.tol_feasible <= 0 or self.tol_infeasible_gap <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_feasible <= 0:
+            raise ValueError("tol_feasible must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Farkas certificate that a state has no extension.
+
+    w is Hermitian on A tensor B and c real. The operator Z = w tensor I,
+    with the identity on the other legs, compressed to the solver's block
+    space, plus c times the identity, is PSD, while tr(w rho) + c < 0: an
+    extension sigma of rho in that space would give
+    tr(w rho) + c = tr(Z sigma) >= 0. It is scaled so that Z has unit
+    Frobenius norm.
+    """
+
+    w: np.ndarray
+    c: float
+
+    def value(self, rho: DensityMatrix) -> float:
+        """tr(w rho) + c, negative for the state the witness was found for."""
+        return float(np.vdot(self.w, rho.matrix).real) + self.c
 
 
 @dataclass
@@ -78,6 +113,7 @@ class SolverReport:
     gap_estimate: float
     iterations: int
     certificate: Any = None
+    witness: Witness | None = None
 
 
 _SQRT2 = sqrt(2.0)
@@ -235,8 +271,32 @@ class _MapCache:
 _MAPS = _MapCache(_MAP_CACHE_BYTES)
 
 
+def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
+    """A Farkas vector y' from the DR displacement d, or None.
+
+    y' has A^T y' PSD, with a margin for the rounding of the eigvalsh, and
+    b^T y' < 0 beyond the rounding of the dot product; it is scaled to
+    ||A^T y'|| = 1, so -b^T y' bounds the distance between the two sets from
+    below. The trace row is last, and its A^T is the identity.
+    """
+    n, cols, amap = cmap.n, cmap.cols, cmap.amap
+    y = cmap.gram_pinv @ (amap @ d[cols])
+    z = np.zeros(n * n)
+    z[cols] = amap.T @ y
+    w = np.linalg.eigvalsh(_vec_to_herm(z, n))
+    y[-1] += 8 * n * _EPS * max(abs(w[0]), abs(w[-1])) - w[0]
+    value = float(b @ y)
+    if value >= -2 * len(b) * _EPS * float(np.abs(b) @ np.abs(y)):
+        return None
+    return y / np.linalg.norm(amap.T @ y)
+
+
 def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
-    """Returns (status, residual, gap_estimate, iterations, feasible_vec_or_None)."""
+    """Returns (status, residual, gap_estimate, iterations, vec).
+
+    vec is the feasible block on FEASIBLE, the scaled Farkas vector on
+    INFEASIBLE and None on UNDECIDED.
+    """
     n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
     at = amap.T
 
@@ -246,7 +306,6 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         return z
 
     x = affine_project(np.zeros(n * n))
-    steps: list[float] = []
     best_res = np.inf
     step = np.nan
     for it in range(1, cfg.max_iter + 1):
@@ -257,12 +316,11 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
             return FEASIBLE, res, 0.0, it, y
         nxt = x + affine_project(2.0 * y - x) - y
         step = float(np.linalg.norm(nxt - x))
-        steps.append(step)
+        if it % _WITNESS_PERIOD == 0 or it & (it - 1) == 0:
+            farkas = _farkas(cmap, b, x - nxt)
+            if farkas is not None:
+                return INFEASIBLE, res, -float(b @ farkas), it, farkas
         x = nxt
-        if it >= _STALL_WINDOW and it % _STALL_CHECK_EVERY == 0 and step > cfg.tol_infeasible_gap:
-            ref = steps[it - _STALL_WINDOW]
-            if abs(step - ref) <= _STALL_REL_CHANGE * max(step, 1e-300):
-                return INFEASIBLE, res, step, it, None
     return UNDECIDED, best_res, step, cfg.max_iter, None
 
 
@@ -300,16 +358,19 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
     """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
 
     On FEASIBLE the certificate is certify(block, atol), with the state's
-    block in the basis of `_sym_map`.
+    block in the basis of `_sym_map`; on INFEASIBLE the report carries the
+    Farkas witness.
     """
     cfg = cfg or SolverConfig()
     dA, dB = rho_ab.dims
     cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
-    status, res, gap, it, y = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
-    certificate = None
+    status, res, gap, it, vec = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
+    report = SolverReport(status, res, gap, it)
     if status == FEASIBLE:
-        certificate = certify(_vec_to_herm(y, cmap.n), max(1e-6, 10 * cfg.tol_feasible))
-    return SolverReport(status, res, gap, it, certificate)
+        report.certificate = certify(_vec_to_herm(vec, cmap.n), max(1e-6, 10 * cfg.tol_feasible))
+    elif status == INFEASIBLE:
+        report.witness = Witness(_vec_to_herm(vec[:-1], dA * dB), float(vec[-1]))
+    return report
 
 
 def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:

@@ -84,3 +84,29 @@ def product_state(seed=5):
 
     gen = np.random.default_rng(seed)
     return DensityMatrix(tensor_product(random_density(2, gen), random_density(2, gen)), (2, 2))
+
+
+def random_two_qubit_states(count, seed=1):
+    """The boundary draw of the two-copy tests: for state i the rank is
+    (2, 3, 3, 4)[i % 4], m = G G^dagger / tr for a complex Gaussian 4 x rank
+    matrix G, mixed to p m + (1 - p) I/4 with p uniform in [0.3, 1)."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        r = (2, 3, 3, 4)[i % 4]
+        g = gen.standard_normal((4, r)) + 1j * gen.standard_normal((4, r))
+        m = g @ g.conj().T
+        m /= m.trace().real
+        p = gen.uniform(0.3, 1)
+        out.append(p * m + (1 - p) * np.eye(4) / 4)
+    return out
+
+
+def cjklz_margin(rho: np.ndarray) -> float:
+    """The closed form of Chen, Ji, Kribs, Lütkenhaus and Zeng (PRA 90, 032318):
+    tr rho_B^2 - tr rho_AB^2 + 4 sqrt(det rho_AB), negative iff the two-qubit
+    state has no two-copy extension on B."""
+    r = rho.reshape(2, 2, 2, 2)
+    rho_b = np.einsum("abac->bc", r)
+    det = max(float(np.linalg.det(rho).real), 0.0)
+    return float(np.trace(rho_b @ rho_b).real - np.trace(rho @ rho).real + 4 * np.sqrt(det))

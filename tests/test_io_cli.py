@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import product_state, singlet_state
-from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible
+from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
 from symext.io import (
@@ -360,6 +360,7 @@ def test_convert_and_verify_parse_each_file_once(tmp_path, monkeypatch):
         (["convert", "--k", "3", "--in", full, "--out", sigma], [full]),
         (["convert", "--k", "3", "--in", str(cert), "--out", sigma], [str(cert)]),
         (["verify", "--k", "3", "--ext", full, "--marginal", marginal], [full, marginal]),
+        (["verify", "--k", "3", "--ext", str(cert), "--marginal", marginal], [str(cert), marginal]),
     ):
         parsed.clear()
         code, report = run_command(argv)
@@ -529,3 +530,48 @@ def test_verify_full_space_with_qutrit_legs(tmp_path):
     assert "layout: full-space\n" in head
     assert "invariance: pass" in head
     assert "status: PASS" in head
+
+
+def test_verify_reads_block_certificates(tmp_path):
+    # the witness of gen and the certificate of check-sym are both checked in
+    # sector coordinates, against the marginal they were made for
+    rho = tmp_path / "rho.state"
+    witness = tmp_path / "w.blocks"
+    cert = tmp_path / "cert.blocks"
+    for argv in (
+        ["gen", "--k", "3", "--dA", "2", "--seed", "1", "--out", str(rho), "--witness", str(witness)],
+        ["check-sym", "--k", "3", "--in", str(rho), "--cert", str(cert)],
+    ):
+        code, report = run_command(argv)
+        assert code == 0, report
+    assert isinstance(load_extension(witness), BlockState)
+    for ext in (witness, cert):
+        code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", str(rho)])
+        assert code == 0, report
+        head = above_marker(report)
+        assert "layout: blocks\n" in head
+        assert "support: skipped (blocks layout)\n" in head
+        assert "status: PASS" in head
+    other = write_state(gen_random_extendible(3, 2, 2)[0], tmp_path / "other.state")
+    code, report = run_command(["verify", "--k", "3", "--ext", str(witness), "--marginal", other])
+    assert code == 2 and "marginal: FAIL" in report
+    code, report = run_command(["verify", "--k", "4", "--ext", str(witness), "--marginal", str(rho)])
+    assert code == 1 and "expected 4" in report
+
+
+def test_infeasible_report_prints_the_witness_and_writes_no_certificate(tmp_path):
+    bad = write_state(singlet_state(), tmp_path / "bad.state")
+    cert = tmp_path / "cert.blocks"
+    code, report = run_command(["check-sym", "--k", "2", "--in", bad, "--cert", str(cert)])
+    assert code == 2
+    head = above_marker(report).splitlines()
+    gap = float(next(line for line in head if line.startswith("gap_estimate: ")).split()[-1])
+    value = next(line for line in head if line.startswith("witness: "))
+    assert value.startswith("witness: tr(W rho) + c = -")
+    assert float(value.split()[-1]) == pytest.approx(-gap, rel=1e-6)
+    assert head[-1] == value
+    assert not cert.exists()
+    _, again = run_command(["check-sym", "--k", "2", "--in", bad, "--cert", str(cert)])
+    assert above_marker(again) == above_marker(report)
+    code, report = run_command(["check-sym", "--k", "2", "--in", write_state(product_state(), tmp_path / "good.state")])
+    assert code == 0 and "witness:" not in report

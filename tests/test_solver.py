@@ -3,7 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import product_state, singlet_state
+from conftest import product_state, random_two_qubit_states, singlet_state
 from symext import solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import sym_to_bos, verify_extension
@@ -26,9 +26,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_feasible=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(tol_infeasible_gap=-1e-9)
-    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # infeasibility is certified by a witness, not by a gap threshold
+    with pytest.raises(TypeError):
+        SolverConfig(tol_infeasible_gap=1e-6)
 
 
 def test_symmetric_and_bosonic_are_one_solver():
@@ -117,11 +118,25 @@ def test_bosonic_rejects_singlet():
 
 
 def test_undecided_on_iteration_starvation():
-    cfg = SolverConfig(max_iter=10)
-    report = solve_symmetric(singlet_state(), 2, cfg)
+    # state 429 of the two-copy draw is extendible, but only barely: DR needs
+    # hundreds of iterations to reach a certificate
+    rho = DensityMatrix(random_two_qubit_states(430)[429], (2, 2))
+    report = solve_symmetric(rho, 2, SolverConfig(max_iter=10))
     assert report.status == UNDECIDED
-    assert report.certificate is None
+    assert report.certificate is None and report.witness is None
     assert report.iterations == 10
+    assert solve_symmetric(rho, 2).status == FEASIBLE
+
+
+def test_feasibility_is_monotone_in_k_on_random_states():
+    # a k-leg extension restricts to one with fewer legs, so the verdicts
+    # over k = 2..8 run FEASIBLE up to some k and INFEASIBLE after it
+    for i, matrix in enumerate(random_two_qubit_states(100, seed=2)):
+        rho = DensityMatrix(matrix, (2, 2))
+        statuses = [solve_symmetric(rho, k).status for k in range(2, 9)]
+        assert UNDECIDED not in statuses, (i, statuses)
+        feasible = statuses.count(FEASIBLE)
+        assert statuses == [FEASIBLE] * feasible + [INFEASIBLE] * (7 - feasible), (i, statuses)
 
 
 def test_rejects_non_qubit_b_side():

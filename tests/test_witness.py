@@ -1,0 +1,64 @@
+"""INFEASIBLE verdicts re-checked without the solver's constraint map.
+
+A witness (W, c) proves that rho has no extension on A tensor Sym^k(C^dB)
+when W tensor I, compressed to that space through the symmetric isometry,
+plus c I is PSD while tr(W rho) + c < 0. Here the compression is built from
+`schur.sym_isometry` and a plain Kronecker product, and the state's value is
+a plain trace.
+"""
+
+from math import sqrt
+
+import numpy as np
+import pytest
+
+from conftest import cjklz_margin, random_two_qubit_states, singlet_state
+from symext.linalg import DensityMatrix
+from symext.schur import sym_isometry
+from symext.solver import INFEASIBLE, qutrit_counterexample, solve_bosonic_k2_generic, solve_symmetric
+
+
+def assert_witness_excludes(report, rho: DensityMatrix, k: int):
+    assert report.status == INFEASIBLE
+    assert report.certificate is None
+    dA, dB = rho.dims
+    w, c = report.witness.w, report.witness.c
+    lift = np.kron(np.eye(dA), sym_isometry(k, dB))
+    compressed = lift.conj().T @ np.kron(w, np.eye(dB ** (k - 1))) @ lift
+    assert np.linalg.eigvalsh(compressed + c * np.eye(len(compressed)))[0] >= -1e-12
+    value = float(np.trace(w @ rho.matrix).real) + c
+    assert value < 0
+    # the witness is scaled to unit norm of its operator, so -value is the gap bound
+    assert value == pytest.approx(-report.gap_estimate, rel=1e-9, abs=1e-15)
+
+
+def _werner(p):
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)
+    return DensityMatrix(p * np.outer(psi, psi) + (1 - p) * np.eye(4) / 4, (2, 2))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_werner_witnesses_above_the_threshold(k):
+    pc = (k + 2) / (3 * k)
+    for off in (0.05, 0.005, 0.002, 1e-3, 1e-4):
+        rho = _werner(pc + off)
+        assert_witness_excludes(solve_symmetric(rho, k), rho, k)
+
+
+def test_cjklz_witnesses():
+    states = [m for m in random_two_qubit_states(1000) if cjklz_margin(m) < 0]
+    assert len(states) == 20
+    for matrix in states:
+        rho = DensityMatrix(matrix, (2, 2))
+        assert_witness_excludes(solve_symmetric(rho, 2), rho, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_singlet_witness(k):
+    rho = singlet_state()
+    assert_witness_excludes(solve_symmetric(rho, k), rho, k)
+
+
+def test_qutrit_counterexample_witness():
+    rho, _, _ = qutrit_counterexample()
+    assert_witness_excludes(solve_bosonic_k2_generic(rho, 3), rho, 2)
