@@ -58,10 +58,6 @@ class BlockState:
         if abs(total - 1.0) > atol:
             raise ValueError(f"weighted block trace {total!r} is not 1 within {atol:g}")
 
-    def block(self, lam: YoungDiagram) -> np.ndarray:
-        n = self.dA * lam.num_weights
-        return self.blocks.get(lam, np.zeros((n, n), dtype=complex))
-
     @property
     def weighted_trace(self) -> float:
         return sum(hook_dim(lam) * float(x.trace().real) for lam, x in self.blocks.items())
@@ -81,10 +77,9 @@ def blocks_to_global(bs: BlockState, basis: SchurBasis) -> DensityMatrix:
     for lam, x in bs.blocks.items():
         sec = basis.sector(lam)
         nw = lam.num_weights
-        # path-summed transfer operators: glue[w, v, x, y] = sum_mu sec[x,mu,w] sec[y,mu,v]
-        glue = np.einsum("xmw,ymv->wvxy", sec, sec)
-        xr = x.reshape(dA, nw, dA, nw)
-        out += np.einsum("awbv,wvxy->axby", xr, glue)
+        # out[a, x, b, y] += sum over paths mu and weights w, v of
+        # sec[x, mu, w] X[a w, b v] sec[y, mu, v]
+        out += np.einsum("xmw,awbv,ymv->axby", sec, x.reshape(dA, nw, dA, nw), sec, optimize=True)
     matrix = out.reshape(dA * n, dA * n)
     return DensityMatrix(matrix, (dA,) + (2,) * bs.k, check_psd=False)
 

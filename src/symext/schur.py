@@ -150,28 +150,19 @@ def jplus_apply(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _resolve_k(lam: YoungDiagram, k: int | None) -> int:
-    if k is None:
-        return lam.k
-    if k != lam.k:
-        raise ValueError(f"k={k} inconsistent with sector [{lam.lambda1},{lam.lambda2}]")
-    return k
-
-
-def alpha_coeff(lam: YoungDiagram, omega: float, omega_p: float, k: int | None = None) -> float:
+def alpha_coeff(lam: YoungDiagram, omega: float, omega_p: float) -> float:
     """Off-diagonal one-qubit marginal coefficient of a sector cross term.
 
     The averaged cross term between weights omega and omega_p of a sector
     traces down to alpha * |0><1| on one qubit; alpha vanishes unless
     omega_p = omega + 1.
     """
-    k = _resolve_k(lam, k)
     j = lam.spin
     if abs(omega_p - omega - 1.0) > 1e-9:
         return 0.0
     lam.weight_index(omega)
     lam.weight_index(omega_p)
-    return sqrt((j - omega) * (j + omega + 1)) / k
+    return sqrt((j - omega) * (j + omega + 1)) / lam.k
 
 
 def diag_coeffs(k: int, omega: float) -> tuple[float, float]:
@@ -183,14 +174,13 @@ def diag_coeffs(k: int, omega: float) -> tuple[float, float]:
     return t0, t1
 
 
-def p_coeff(lam: YoungDiagram, omega: float, omega_p: float, k: int | None = None) -> float:
+def p_coeff(lam: YoungDiagram, omega: float, omega_p: float) -> float:
     """Entrywise rescaling factor between a sector and the top sector.
 
     Equals 1 on the diagonal; for adjacent weights it is the ratio of the
     alpha coefficient of the sector to that of the top sector, evaluated at
     the lesser weight; all remaining entries factor through the xi vector.
     """
-    k = _resolve_k(lam, k)
     iw = lam.weight_index(omega)
     iw_p = lam.weight_index(omega_p)
     if iw == iw_p:
@@ -199,25 +189,24 @@ def p_coeff(lam: YoungDiagram, omega: float, omega_p: float, k: int | None = Non
         j = lam.spin
         lo = min(omega, omega_p)
         num = (j - lo) * (j + lo + 1)
-        den = (k / 2 - lo) * (k / 2 + lo + 1)
+        den = (lam.k / 2 - lo) * (lam.k / 2 + lo + 1)
         return sqrt(num / den)
-    xi = xi_vector(lam, k)
+    xi = xi_vector(lam)
     return float(xi[iw] * xi[iw_p])
 
 
-def xi_vector(lam: YoungDiagram, k: int | None = None) -> np.ndarray:
+def xi_vector(lam: YoungDiagram) -> np.ndarray:
     """Unit-bounded amplitudes whose pairwise products fill the rescaling matrix.
 
     Anchored at the adjacent weight pair with the largest rescaling factor and
     extended outward by the two-term recursion; the factors are unimodal in the
     weight, which keeps every amplitude at most 1.
     """
-    k = _resolve_k(lam, k)
     nw = lam.num_weights
     if nw == 1:
         return np.ones(1)
     ws = lam.weights()
-    p_adj = np.array([p_coeff(lam, ws[i], ws[i + 1], k) for i in range(nw - 1)])
+    p_adj = np.array([p_coeff(lam, ws[i], ws[i + 1]) for i in range(nw - 1)])
     xi = np.zeros(nw)
     anchor = int(np.argmax(p_adj))
     xi[anchor] = xi[anchor + 1] = sqrt(p_adj[anchor])
@@ -230,13 +219,12 @@ def xi_vector(lam: YoungDiagram, k: int | None = None) -> np.ndarray:
     return xi
 
 
-def coeff_matrix_P(lam: YoungDiagram, k: int | None = None) -> np.ndarray:
+def coeff_matrix_P(lam: YoungDiagram) -> np.ndarray:
     """Unit-diagonal PSD rescaling matrix xi xi^T + diag(1 - xi^2)."""
-    k = _resolve_k(lam, k)
-    xi = xi_vector(lam, k)
+    xi = xi_vector(lam)
     p = np.outer(xi, xi) + np.diag(1.0 - xi**2)
     if lam.num_weights >= 2:
         ws = lam.weights()
         for i in range(lam.num_weights - 1):
-            p[i, i + 1] = p[i + 1, i] = p_coeff(lam, ws[i], ws[i + 1], k)
+            p[i, i + 1] = p[i + 1, i] = p_coeff(lam, ws[i], ws[i + 1])
     return p

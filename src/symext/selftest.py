@@ -106,7 +106,7 @@ def criterion_3() -> CriterionResult:
                 if wi + 1 < len(ws):
                     w = sec[:, :, wi + 1]
                     cross = partial_trace(v @ w.conj().T / d, dims, [0])
-                    alpha_dev = max(alpha_dev, abs(cross[0, 1] - alpha_coeff(lam, omega, omega + 1, k)))
+                    alpha_dev = max(alpha_dev, abs(cross[0, 1] - alpha_coeff(lam, omega, omega + 1)))
     ok = ratio_dev <= 1e-10 and alpha_dev <= 1e-10
     return CriterionResult(3, "coefficient oracles", ok, f"ratio {_num(ratio_dev)}, alpha {_num(alpha_dev)}")
 

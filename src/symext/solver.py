@@ -32,26 +32,30 @@ certified lower bound -b^T y' / ||A^T y'|| on the distance between the two
 sets, and the witness is scaled to ||A^T y'|| = 1. A run that reaches
 max_iter with neither certificate is UNDECIDED.
 
-The affine set's linear map depends only on the shape (k, dA, dB) of the
-problem, not on the state. It is built in closed form in the occupation
-basis |n> of Sym^k(C^dB): tracing out B2..Bk takes |n><m| to
-sqrt(n_i m_j) / k times |i><j| when m = n - e_i + e_j, and to zero otherwise.
-The map keeps only the columns of the coordinates it touches and is cached,
-read-only, with its Gram pseudo-inverse under the key (k, dA, dB); only the
-target vector is built per state, and the affine projection works on the
-touched coordinates alone. At the block cap (k = 64, dA = 4, dB = 2) the map
-takes 1.6 MB. The cache evicts the least recently used maps once they hold
-more than 64 MB together. Pair maps grow about as dB^5 (4.3 MiB at dA = 2,
-dB = 8; 133 MiB at dB = 16), so a map whose dense array would exceed 1 GiB
-is refused with a ValueError before it is allocated (at dA = 2, from
-dB = 25 on).
+The iterate is the block itself, an n x n complex matrix, and the affine
+set's linear map A is a real matrix over its flat entries p n + q: the rows
+are the marginal's entries i dim_out + j, then the trace. A takes X^H to
+A(X)^H, so the affine projection keeps a Hermitian matrix Hermitian, and the
+real part of the entrywise inner product is the Frobenius inner product of
+Hermitian matrices; b^T y above stands for Re <b, y>. The map depends only
+on the shape (k, dA, dB) of the problem, not on the state. It is built in
+closed form in the occupation basis |n> of Sym^k(C^dB): tracing out B2..Bk
+takes |n><m| to sqrt(n_i m_j) / k times |i><j| when m = n - e_i + e_j, and
+to zero otherwise. The map keeps only the columns of the entries it touches
+and is cached, read-only, with its Gram pseudo-inverse under the key
+(k, dA, dB); only the target vector is built per state, and the affine
+projection works on the touched entries alone. At the block cap (k = 64,
+dA = 4, dB = 2) the map takes 1.6 MB. The cache evicts the least recently
+used maps once they hold more than 64 MB together. Pair maps grow about as
+dB^5 (4.3 MiB at dA = 2, dB = 8; 133 MiB at dB = 16), so a map whose dense
+array would exceed 1 GiB is refused with a ValueError before it is allocated
+(at dA = 2, from dB = 25 on).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import sqrt
 from typing import Any
@@ -116,9 +120,6 @@ class SolverReport:
     witness: Witness | None = None
 
 
-_SQRT2 = sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
-
 # Bound on the bytes of the cached constraint maps: room for many shapes, so
 # that a batch cycling through a handful of them builds each map once.
 _MAP_CACHE_BYTES = 64 * 2**20
@@ -127,64 +128,27 @@ _MAP_CACHE_BYTES = 64 * 2**20
 _MAP_BYTES_LIMIT = 2**30
 
 
-@lru_cache(maxsize=256)
-def _herm_index(n: int):
-    """Index maps between an n x n complex matrix and its real coordinates.
-
-    The coordinates are the diagonal, then sqrt(2) times the real and then the
-    imaginary parts of the upper triangle, row by row: an isometry. `read`
-    picks them from the float view of the flattened matrix; `write` puts
-    coordinates `src`, multiplied by `scale`, back in place, lower triangle
-    included.
-    """
-    iu, ju = np.triu_indices(n, 1)
-    diag = np.arange(n) * (n + 1)
-    up = iu * n + ju
-    low = ju * n + iu
-    m = len(up)
-    read = np.concatenate([2 * diag, 2 * up, 2 * up + 1])
-    write = np.concatenate([read, 2 * low, 2 * low + 1])
-    src = np.concatenate([np.arange(n * n), np.arange(n, n * n)])
-    scale = np.concatenate([np.ones(n), np.full(3 * m, _INV_SQRT2), np.full(m, -_INV_SQRT2)])
-    for a in (read, write, src, scale):
-        a.flags.writeable = False
-    return read, write, src, scale
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex vector z, without a complex copy of a."""
+    return (a @ z.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1)
 
 
-def _herm_to_vec(h: np.ndarray) -> np.ndarray:
-    n = h.shape[0]
-    v = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(np.float64)[_herm_index(n)[0]]
-    v[n:] *= _SQRT2
-    return v
-
-
-def _vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    _, write, src, scale = _herm_index(n)
-    h = np.zeros(2 * n * n)
-    h[write] = v[src] * scale
-    return h.view(complex).reshape(n, n)
-
-
-def _triu_position(i, j, n):
-    # index of the upper-triangle entry (i, j), i < j, in row-by-row order
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def _cone_project(v: np.ndarray, n: int) -> np.ndarray:
-    """Nearest point of the PSD cone, in coordinates, to an n x n block (eigenvalue clip)."""
-    w, u = np.linalg.eigh(_vec_to_herm(v, n))
+def _cone_project(x: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to a Hermitian x in the Frobenius norm (eigenvalue clip)."""
+    w, u = np.linalg.eigh(x)
     np.maximum(w, 0.0, out=w)
-    return _herm_to_vec((u * w) @ u.conj().T)
+    return (u * w) @ u.conj().T
 
 
 @dataclass(frozen=True)
 class _ConstraintMap:
-    """The affine constraint's linear map, restricted to the coordinates it touches.
+    """The affine constraint's linear map, restricted to the block entries it touches.
 
-    The variable is one n x n Hermitian block. The map's rows are the real
-    coordinates of the pinned marginal, then the trace; `amap` holds the
-    columns of the coordinates `cols` (ascending), and every other column of
-    the full map is zero. All arrays are read-only.
+    The variable is one n x n Hermitian block, read as its flat entries
+    p * n + q. The map is real: its rows are the entries i * dim_out + j of
+    the pinned marginal, then the trace; `amap` holds the columns of the
+    entries `cols` (ascending), and every other column of the full map is
+    zero. All arrays are read-only.
     """
 
     n: int
@@ -198,37 +162,16 @@ class _ConstraintMap:
 
 
 def _compact_map(n: int, dim_out: int, p, q, i, j, coeff) -> _ConstraintMap:
-    """Real-coordinate constraint map of a linear map from an n x n block to a marginal.
+    """Constraint map of a linear map from an n x n block to a marginal.
 
     p, q, i, j and coeff are arrays of one length: entry (p, q) of the block
     adds coeff (real) times itself to entry (i, j) of the dim_out x dim_out
-    marginal; repeated terms add up. The marginal of a Hermitian input is
-    Hermitian, so only terms with i <= j are read. The last row is the trace.
+    marginal; repeated terms add up. The last row is the trace.
     """
-    keep = i <= j
-    p, q, i, j, coeff = p[keep], q[keep], i[keep], j[keep], coeff[keep]
-
-    # Rows: the marginal's diagonal is read as is, its upper triangle times
-    # sqrt(2), real parts first. Columns: a diagonal block entry is its own
-    # coordinate; entry (p, q) off the diagonal is (re + i im) / sqrt(2) of its
-    # pair's two coordinates when p < q, and the conjugate when p > q.
-    on_diag = i == j
-    upper = _triu_position(i, j, dim_out)
-    row_re = np.where(on_diag, i, dim_out + upper)
-    row_im = dim_out + dim_out * (dim_out - 1) // 2 + upper
-    col_re = n + _triu_position(np.minimum(p, q), np.maximum(p, q), n)
-    col_im = col_re + n * (n - 1) // 2
-    sign = np.where(p < q, 1.0, -1.0)
-    out_scale = np.where(on_diag, 1.0, _SQRT2)
-    scaled = coeff * _INV_SQRT2
-    off = p != q
-    im = off & ~on_diag  # the imaginary part of the marginal's diagonal is not read
     trace_row = dim_out * dim_out
-    rows = np.concatenate([row_re[~off], row_re[off], row_im[im], np.full(n, trace_row)])
-    cols = np.concatenate([p[~off], col_re[off], col_im[im], np.arange(n)])
-    vals = np.concatenate(
-        [(out_scale * coeff)[~off], (out_scale * scaled)[off], (_SQRT2 * (sign * scaled))[im], np.ones(n)]
-    )
+    rows = np.concatenate([i * dim_out + j, np.full(n, trace_row)])
+    cols = np.concatenate([p * n + q, np.arange(n) * (n + 1)])
+    vals = np.concatenate([coeff, np.ones(n)])
     is_touched = np.zeros(n * n, dtype=bool)
     is_touched[cols] = True
     touched = np.flatnonzero(is_touched)
@@ -280,37 +223,38 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
     below. The trace row is last, and its A^T is the identity.
     """
     n, cols, amap = cmap.n, cmap.cols, cmap.amap
-    y = cmap.gram_pinv @ (amap @ d[cols])
-    z = np.zeros(n * n)
-    z[cols] = amap.T @ y
-    w = np.linalg.eigvalsh(_vec_to_herm(z, n))
+    y = _real_times(cmap.gram_pinv, _real_times(amap, d.reshape(-1)[cols]))
+    z = np.zeros(n * n, dtype=complex)
+    z[cols] = _real_times(amap.T, y)
+    w = np.linalg.eigvalsh(z.reshape(n, n))
     y[-1] += 8 * n * _EPS * max(abs(w[0]), abs(w[-1])) - w[0]
-    value = float(b @ y)
+    value = float(np.vdot(b, y).real)
     if value >= -2 * len(b) * _EPS * float(np.abs(b) @ np.abs(y)):
         return None
-    return y / np.linalg.norm(amap.T @ y)
+    return y / np.linalg.norm(_real_times(amap.T, y))
 
 
 def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
-    """Returns (status, residual, gap_estimate, iterations, vec).
+    """Returns (status, residual, gap_estimate, iterations, x).
 
-    vec is the feasible block on FEASIBLE, the scaled Farkas vector on
+    x is the feasible block on FEASIBLE, the scaled Farkas vector on
     INFEASIBLE and None on UNDECIDED.
     """
     n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
     at = amap.T
 
     def affine_project(z: np.ndarray) -> np.ndarray:
-        # in place; coordinates outside cols are not constrained
-        z[cols] -= at @ (gram_pinv @ (amap @ z[cols] - b))
+        # in place; entries outside cols are not constrained
+        flat = z.reshape(-1)
+        flat[cols] -= _real_times(at, _real_times(gram_pinv, _real_times(amap, flat[cols]) - b))
         return z
 
-    x = affine_project(np.zeros(n * n))
+    x = affine_project(np.zeros((n, n), dtype=complex))
     best_res = np.inf
     step = np.nan
     for it in range(1, cfg.max_iter + 1):
-        y = _cone_project(x, n)
-        res = float(np.linalg.norm(amap @ y[cols] - b))
+        y = _cone_project(x)
+        res = float(np.linalg.norm(_real_times(amap, y.reshape(-1)[cols]) - b))
         best_res = min(best_res, res)
         if res <= cfg.tol_feasible:
             return FEASIBLE, res, 0.0, it, y
@@ -319,7 +263,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         if it % _WITNESS_PERIOD == 0 or it & (it - 1) == 0:
             farkas = _farkas(cmap, b, x - nxt)
             if farkas is not None:
-                return INFEASIBLE, res, -float(b @ farkas), it, farkas
+                return INFEASIBLE, res, -float(np.vdot(b, farkas).real), it, farkas
         x = nxt
     return UNDECIDED, best_res, step, cfg.max_iter, None
 
@@ -350,10 +294,6 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     return _compact_map(dA * nsym, dA * dB, *(x.ravel() for x in terms))
 
 
-def _marginal_target(rho_ab: DensityMatrix) -> np.ndarray:
-    return np.concatenate([_herm_to_vec(rho_ab.matrix), [1.0]])
-
-
 def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify) -> SolverReport:
     """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
 
@@ -364,12 +304,13 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
     cfg = cfg or SolverConfig()
     dA, dB = rho_ab.dims
     cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
-    status, res, gap, it, vec = _douglas_rachford(cmap, _marginal_target(rho_ab), cfg)
+    status, res, gap, it, x = _douglas_rachford(cmap, np.append(rho_ab.matrix.ravel(), 1.0), cfg)
     report = SolverReport(status, res, gap, it)
     if status == FEASIBLE:
-        report.certificate = certify(_vec_to_herm(vec, cmap.n), max(1e-6, 10 * cfg.tol_feasible))
+        report.certificate = certify(x, max(1e-6, 10 * cfg.tol_feasible))
     elif status == INFEASIBLE:
-        report.witness = Witness(_vec_to_herm(vec[:-1], dA * dB), float(vec[-1]))
+        w = x[:-1].reshape(dA * dB, dA * dB)
+        report.witness = Witness((w + w.conj().T) / 2, float(x[-1].real))
     return report
 
 

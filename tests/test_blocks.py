@@ -37,8 +37,8 @@ def test_block_state_validation():
     bs = BlockState(2, 1, {lam: x})
     assert bs.k == 2 and bs.dA == 1
     assert abs(bs.weighted_trace - 1.0) < 1e-12
-    # missing sectors read back as zero
-    assert not bs.block(YoungDiagram(1, 1)).any()
+    # a sector without a block is absent
+    assert YoungDiagram(1, 1) not in bs.blocks
     with pytest.raises(ValueError, match="not a sector"):
         BlockState(3, 1, {lam: np.eye(3) / 3})
     with pytest.raises(ValueError, match="shape"):
@@ -120,7 +120,7 @@ def test_round_trip_on_invariant_state():
         rho = blocks_to_global(bs, basis)
         back = global_to_blocks(rho, basis)
         for lam in list_diagrams(k):
-            assert np.linalg.norm(back.block(lam) - bs.block(lam)) < 1e-10
+            assert np.linalg.norm(back.blocks[lam] - bs.blocks[lam]) < 1e-10
         again = blocks_to_global(back, basis)
         assert np.linalg.norm(again.matrix - rho.matrix) < 1e-10
 
@@ -163,17 +163,18 @@ def test_gen_is_deterministic_and_consistent(seed, k, dA):
     marg1, bs1 = gen_random_extendible(k, dA, seed)
     marg2, bs2 = gen_random_extendible(k, dA, seed)
     assert np.array_equal(marg1.matrix, marg2.matrix)
-    for lam in list_diagrams(k):
-        assert np.array_equal(bs1.block(lam), bs2.block(lam))
+    assert bs1.blocks.keys() == bs2.blocks.keys()
+    for lam, x in bs1.blocks.items():
+        assert np.array_equal(bs2.blocks[lam], x)
     assert np.linalg.norm(marginal_from_blocks(bs1).matrix - marg1.matrix) < 1e-12
 
 
 def test_gen_profiles():
     top = YoungDiagram(4, 0)
     _, all_bs = gen_random_extendible(4, 2, 1, PROFILE_ALL)
-    assert all_bs.block(top).any()
+    assert all_bs.blocks[top].any()
     marg, bare = gen_random_extendible(4, 2, 1, PROFILE_EXCLUDE_BOSONIC)
-    assert not bare.block(top).any()
+    assert top not in bare.blocks
     assert set(bare.blocks) == set(list_diagrams(4)[1:])
     # the marginal is still a valid state
     assert np.linalg.eigvalsh(marg.matrix)[0] > -1e-12

@@ -58,7 +58,7 @@ def test_already_bosonic_states_are_fixed_points():
     for k, dA in ((2, 2), (4, 3), (6, 2)):
         bs = random_block_state(k, dA, seed=k, diagrams=[YoungDiagram(k, 0)])
         bos = sym_to_bos(bs)
-        assert np.linalg.norm(bos.matrix - bs.block(YoungDiagram(k, 0))) < 1e-13
+        assert np.linalg.norm(bos.matrix - bs.blocks[YoungDiagram(k, 0)]) < 1e-13
 
 
 @pytest.mark.parametrize("k,dA,seed", [(2, 2, 0), (3, 3, 1), (4, 2, 2), (6, 2, 3), (8, 2, 4)])

@@ -160,7 +160,7 @@ def test_marginal_coefficients_against_brute_force():
                 if wi + 1 < len(ws):
                     c = brute_force_pair_marginal(basis, lam, wi, wi + 1)
                     expect = np.zeros((2, 2))
-                    expect[0, 1] = alpha_coeff(lam, omega, omega + 1, k)
+                    expect[0, 1] = alpha_coeff(lam, omega, omega + 1)
                     assert np.abs(c - expect).max() <= 1e-12
 
 
@@ -173,8 +173,8 @@ def test_p_coeff_identity_and_examples():
         top = YoungDiagram(k, 0)
         for lam in list_diagrams(k):
             for omega in lam.weights()[:-1]:
-                lhs = p_coeff(lam, omega, omega + 1, k) * alpha_coeff(top, omega, omega + 1, k)
-                assert lhs == pytest.approx(alpha_coeff(lam, omega, omega + 1, k), abs=1e-13)
+                lhs = p_coeff(lam, omega, omega + 1) * alpha_coeff(top, omega, omega + 1)
+                assert lhs == pytest.approx(alpha_coeff(lam, omega, omega + 1), abs=1e-13)
 
 
 def test_xi_vector_reproduces_adjacent_ratios():
@@ -182,18 +182,18 @@ def test_xi_vector_reproduces_adjacent_ratios():
         for lam in list_diagrams(k):
             if lam.num_weights < 2:
                 continue
-            xi = xi_vector(lam, k)
+            xi = xi_vector(lam)
             assert xi.shape == (lam.num_weights,)
             assert np.all(np.abs(xi) <= 1.0 + 1e-12)
             ws = lam.weights()
             for wi in range(len(ws) - 1):
-                assert xi[wi] * xi[wi + 1] == pytest.approx(p_coeff(lam, ws[wi], ws[wi + 1], k), abs=1e-12)
+                assert xi[wi] * xi[wi + 1] == pytest.approx(p_coeff(lam, ws[wi], ws[wi + 1]), abs=1e-12)
 
 
 def test_coeff_matrix_psd_unit_diagonal():
     for k in range(1, 11):
         for lam in list_diagrams(k):
-            p = coeff_matrix_P(lam, k)
+            p = coeff_matrix_P(lam)
             nw = lam.num_weights
             assert p.shape == (nw, nw)
             assert np.allclose(np.diag(p), 1.0)
@@ -203,7 +203,7 @@ def test_coeff_matrix_psd_unit_diagonal():
             # adjacent entries are exactly the pair couplings
             ws = lam.weights()
             for wi in range(nw - 1):
-                assert p[wi, wi + 1] == pytest.approx(p_coeff(lam, ws[wi], ws[wi + 1], k), abs=1e-12)
+                assert p[wi, wi + 1] == pytest.approx(p_coeff(lam, ws[wi], ws[wi + 1]), abs=1e-12)
 
 
 def test_coeff_matrix_example_three_copies():

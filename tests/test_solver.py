@@ -102,7 +102,7 @@ def test_bosonic_matches_symmetric_for_qubit_legs():
     # extendible: for qubit legs the two hierarchies decide alike
     for k, seed in ((2, 5), (3, 6), (4, 7)):
         rho, witness = gen_random_extendible(k, 2, seed, PROFILE_EXCLUDE_BOSONIC)
-        assert not witness.block(YoungDiagram(k, 0)).any()
+        assert YoungDiagram(k, 0) not in witness.blocks
         report = solve_bosonic(rho, k)
         assert report.status == FEASIBLE
         cert = report.certificate
@@ -219,92 +219,73 @@ def test_reports_echo_configuration_limits():
     # the certificate of the top-sector problem holds exactly the top sector
     report = solve_symmetric(product_state(), 3)
     assert list(report.certificate.blocks) == [YoungDiagram(3, 0)]
-    assert report.certificate.block(YoungDiagram(3, 0)).shape == (2 * 4, 2 * 4)
+    assert report.certificate.blocks[YoungDiagram(3, 0)].shape == (2 * 4, 2 * 4)
 
 
 def test_cone_project_idempotent_and_optimal(rng):
     n = 5
-    v = rng.normal(size=n * n)
-    p = solver._cone_project(v, n)
-    assert np.linalg.eigvalsh(solver._vec_to_herm(p, n))[0] >= -1e-12
-    assert np.allclose(solver._cone_project(p, n), p, atol=1e-12)
-    # the coordinates are an isometry, so clipping gives the Frobenius-nearest
-    # PSD matrix; any other PSD point is farther
-    other = solver._cone_project(v + 0.3 * solver._herm_to_vec(np.eye(n)), n)
-    assert np.linalg.norm(v - p) <= np.linalg.norm(v - other) + 1e-12
-    assert np.linalg.norm(v - p) <= np.linalg.norm(v) + 1e-12
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (g + g.conj().T) / 2
+    p = solver._cone_project(h)
+    assert np.linalg.eigvalsh(p)[0] >= -1e-12
+    assert np.allclose(solver._cone_project(p), p, atol=1e-12)
+    # clipping gives the Frobenius-nearest PSD matrix; any other PSD point is
+    # farther
+    other = solver._cone_project(h + 0.3 * np.eye(n))
+    assert np.linalg.norm(h - p) <= np.linalg.norm(h - other) + 1e-12
+    assert np.linalg.norm(h - p) <= np.linalg.norm(h) + 1e-12
 
 
-def _reference_herm_to_vec(h):
-    iu = np.triu_indices(h.shape[0], 1)
-    s = sqrt(2.0)
-    return np.concatenate([np.real(np.diag(h)), s * np.real(h[iu]), s * np.imag(h[iu])])
+def test_real_times_is_the_matrix_product(rng):
+    a = rng.normal(size=(4, 7))
+    z = rng.normal(size=7) + 1j * rng.normal(size=7)
+    assert np.allclose(solver._real_times(a, z), a @ z, rtol=0, atol=1e-14)
 
 
-def _reference_vec_to_herm(v, n):
-    iu = np.triu_indices(n, 1)
-    m = n * (n - 1) // 2
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = v[:n]
-    upper = (v[n : n + m] + 1j * v[n + m :]) / sqrt(2.0)
-    h[iu] = upper
-    h[(iu[1], iu[0])] = upper.conj()
-    return h
+def _hermitian_basis(n):
+    """E_pp, E_pq + E_qp and i (E_pq - E_qp) for p < q."""
+    for p in range(n):
+        for q in range(p, n):
+            h = np.zeros((n, n), dtype=complex)
+            h[p, q] = h[q, p] = 1.0
+            yield h
+            if p < q:
+                h = np.zeros((n, n), dtype=complex)
+                h[p, q], h[q, p] = 1j, -1j
+                yield h
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_hermitian_coordinates_match_reference_bit_for_bit(n):
-    gen = np.random.default_rng(n)
-    v = gen.standard_normal(n * n)
-    v[::3] = 0.0
-    h = solver._vec_to_herm(v, n)
-    assert h.tobytes() == _reference_vec_to_herm(v, n).tobytes()
-    g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    assert solver._herm_to_vec(g).tobytes() == _reference_herm_to_vec(g).tobytes()
-    assert solver._herm_to_vec(h).tobytes() == _reference_herm_to_vec(h).tobytes()
+def _on_hermitian_basis(cmap, marginal):
+    """The constraint map and its oracle (marginal entries, then trace) on a Hermitian basis.
 
-
-def _column_map(k, dA):
-    """The dense top-sector constraint map, one raw_marginal_from_blocks call per coordinate."""
-    lam = YoungDiagram(k, 0)
-    n = dA * lam.num_weights
-    cols = np.zeros((4 * dA * dA + 1, n * n))
-    for t in range(n * n):
-        unit = np.zeros(n * n)
-        unit[t] = 1.0
-        h = _reference_vec_to_herm(unit, n)
-        cols[:-1, t] = _reference_herm_to_vec(raw_marginal_from_blocks(k, dA, [(lam, h)]))
-        cols[-1, t] = float(h.trace().real)
-    return cols
-
-
-def _dense(cmap):
-    full = np.zeros((cmap.amap.shape[0], cmap.n * cmap.n))
-    full[:, cmap.cols] = cmap.amap
-    return full
+    The map reads raw block entries, but the oracles assume Hermitian input,
+    so the two are compared on Hermitian matrices only.
+    """
+    dense = np.zeros((cmap.amap.shape[0], cmap.n * cmap.n))
+    dense[:, cmap.cols] = cmap.amap
+    basis = list(_hermitian_basis(cmap.n))
+    got = np.array([dense @ h.ravel() for h in basis])
+    want = np.array([np.append(marginal(h).ravel(), h.trace()) for h in basis])
+    return got, want
 
 
 @pytest.mark.parametrize("dA", [1, 2, 3, 4])
 def test_sector_map_equals_column_by_column_map(dA):
     for k in range(1, 11):
-        assert np.array_equal(_dense(solver._sym_map(k, dA, 2)), _column_map(k, dA)), (k, dA)
+        lam = YoungDiagram(k, 0)
+        got, want = _on_hermitian_basis(
+            solver._sym_map(k, dA, 2), lambda h: raw_marginal_from_blocks(k, dA, [(lam, h)]))
+        assert np.array_equal(got, want), (k, dA)
 
 
 @pytest.mark.parametrize("dA,dB", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
 def test_pair_map_matches_embedding_loop(dA, dB):
-    nsym = dB * (dB + 1) // 2
-    n = dA * nsym
     lift = np.kron(np.eye(dA), sym_isometry(2, dB))
-    reference = np.zeros(((dA * dB) ** 2 + 1, n * n))
-    for t in range(n * n):
-        unit = np.zeros(n * n)
-        unit[t] = 1.0
-        h = _reference_vec_to_herm(unit, n)
-        reference[:-1, t] = _reference_herm_to_vec(partial_trace(lift @ h @ lift.T, (dA, dB, dB), (0, 1)))
-        reference[-1, t] = float(h.trace().real)
-    # the reference multiplies rounded copies of 1/sqrt(2) where the closed
-    # form has exact 1/2 and sqrt(2)/2, so allow a unit in the last place
-    assert np.allclose(_dense(solver._sym_map(2, dA, dB)), reference, rtol=0, atol=1e-15)
+    got, want = _on_hermitian_basis(
+        solver._sym_map(2, dA, dB), lambda h: partial_trace(lift @ h @ lift.T, (dA, dB, dB), (0, 1)))
+    # the lift multiplies rounded copies of 1/sqrt(2) where the closed form
+    # has exact 1/2 and sqrt(2)/2, so allow a unit in the last place
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_constraint_map_is_cached_per_shape(monkeypatch):
