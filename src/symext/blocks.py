@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import block_cap
-from .linalg import DensityMatrix, herm_deviation
+from .linalg import DensityMatrix, eigenvalue_below, herm_deviation
 from .schur import SchurBasis, alpha_coeff, diag_coeffs
 from .young import YoungDiagram, hook_dim, list_diagrams
 
@@ -25,7 +25,10 @@ class BlockState:
     """One Hermitian PSD block per sector; missing sectors are zero.
 
     The weighted normalization sum_lam tableau_count(lam) * tr(X_lam) = 1
-    makes the glued global state unit trace.
+    makes the glued global state unit trace. Every block must have finite
+    entries and be Hermitian and PSD within atol; positivity is settled by a
+    Cholesky factorization, and only a block it cannot accept is handed to
+    eigvalsh (see `linalg.eigenvalue_below`).
     """
 
     def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6):
@@ -44,12 +47,14 @@ class BlockState:
             n = self.dA * lam.num_weights
             if x.shape != (n, n):
                 raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] has shape {x.shape}, expected {(n, n)}")
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] entries must be finite")
             dev = herm_deviation(x)
             if dev > atol:
                 raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] not Hermitian (deviation {dev:.3e})")
             x = (x + x.conj().T) / 2
-            low = float(np.linalg.eigvalsh(x)[0])
-            if low < -atol:
+            low = eigenvalue_below(x, atol)
+            if low is not None:
                 raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] has eigenvalue {low:.3e}")
             x.flags.writeable = False
             clean[lam] = x

@@ -25,6 +25,7 @@ each costs O((dA*d^k)^2)), and the weight outside the symmetric subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,8 @@ class BosonicState:
 
     The matrix acts on A tensor the k+1 weight slots (A index major, weight
     ascending); embedding through the Dicke isometry gives the full state.
+    Its entries must be finite, and it must be Hermitian with unit trace
+    within atol; positivity is measured by `verify_extension`.
     """
 
     def __init__(self, dA: int, k: int, matrix, *, atol: float = 1e-6):
@@ -49,6 +52,8 @@ class BosonicState:
         n = self.dA * (self.k + 1)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match dA={dA}, k={k}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix entries must be finite")
         dev = herm_deviation(matrix)
         if dev > atol:
             raise ValueError(f"matrix not Hermitian (deviation {dev:.3e})")
@@ -76,13 +81,23 @@ class BosonicState:
         return f"BosonicState(dA={self.dA}, k={self.k})"
 
 
+# Up to the block cap of 64 there are about 1,100 diagrams, whose scales take
+# about 6 MB together; the bound only matters for a raised cap.
+@lru_cache(maxsize=2048)
+def _sector_scale(lam: YoungDiagram) -> np.ndarray:
+    """hook_dim(lam) * coeff_matrix_P(lam), read-only: it depends on the diagram alone."""
+    scale = hook_dim(lam) * coeff_matrix_P(lam)
+    scale.flags.writeable = False
+    return scale
+
+
 def sym_to_bos(bs: BlockState) -> BosonicState:
     """Convert a block state into a bosonic extension with the same marginal."""
     k, dA = bs.k, bs.dA
     out = np.zeros((dA, k + 1, dA, k + 1), dtype=complex)
     for lam, x in bs.blocks.items():
         nw = lam.num_weights
-        scale = hook_dim(lam) * coeff_matrix_P(lam)
+        scale = _sector_scale(lam)
         xr = x.reshape(dA, nw, dA, nw)
         lo = lam.lambda2  # weight -j sits at slot lambda2
         out[:, lo : lo + nw, :, lo : lo + nw] += xr * scale[None, :, None, :]

@@ -35,13 +35,10 @@ class MatrixFileError(Exception):
     """Malformed or inconsistent matrix file."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _entries_text(matrix: np.ndarray) -> str:
-    flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return "[" + ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in flat) + "]"
+    """The entries as [re, im] pairs, each part in 17 significant digits."""
+    parts = iter(np.ascontiguousarray(matrix, dtype=complex).view(np.float64).reshape(-1).tolist())
+    return "[" + ", ".join(map("[%.17g, %.17g]".__mod__, zip(parts, parts))) + "]"
 
 
 def _metadata_text(metadata: dict | None) -> str:

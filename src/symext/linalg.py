@@ -13,6 +13,8 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-10
 
+_EPS = np.finfo(float).eps
+
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b."""
@@ -106,6 +108,30 @@ def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
     return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
 
 
+def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
+    """The smallest eigenvalue of a finite Hermitian h if it is below -atol, else None.
+
+    A Cholesky factorization of h + (atol / 2) I succeeds only if that matrix
+    is positive definite up to a backward error of at most
+    (n + 1) n eps ||h|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10). While that bound is below atol / 2, a success
+    puts every eigenvalue of h above -atol, so h is accepted without an
+    eigendecomposition. Otherwise, and whenever atol is 0, the eigvalsh rule
+    decides.
+    """
+    n = h.shape[0]
+    if atol / 2 > (n + 1) * n * _EPS * float(np.linalg.norm(h)):
+        shifted = h.copy()
+        shifted.flat[:: n + 1] += atol / 2
+        try:
+            np.linalg.cholesky(shifted)
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    low = float(np.linalg.eigvalsh(h)[0])
+    return low if low < -atol else None
+
+
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random density matrix from a Ginibre factor."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -116,8 +142,11 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator with a layout.
 
-    check_psd=False skips the eigenvalue check; callers use it when positivity
-    is structural (for example a matrix assembled from PSD blocks).
+    check_psd=False skips the positivity check; callers use it when positivity
+    is structural (for example a matrix assembled from PSD blocks). The check
+    accepts a matrix whose smallest eigenvalue is at least -atol; a Cholesky
+    factorization settles most matrices, and only one it cannot accept is
+    handed to eigvalsh (see `eigenvalue_below`).
     """
 
     def __init__(self, matrix, dims, *, atol: float = 1e-8, check_psd: bool = True):
@@ -138,8 +167,8 @@ class DensityMatrix:
         if abs(tr - 1.0) > atol:
             raise ValueError(f"trace {tr!r} is not 1 within {atol:g}")
         if check_psd:
-            low = float(np.linalg.eigvalsh(matrix)[0])
-            if low < -atol:
+            low = eigenvalue_below(matrix, atol)
+            if low is not None:
                 raise ValueError(f"minimum eigenvalue {low:.3e} below -{atol:g}")
         matrix.flags.writeable = False
         self.matrix = matrix

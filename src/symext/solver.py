@@ -13,7 +13,12 @@ The solver runs Douglas-Rachford splitting between the two sets: both
 projections are exact (an eigenvalue clip of the block, a precomputed
 pseudo-inverse for the affine part) and the governing iterate advances by
 reflections. The cone shadow is PSD by construction, so a small constraint
-residual on it certifies feasibility outright.
+residual on it certifies feasibility outright. Before the first reflection,
+the least-norm point of the affine set is tried as it stands: if a Cholesky
+factorization of it succeeds it is positive definite, hence its own cone
+shadow, and a small residual on it decides FEASIBLE at iteration 1 without
+an eigendecomposition. The test runs once, not inside the loop, where a
+failed factorization would only add to the cost of the eigh that follows.
 
 Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the
@@ -249,12 +254,23 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         flat[cols] -= _real_times(at, _real_times(gram_pinv, _real_times(amap, flat[cols]) - b))
         return z
 
+    def residual(y: np.ndarray) -> float:
+        return float(np.linalg.norm(_real_times(amap, y.reshape(-1)[cols]) - b))
+
     x = affine_project(np.zeros((n, n), dtype=complex))
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        res = residual(x)
+        if res <= cfg.tol_feasible:
+            return FEASIBLE, res, 0.0, 1, x
     best_res = np.inf
     step = np.nan
     for it in range(1, cfg.max_iter + 1):
         y = _cone_project(x)
-        res = float(np.linalg.norm(_real_times(amap, y.reshape(-1)[cols]) - b))
+        res = residual(y)
         best_res = min(best_res, res)
         if res <= cfg.tol_feasible:
             return FEASIBLE, res, 0.0, it, y

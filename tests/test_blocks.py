@@ -47,8 +47,17 @@ def test_block_state_validation():
         bad = np.eye(3, dtype=complex) / 3
         bad[0, 1] = 1.0
         BlockState(2, 1, {lam: bad})
-    with pytest.raises(ValueError, match="eigenvalue"):
+    with pytest.raises(ValueError, match=r"^block for \[2,0\] has eigenvalue -1\.000e\+00$"):
         BlockState(2, 1, {lam: np.diag([1.0, 1.0, -1.0])})
+    # the positivity tolerance is atol: just inside is accepted, just outside is not
+    BlockState(2, 1, {lam: np.diag([0.5 + 0.999e-6, 0.5, -0.999e-6])})
+    with pytest.raises(ValueError, match=r"^block for \[2,0\] has eigenvalue -1\.001e-06$"):
+        BlockState(2, 1, {lam: np.diag([0.5 + 1.001e-6, 0.5, -1.001e-6])})
+    for bad_entry in (np.nan, np.inf, complex(0, np.nan)):
+        bad = np.eye(3, dtype=complex) / 3
+        bad[2, 1] = bad_entry
+        with pytest.raises(ValueError, match=r"^block for \[2,0\] entries must be finite$"):
+            BlockState(2, 1, {lam: bad})
     with pytest.raises(ValueError, match="trace"):
         BlockState(2, 1, {lam: np.eye(3)})
     with pytest.raises(ValueError, match="outside"):

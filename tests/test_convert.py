@@ -10,7 +10,14 @@ from symext.blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
-from symext.convert import BosonicState, _swap_adjacent_legs, sym_to_bos, tilde_state, verify_extension
+from symext.convert import (
+    BosonicState,
+    _sector_scale,
+    _swap_adjacent_legs,
+    sym_to_bos,
+    tilde_state,
+    verify_extension,
+)
 from symext.linalg import (
     DensityMatrix,
     adjacent_transposition,
@@ -34,6 +41,11 @@ def test_bosonic_state_validation():
         BosonicState(2, 2, bad)
     with pytest.raises(ValueError, match="trace"):
         BosonicState(2, 2, np.eye(6))
+    for bad_entry in (np.nan, -np.inf, complex(np.nan, 0)):
+        bad = np.eye(6, dtype=complex) / 6
+        bad[3, 3] = bad_entry
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            BosonicState(2, 2, bad)
     bos = BosonicState(2, 2, np.eye(6) / 6)
     assert bos.matrix.flags.writeable is False
 
@@ -92,6 +104,18 @@ def test_entrywise_rescale_keeps_blocks_psd():
             x = g @ g.conj().T
             scale = np.kron(np.ones((dA, dA)), coeff_matrix_P(lam))
             assert np.linalg.eigvalsh(x * scale)[0] > -1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 33])
+def test_cached_sector_scale_is_read_only_and_exact(k):
+    for lam in list_diagrams(k):
+        scale = _sector_scale(lam)
+        assert scale is _sector_scale(lam)
+        assert np.array_equal(scale, hook_dim(lam) * coeff_matrix_P(lam))
+        with pytest.raises(ValueError, match="read-only"):
+            scale[0, 0] = 0.0
+        # the public helper still hands out a writable array of its own
+        assert coeff_matrix_P(lam).flags.writeable
 
 
 def test_wrong_rescale_coefficient_breaks_the_marginal():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import product_state, singlet_state
-from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible
+from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
 from symext.io import (
     MatrixFile,
     MatrixFileError,
+    _entries_text,
     load_blocks,
     load_extension,
     load_matrix_file,
@@ -43,6 +44,20 @@ def test_state_round_trip_is_exact(tmp_path):
     first = path.read_bytes()
     save_state(back, path, metadata={"seed": 5})
     assert path.read_bytes() == first
+
+
+def _per_element_entries_text(matrix):
+    # the per-element formatter the list-based writer replaces
+    flat = np.asarray(matrix, dtype=complex).reshape(-1)
+    return "[" + ", ".join(f"[{format(float(z.real), '.17g')}, {format(float(z.imag), '.17g')}]" for z in flat) + "]"
+
+
+def test_entries_text_matches_the_per_element_formatter():
+    gen = np.random.default_rng(11)
+    m = gen.standard_normal((7, 7)) + 1j * gen.standard_normal((7, 7))
+    m.flat[:8] = [-0.0, 5e-324, 1e-300, 1e22, complex(-0.0, -0.0), complex(1e-310, -1e308), 0.1, 1 / 3]
+    for matrix in (m, m.T, m[::2, 1::3], m.real, np.eye(3, dtype=int), np.zeros((0, 0))):
+        assert _entries_text(matrix) == _per_element_entries_text(matrix)
 
 
 def test_qutrit_qubit_layout_round_trips(tmp_path):
@@ -504,8 +519,10 @@ def _large_off_diagonal(entries):
         (lambda e: e.__setitem__(5, "oops"), r"diagram \[2,1\]: entry 5 is not a \[re, im\] pair"),
         (lambda e: e.pop(), r"expected 16 entries for diagram \[2,1\], found 15"),
         (_large_off_diagonal, r"block for \[2,1\] has eigenvalue -"),
+        (lambda e: e.__setitem__(5, [float("nan"), 0.0]), r"block for \[2,1\] entries must be finite"),
+        (lambda e: e.__setitem__(0, [0.0, float("inf")]), r"block for \[2,1\] entries must be finite"),
     ],
-    ids=["bad-entry", "missing-entry", "not-psd"],
+    ids=["bad-entry", "missing-entry", "not-psd", "nan", "inf"],
 )
 def test_convert_names_the_damage_in_a_block_certificate(tmp_path, damage, message):
     cert = _damaged_blocks(tmp_path / "w.blocks", damage)
@@ -515,6 +532,29 @@ def test_convert_names_the_damage_in_a_block_certificate(tmp_path, damage, messa
     assert "missing or empty layout" not in report
     with pytest.raises(MatrixFileError, match=message):
         load_blocks(cert)
+
+
+def test_verify_names_a_non_finite_block_entry(tmp_path):
+    rho = tmp_path / "rho.state"
+    save_state(marginal_from_blocks(gen_random_extendible(3, 2, 0)[1]), rho)
+    cert = _damaged_blocks(tmp_path / "w.blocks", lambda e: e.__setitem__(5, [float("nan"), 0.0]))
+    code, report = run_command(["verify", "--k", "3", "--ext", cert, "--marginal", str(rho)])
+    assert code == 1
+    assert f"error: {cert}: block for [2,1] entries must be finite" in report, report
+    assert "did not converge" not in report
+
+
+def test_verify_names_a_non_finite_bosonic_entry(tmp_path):
+    rho, witness = gen_random_extendible(3, 2, 0)
+    rho_path, ext = tmp_path / "rho.state", tmp_path / "sigma.bos"
+    save_state(rho, rho_path)
+    save_bosonic(sym_to_bos(witness), ext)
+    doc = json.loads(ext.read_text())
+    doc["entries"][7] = [float("nan"), 0.0]
+    ext.write_text(json.dumps(doc))
+    code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", str(rho_path)])
+    assert code == 1
+    assert f"error: {ext}: matrix entries must be finite" in report, report
 
 
 def test_verify_full_space_with_qutrit_legs(tmp_path):

@@ -7,6 +7,7 @@ from conftest import naive_partial_trace
 from symext.linalg import (
     DensityMatrix,
     adjacent_transposition,
+    eigenvalue_below,
     herm_deviation,
     min_eigenvalue,
     partial_trace,
@@ -118,6 +119,54 @@ def test_density_matrix_validation():
     assert dm.dim == 4
     with pytest.raises(ValueError):
         dm.matrix[0, 0] = 9  # frozen
+
+
+def _with_lowest_eigenvalue(low: float, n: int = 6, seed: int = 0) -> np.ndarray:
+    # Hermitian, spectrum {low, 0.2, ..., 1} in a random unitary basis
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+    h = (q * np.append(low, np.linspace(0.2, 1.0, n - 1))) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+def _eigvalsh_rule(h: np.ndarray, atol: float) -> float | None:
+    # the positivity rule the Cholesky pre-check must agree with
+    low = float(np.linalg.eigvalsh(h)[0])
+    return low if low < -atol else None
+
+
+@pytest.mark.parametrize("atol", [1e-8, 1e-6])
+@pytest.mark.parametrize("scale", [-(1 + 1e-3), -(1 - 1e-3), -0.5, 0.0])
+def test_eigenvalue_below_agrees_with_the_eigvalsh_rule(atol, scale):
+    for seed in range(5):
+        h = _with_lowest_eigenvalue(scale * atol, seed=seed)
+        got = eigenvalue_below(h, atol)
+        assert got == _eigvalsh_rule(h, atol)
+        assert (got is not None) == (scale < -1)
+
+
+def test_eigenvalue_below_on_rank_one_and_at_zero_tolerance():
+    gen = np.random.default_rng(7)
+    v = gen.standard_normal(5) + 1j * gen.standard_normal(5)
+    rank_one = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert eigenvalue_below(rank_one, 1e-8) is None
+    # atol = 0 is the eigvalsh rule itself, rounding of the zero eigenvalues included
+    for h in (rank_one, _with_lowest_eigenvalue(0.0), _with_lowest_eigenvalue(-1e-12), _with_lowest_eigenvalue(1e-3)):
+        assert eigenvalue_below(h, 0.0) == _eigvalsh_rule(h, 0.0)
+    assert eigenvalue_below(_with_lowest_eigenvalue(-1e-12), 0.0) is not None
+
+
+def test_density_matrix_psd_tolerance_and_message():
+    with pytest.raises(ValueError, match=r"^minimum eigenvalue -5\.000e-01 below -1e-08$"):
+        DensityMatrix(np.diag([1.5, -0.5, 0, 0]), (2, 2))
+    # just inside the tolerance is accepted, just outside is not
+    for low, ok in ((-0.999e-8, True), (-1.001e-8, False)):
+        m = np.diag([1.0 - low, low, 0.0, 0.0])
+        if ok:
+            DensityMatrix(m, (2, 2))
+        else:
+            with pytest.raises(ValueError, match="minimum eigenvalue -1.001e-08 below -1e-08"):
+                DensityMatrix(m, (2, 2))
 
 
 def test_density_matrix_from_ket_and_marginal():
