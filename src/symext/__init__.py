@@ -2,8 +2,8 @@
 
 The package decides whether a state admits a k-party symmetric extension of
 its B subsystem, converts any such extension into one supported on the
-symmetric (Dicke) subspace, and ships verifiers and a self-contained
-acceptance suite for every numerical claim it relies on.
+symmetric (Dicke) subspace, and ships verifiers for every numerical claim
+it relies on.
 """
 
 from .blocks import (
@@ -18,8 +18,8 @@ from .blocks import (
 from .caps import block_cap, full_space_cap
 from .convert import BosonicState, ExtensionReport, TildeReport, sym_to_bos, tilde_state, verify_extension
 from .io import MatrixFile, MatrixFileError, load_blocks, load_extension, load_state, save_blocks, save_state
-from .linalg import DensityMatrix, partial_trace, partial_transpose, permutation_operator
-from .schur import SchurBasis, alpha_coeff, build_schur_basis, coeff_matrix_P, dicke, diag_coeffs, p_coeff
+from .linalg import DensityMatrix, partial_trace, partial_transpose
+from .schur import SchurBasis, alpha_coeff, build_schur_basis, coeff_matrix_P, diag_coeffs, p_coeff
 from .solver import (
     FEASIBLE,
     INFEASIBLE,
@@ -31,7 +31,7 @@ from .solver import (
     solve_bosonic_k2_generic,
     solve_symmetric,
 )
-from .young import YoungDiagram, hook_dim, list_diagrams, multiplicity
+from .young import YoungDiagram, hook_dim, list_diagrams
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "build_schur_basis",
     "coeff_matrix_P",
     "diag_coeffs",
-    "dicke",
     "full_space_cap",
     "gen_random_extendible",
     "global_to_blocks",
@@ -68,11 +67,9 @@ __all__ = [
     "load_extension",
     "load_state",
     "marginal_from_blocks",
-    "multiplicity",
     "p_coeff",
     "partial_trace",
     "partial_transpose",
-    "permutation_operator",
     "qutrit_counterexample",
     "save_blocks",
     "save_state",

@@ -38,11 +38,10 @@ class BlockState:
             raise ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
         if self.dA < 1:
             raise ValueError(f"invalid A dimension {dA}")
-        valid = set(list_diagrams(self.k))
         clean: dict[YoungDiagram, np.ndarray] = {}
         for lam, x in blocks.items():
-            if lam not in valid:
-                raise ValueError(f"[{lam.lambda1},{lam.lambda2}] is not a sector of {self.k} qubits")
+            if not (isinstance(lam, YoungDiagram) and lam.k == self.k):
+                raise ValueError(f"{lam} is not a sector of {self.k} qubits")
             x = np.asarray(x, dtype=complex)
             n = self.dA * lam.num_weights
             if x.shape != (n, n):

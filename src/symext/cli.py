@@ -208,20 +208,6 @@ def _cmd_gen(args, lines, timings):
     return 0
 
 
-def _cmd_selftest(args, lines, timings):
-    from . import selftest
-
-    t0 = time.perf_counter()
-    results = selftest.run_all(only=args.only)
-    timings.append(("selftest", time.perf_counter() - t0))
-    all_ok = True
-    for res in results:
-        all_ok &= res.ok
-        lines.append(f"criterion {res.number}: {'pass' if res.ok else 'FAIL'} - {res.name} ({res.detail})")
-    lines.append(f"status: {'PASS' if all_ok else 'FAIL'}")
-    return 0 if all_ok else 2
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The command parser, built on first use and shared by every call.
@@ -274,9 +260,6 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", choices=[PROFILE_ALL, PROFILE_EXCLUDE_BOSONIC], default=PROFILE_ALL)
     p.add_argument("--out", required=True)
     p.add_argument("--witness", default=None)
-
-    p = add("selftest", _cmd_selftest, "run the acceptance suite")
-    p.add_argument("--only", type=int, action="append", default=None, help="run a single criterion (repeatable)")
 
     return parser
 

@@ -9,7 +9,9 @@ Loading checks the entry count of a matrix, or of each block of a
 certificate, and then converts the entries in one numpy pass when they are
 all plain [re, im] number pairs; any other list is checked entry by entry, so
 an error names the first entry (and its block's diagram) that is not a pair
-of numbers or does not fit in a float.
+of numbers or does not fit in a float. Sizes (format_version, k, dA, the
+rows of a diagram and the dimensions of a layout) must be JSON integers;
+true, false and 3.0 are refused.
 """
 
 from __future__ import annotations
@@ -79,6 +81,23 @@ def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict |
         fh.write("\n".join(lines) + "\n")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(path, name: str, value) -> int:
+    if not _is_int(value):
+        raise MatrixFileError(f"{path}: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_version(path, doc: dict) -> None:
+    version = doc.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise MatrixFileError(f"{path}: unsupported format_version {version!r}")
+
+
 def _read_json(path):
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -91,15 +110,13 @@ def _read_json(path):
 def _matrix_file(path, doc) -> MatrixFile:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: top level is not an object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise MatrixFileError(f"{path}: unsupported format_version {version!r}")
+    _check_version(path, doc)
     layout = doc.get("layout")
     if not isinstance(layout, list) or not layout:
         raise MatrixFileError(f"{path}: missing or empty layout")
     clean_layout = []
     for entry in layout:
-        if isinstance(entry, int) and entry >= 1:
+        if _is_int(entry) and entry >= 1:
             clean_layout.append(entry)
         elif isinstance(entry, str) and _SYM_TAG.match(entry):
             clean_layout.append(entry)
@@ -208,15 +225,13 @@ def save_blocks(bs: BlockState, path, metadata: dict | None = None) -> None:
 def _blocks(path, doc) -> BlockState:
     if not isinstance(doc, dict) or doc.get("kind") != "blocks":
         raise MatrixFileError(f"{path}: not a blocks certificate file")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise MatrixFileError(f"{path}: unsupported format_version {version!r}")
+    _check_version(path, doc)
     try:
-        k = int(doc["k"])
-        dA = int(doc["dA"])
+        k = _int_field(path, "k", doc["k"])
+        dA = _int_field(path, "dA", doc["dA"])
         blocks = {}
         for part in doc["blocks"]:
-            l1, l2 = (int(v) for v in part["diagram"])
+            l1, l2 = (_int_field(path, "diagram row", v) for v in part["diagram"])
             lam = YoungDiagram(l1, l2)
             n = dA * lam.num_weights
             entries = part["entries"]

@@ -16,15 +16,6 @@ HERMITIAN_ATOL = 1e-10
 _EPS = np.finfo(float).eps
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("tensor factors must have finite entries")
-    return np.kron(a, b)
-
-
 def herm_deviation(m: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part of m."""
     m = np.asarray(m)
@@ -69,36 +60,6 @@ def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape)
 
 
-def permutation_operator(k: int, perm, local_dim: int = 2) -> np.ndarray:
-    """Unitary 0/1 matrix sending the content of subsystem t to subsystem perm[t]."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"perm {perm} is not a bijection on 0..{k - 1}")
-    d = int(local_dim)
-    dim = d**k
-    idx = np.arange(dim)
-    digits = np.empty((k, dim), dtype=np.int64)
-    rest = idx.copy()
-    for t in range(k - 1, -1, -1):
-        digits[t] = rest % d
-        rest //= d
-    target = np.zeros(dim, dtype=np.int64)
-    for t in range(k):
-        target += digits[t] * d ** (k - 1 - perm[t])
-    p = np.zeros((dim, dim))
-    p[target, idx] = 1.0
-    return p
-
-
-def adjacent_transposition(k: int, t: int) -> tuple[int, ...]:
-    """Permutation tuple swapping subsystems t and t+1."""
-    if not 0 <= t < k - 1:
-        raise ValueError(f"transposition position {t} invalid for {k} subsystems")
-    perm = list(range(k))
-    perm[t], perm[t + 1] = perm[t + 1], perm[t]
-    return tuple(perm)
-
-
 def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     h = np.asarray(h)
@@ -130,13 +91,6 @@ def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
             pass
     low = float(np.linalg.eigvalsh(h)[0])
     return low if low < -atol else None
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix from a Ginibre factor."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 class DensityMatrix:

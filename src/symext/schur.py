@@ -10,9 +10,8 @@ every weight, which is what makes per-sector block coordinates well defined.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -34,24 +33,17 @@ def _cg(j: float, m: float, s: float, up: bool) -> float:
 class SchurBasis:
     """Orthonormal coupled basis of (C^2)^(x k), grouped into sectors.
 
-    Columns of `matrix` are ordered by sector (first row decreasing), then
-    coupling path (lexicographic), then weight (ascending). `sector(lam)`
-    returns the same data as an array of shape (2^k, paths, weights).
+    `sector(lam)` returns the basis vectors of one sector as a read-only
+    array of shape (2^k, paths, weights), with coupling paths in
+    lexicographic order and weights ascending.
     """
 
-    def __init__(self, k: int, sectors, paths):
+    def __init__(self, k: int, sectors):
         self.k = int(k)
         self.diagrams = list_diagrams(self.k)
-        self.paths = paths
         self._sectors = sectors
-        cols = []
-        for lam in self.diagrams:
-            arr = sectors[lam]
-            _, d, nw = arr.shape
-            cols.append(arr.reshape(2**self.k, d * nw))
+        for arr in sectors.values():
             arr.flags.writeable = False
-        self.matrix = np.concatenate(cols, axis=1)
-        self.matrix.flags.writeable = False
 
     def sector(self, lam: YoungDiagram) -> np.ndarray:
         """Basis vectors of one sector, shape (2^k, paths, weights)."""
@@ -100,21 +92,7 @@ def _build_schur_basis_cached(k: int) -> SchurBasis:
     sectors = {
         lam: np.stack([level[p] for p in paths], axis=1) for lam, paths in grouped.items()
     }
-    return SchurBasis(k, sectors, grouped)
-
-
-def dicke(k: int, omega: float) -> np.ndarray:
-    """Uniform superposition over computational states with k/2 + omega ones."""
-    n1 = omega + k / 2
-    n1i = int(round(n1))
-    if abs(n1i - n1) > 1e-9 or not 0 <= n1i <= k:
-        raise ValueError(f"weight {omega} invalid for {k} qubits")
-    if k > full_space_cap():
-        raise ValueError(f"k={k} above the full-space cap {full_space_cap()}")
-    v = np.zeros(2**k)
-    for ones in itertools.combinations(range(k), n1i):
-        v[sum(1 << b for b in ones)] = 1.0
-    return v / sqrt(comb(k, n1i))
+    return SchurBasis(k, sectors)
 
 
 def sym_isometry(k: int, d: int) -> np.ndarray:
@@ -135,19 +113,6 @@ def sym_isometry(k: int, d: int) -> np.ndarray:
     v = np.zeros((len(col), len(count)))
     v[np.arange(len(col)), col] = 1.0 / np.sqrt(count[col])
     return v
-
-
-def jplus_apply(v: np.ndarray, k: int) -> np.ndarray:
-    """Total raising map: flip each 0 to 1, summed over positions."""
-    v = np.asarray(v)
-    if v.shape != (2**k,):
-        raise ValueError(f"vector shape {v.shape} does not match {k} qubits")
-    out = np.zeros(2**k, dtype=np.result_type(v.dtype, float))
-    idx = np.arange(2**k)
-    for b in range(k):
-        src = idx[(idx >> b) & 1 == 0]
-        out[src + (1 << b)] += v[src]
-    return out
 
 
 def alpha_coeff(lam: YoungDiagram, omega: float, omega_p: float) -> float:

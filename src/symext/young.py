@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -60,26 +59,6 @@ def hook_dim(lam: YoungDiagram) -> int:
     """Number of standard tableaux of the diagram (hook length formula)."""
     l1, l2 = lam.lambda1, lam.lambda2
     return factorial(l1 + l2) * (l1 - l2 + 1) // (factorial(l2) * factorial(l1 + 1))
-
-
-@lru_cache(maxsize=None)
-def _multiplicity_table(k: int) -> dict[tuple[int, int], int]:
-    # one branching step per added spin: grow either row, keep rows ordered
-    if k == 1:
-        return {(1, 0): 1}
-    table: dict[tuple[int, int], int] = {}
-    for (l1, l2), count in _multiplicity_table(k - 1).items():
-        for grown in ((l1 + 1, l2), (l1, l2 + 1)):
-            if grown[0] >= grown[1]:
-                table[grown] = table.get(grown, 0) + count
-    return table
-
-
-def multiplicity(k: int, lam: YoungDiagram) -> int:
-    """Number of equivalent copies of a sector, via the branching recursion."""
-    if lam.k != k:
-        raise ValueError(f"[{lam.lambda1},{lam.lambda2}] is not a partition of {k}")
-    return _multiplicity_table(k).get((lam.lambda1, lam.lambda2), 0)
 
 
 def coupling_paths(k: int) -> dict[YoungDiagram, list[tuple[float, ...]]]:

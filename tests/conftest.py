@@ -6,6 +6,7 @@ the package are checked against something with no shared code.
 """
 
 import itertools
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -54,16 +55,62 @@ def naive_partial_trace(m, dims, keep):
     return out
 
 
+def permutation_operator(k, perm, local_dim=2):
+    """Unitary 0/1 matrix sending the content of subsystem t to subsystem perm[t]."""
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"perm {perm} is not a bijection on 0..{k - 1}")
+    d = int(local_dim)
+    dim = d**k
+    idx = np.arange(dim)
+    digits = np.empty((k, dim), dtype=np.int64)
+    rest = idx.copy()
+    for t in range(k - 1, -1, -1):
+        digits[t] = rest % d
+        rest //= d
+    target = np.zeros(dim, dtype=np.int64)
+    for t in range(k):
+        target += digits[t] * d ** (k - 1 - perm[t])
+    p = np.zeros((dim, dim))
+    p[target, idx] = 1.0
+    return p
+
+
+def adjacent_transposition(k, t):
+    """Permutation tuple swapping subsystems t and t+1."""
+    if not 0 <= t < k - 1:
+        raise ValueError(f"transposition position {t} invalid for {k} subsystems")
+    perm = list(range(k))
+    perm[t], perm[t + 1] = perm[t + 1], perm[t]
+    return tuple(perm)
+
+
+def random_density(dim, rng):
+    """Full-rank random density matrix from a Ginibre factor."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def dicke(k, omega):
+    """Uniform superposition over computational states with k/2 + omega ones."""
+    n1 = omega + k / 2
+    n1i = int(round(n1))
+    if abs(n1i - n1) > 1e-9 or not 0 <= n1i <= k:
+        raise ValueError(f"weight {omega} invalid for {k} qubits")
+    v = np.zeros(2**k)
+    for ones in itertools.combinations(range(k), n1i):
+        v[sum(1 << b for b in ones)] = 1.0
+    return v / sqrt(comb(k, n1i))
+
+
 def full_group_average(m, k):
     """Average over all k! leg permutations of the B systems (A in front)."""
-    from symext import permutation_operator
-    from symext.linalg import tensor_product
-
     dA = m.shape[0] // 2**k
     acc = np.zeros_like(m)
     count = 0
     for perm in itertools.permutations(range(k)):
-        op = tensor_product(np.eye(dA), permutation_operator(k, perm))
+        op = np.kron(np.eye(dA), permutation_operator(k, perm))
         acc += op @ m @ op.conj().T
         count += 1
     return acc / count
@@ -80,10 +127,9 @@ def singlet_state():
 
 def product_state(seed=5):
     from symext import DensityMatrix
-    from symext.linalg import random_density, tensor_product
 
     gen = np.random.default_rng(seed)
-    return DensityMatrix(tensor_product(random_density(2, gen), random_density(2, gen)), (2, 2))
+    return DensityMatrix(np.kron(random_density(2, gen), random_density(2, gen)), (2, 2))
 
 
 def random_two_qubit_states(count, seed=1):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_group_average, naive_partial_trace
+from conftest import full_group_average, naive_partial_trace, random_density
 from symext.blocks import (
     PROFILE_ALL,
     PROFILE_EXCLUDE_BOSONIC,
@@ -13,7 +13,7 @@ from symext.blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
-from symext.linalg import DensityMatrix, random_density
+from symext.linalg import DensityMatrix
 from symext.schur import build_schur_basis, sym_isometry
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
@@ -41,6 +41,9 @@ def test_block_state_validation():
     assert YoungDiagram(1, 1) not in bs.blocks
     with pytest.raises(ValueError, match="not a sector"):
         BlockState(3, 1, {lam: np.eye(3) / 3})
+    # a sector is a YoungDiagram; its row lengths as a tuple are not one
+    with pytest.raises(ValueError, match=r"^\(2, 0\) is not a sector of 2 qubits$"):
+        BlockState(2, 1, {(2, 0): x})
     with pytest.raises(ValueError, match="shape"):
         BlockState(2, 1, {lam: np.eye(2) / 2})
     with pytest.raises(ValueError, match="Hermitian"):

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import naive_partial_trace, product_state, singlet_state
+from conftest import (
+    adjacent_transposition,
+    dicke,
+    naive_partial_trace,
+    permutation_operator,
+    product_state,
+    random_density,
+    singlet_state,
+)
 from symext.blocks import (
+    PROFILE_ALL,
     PROFILE_EXCLUDE_BOSONIC,
     BlockState,
     blocks_to_global,
@@ -18,13 +27,7 @@ from symext.convert import (
     tilde_state,
     verify_extension,
 )
-from symext.linalg import (
-    DensityMatrix,
-    adjacent_transposition,
-    partial_trace,
-    permutation_operator,
-    random_density,
-)
+from symext.linalg import DensityMatrix, partial_trace
 from symext.schur import build_schur_basis, coeff_matrix_P
 from symext.solver import qutrit_counterexample
 from symext.young import YoungDiagram, hook_dim, list_diagrams
@@ -60,10 +63,12 @@ def test_pair_state_converts_to_triplet():
     plus = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
     want = np.kron(np.outer(xi, xi.conj()), np.outer(plus, plus))
     assert np.linalg.norm(sigma.matrix - want) < 1e-12
-    # same endpoint when starting from the glued full-space state
-    rho = blocks_to_global(bs, basis)
-    again = sym_to_bos(global_to_blocks(rho, basis)).embed()
-    assert np.linalg.norm(again.matrix - want) < 1e-12
+    # same endpoint when starting from the glued full-space state, and from
+    # xi (x) singlet written down directly
+    minus = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    for rho in (blocks_to_global(bs, basis), DensityMatrix.from_ket(np.kron(xi, minus), (2, 2, 2))):
+        again = sym_to_bos(global_to_blocks(rho, basis)).embed()
+        assert np.linalg.norm(again.matrix - want) < 1e-12
 
 
 def test_already_bosonic_states_are_fixed_points():
@@ -136,11 +141,51 @@ def test_wrong_rescale_coefficient_breaks_the_marginal():
     assert dev > 1e-6
 
 
+def planted_grid(profiles):
+    """Ten seeds for every k in 2..6, dA in (2, 3) and profile."""
+    return [
+        (k, dA, seed, profile)
+        for k in (2, 3, 4, 5, 6)
+        for dA in (2, 3)
+        for profile in profiles
+        for seed in range(10)
+    ]
+
+
 def test_planted_non_bosonic_witness_converts():
-    for k, seed in ((3, 1), (5, 2)):
-        rho, witness = gen_random_extendible(k, 2, seed, PROFILE_EXCLUDE_BOSONIC)
-        report = verify_extension(sym_to_bos(witness), rho, k)
-        assert report.bosonic_ok
+    # witnesses with and without top-sector weight convert to bosonic
+    # extensions of their marginals at tolerance 1e-8
+    cases = planted_grid((PROFILE_ALL, PROFILE_EXCLUDE_BOSONIC))
+    assert len(cases) == 200
+    for k, dA, seed, profile in cases:
+        rho, witness = gen_random_extendible(k, dA, seed, profile)
+        report = verify_extension(sym_to_bos(witness), rho, k, tol=1e-8)
+        assert report.bosonic_ok, (k, dA, seed, profile, report)
+
+
+def test_three_copy_golden_conversion():
+    # the [2,1] sector of three qubits at weights -1/2 and +1/2 is spanned by
+    # these explicit pairs; a generic PSD mixture over (A, pair label) must
+    # convert onto A (x) span{Dicke(3, -1/2), Dicke(3, +1/2)} with its pair
+    # marginal unchanged
+    e = np.eye(8)
+    low = ((2 * e[1] - e[2] - e[4]) / np.sqrt(6), (e[2] - e[4]) / np.sqrt(2))
+    high = ((2 * e[6] - e[5] - e[3]) / np.sqrt(6), (e[5] - e[3]) / np.sqrt(2))
+    coeff = random_density(4, np.random.default_rng(34)).reshape(2, 2, 2, 2)
+    glue = np.zeros((2, 8, 2, 8), dtype=complex)
+    for i, vi in enumerate((low, high)):
+        for j, vj in enumerate((low, high)):
+            for mu in range(2):
+                glue[i, :, j, :] += 0.5 * np.outer(vi[mu], vj[mu].conj())
+    rho = DensityMatrix(np.einsum("xiyj,iwjv->xwyv", coeff, glue).reshape(16, 16), (2, 2, 2, 2))
+
+    sigma = sym_to_bos(global_to_blocks(rho, build_schur_basis(3))).embed()
+    phi = np.column_stack([dicke(3, -0.5), dicke(3, 0.5)])
+    proj = np.kron(np.eye(2), phi @ phi.conj().T)
+    # the input lies wholly outside that span, so the conversion moved it
+    assert np.abs(proj @ rho.matrix @ proj).max() <= 1e-12
+    assert np.abs(sigma.matrix - proj @ sigma.matrix @ proj).max() <= 1e-10
+    assert np.abs(sigma.marginal([0, 1]) - rho.marginal([0, 1])).max() <= 1e-10
 
 
 def test_large_k_weight_table_matches_embedding():
@@ -265,10 +310,12 @@ def test_singlet_tilde_crosses_at_two_legs():
 
 
 def test_planted_marginals_pass_the_screen():
-    for seed in range(6):
-        rho, _ = gen_random_extendible(3, 2, seed)
-        rep = tilde_state(rho, 3)
-        assert rep.ppt
+    cases = planted_grid((PROFILE_ALL,))
+    assert len(cases) == 100
+    for k, dA, seed, profile in cases:
+        rho, _ = gen_random_extendible(k, dA, seed, profile)
+        rep = tilde_state(rho, k)
+        assert rep.ppt, (k, dA, seed, rep.pt_min_eigenvalue)
         assert abs(np.trace(rep.state.matrix).real - 1.0) < 1e-12
 
 

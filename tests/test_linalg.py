@@ -3,34 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_partial_trace
+from conftest import adjacent_transposition, naive_partial_trace, permutation_operator, random_density
 from symext.linalg import (
     DensityMatrix,
-    adjacent_transposition,
     eigenvalue_below,
     herm_deviation,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
-    permutation_operator,
-    random_density,
-    tensor_product,
 )
-
-
-def test_tensor_product_shapes_and_values():
-    a = np.array([[1, 2], [3, 4]], dtype=float)
-    b = np.eye(3)
-    t = tensor_product(a, b)
-    assert t.shape == (6, 6)
-    assert t[0, 0] == 1 and t[3, 3] == 4 and t[0, 3] == 2
-    assert np.array_equal(np.kron(a, b), t)
-
-
-def test_tensor_product_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        tensor_product(bad, np.eye(2))
 
 
 def test_herm_deviation_and_check():
@@ -58,8 +39,8 @@ def test_partial_trace_keeps_original_order():
     a = random_density(2, gen)
     b = random_density(3, gen)
     c = random_density(2, gen)
-    m = tensor_product(tensor_product(a, b), c)
-    assert np.allclose(partial_trace(m, (2, 3, 2), (0, 2)), tensor_product(a, c), atol=1e-12)
+    m = np.kron(np.kron(a, b), c)
+    assert np.allclose(partial_trace(m, (2, 3, 2), (0, 2)), np.kron(a, c), atol=1e-12)
 
 
 def test_partial_transpose_involution_and_trace():

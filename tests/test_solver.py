@@ -56,7 +56,7 @@ def test_werner_verdicts_match_closed_form_threshold():
                 assert verify_extension(sym_to_bos(report.certificate), rho, k, tol=1e-7).bosonic_ok, (k, off)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_product_state_always_extendible(k):
     rho = product_state()
     report = solve_symmetric(rho, k)
@@ -198,6 +198,10 @@ def test_antisymmetric_qutrit_marginal_not_bosonic_extendible():
     # one does once the amplitudes are pairwise distinct
     marg, full, ket = qutrit_counterexample()
     assert abs(np.linalg.norm(ket) - 1.0) < 1e-12
+    # the amplitudes of |012>, |120> and |201> leave a negative residual slack
+    a, b, c = ket[5], ket[15], ket[19]
+    assert np.allclose((a, b, c), np.array([1.0, 2.0, 3.0]) / sqrt(28.0), rtol=0, atol=1e-15)
+    assert a * a + b * b + c * c - 2 * (a * b + a * c + b * c) < 0
     check = verify_extension(full, marg, 2, tol=1e-8)
     assert check.symmetric_ok and not check.support_ok
     report = solve_bosonic_k2_generic(marg, 3)

@@ -1,10 +1,15 @@
-"""No module of the package imports a name it does not use, or defines a
-private module-level name that it never uses.
+"""No module of the package imports a name it does not use, defines a
+private module-level name that it never uses, or defines a public function
+or class that only tests call.
 
 For imports, `__init__.py` is skipped, since its imports are the package's
 re-exports, and so are `from __future__` imports. A private name is a
 module-level function, class or assigned name with one leading underscore;
-tests may read it too, but the module itself must use it.
+tests may read it too, but the module itself must use it. A public
+module-level function or class must be read somewhere in the package outside
+its own definition, `__init__.py` not counted, or be named in the benchmark
+(`bench/*.py`) as a name, an attribute or a string: the benchmark's span
+table names the functions it wraps by string.
 """
 
 import ast
@@ -12,7 +17,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "symext"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "symext"
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -51,6 +57,42 @@ def unused_private_names(source: str) -> list[str]:
     return sorted(f"line {line}: {name}" for name, line in defined.items() if name not in used)
 
 
+def _references(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
+    """Names read, attributes taken and (with strings) string constants in
+    tree, leaving out the subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def public_names_only_tests_use(package: dict[str, str], bench: list[str]) -> list[str]:
+    """Public module-level functions and classes of package (file name to
+    source) that no other part of it reads and bench never names."""
+    trees = {name: ast.parse(source) for name, source in package.items() if name != "__init__.py"}
+    named_in_bench = set().union(*(_references(ast.parse(source), strings=True) for source in bench))
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in named_in_bench:
+                continue
+            if not any(node.name in _references(other, skip=node) for other in trees.values()):
+                unused.append(f"{module} line {node.lineno}: {node.name}")
+    return unused
+
+
 def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom .a import b, c\nnp.zeros(b)\n"
     assert unused_imports(source) == ["line 2: os", "line 4: c"]
@@ -64,6 +106,29 @@ def test_the_check_finds_an_unused_private_name():
         "def run():\n    return _helper()\n"
     )
     assert unused_private_names(source) == ["line 2: _LEFT", "line 6: _Box"]
+
+
+def test_the_check_finds_a_public_name_only_tests_use():
+    package = {
+        "__init__.py": "from .a import helper, kept, traced, Box\n",
+        "a.py": (
+            "def helper():\n    return helper()\n"
+            "def kept():\n    return 1\n"
+            "def traced():\n    return 2\n"
+            "class Box:\n    pass\n"
+            "def _private():\n    return kept()\n"
+        ),
+        "b.py": "from . import a\nVALUE = a.Box\n",
+    }
+    bench = ['TARGETS = (("symext.a", "traced"),)\n']
+    # a call from its own body, or an import in __init__.py, is not a use
+    assert public_names_only_tests_use(package, bench) == ["a.py line 1: helper"]
+
+
+def test_no_public_name_is_used_by_tests_alone():
+    package = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    bench = [p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")]
+    assert public_names_only_tests_use(package, bench) == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))

@@ -5,7 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symext.young import YoungDiagram, coupling_paths, hook_dim, list_diagrams, multiplicity
+from symext.young import YoungDiagram, coupling_paths, hook_dim, list_diagrams
+
+
+def multiplicity(k, lam):
+    """Number of equivalent copies of a sector, by the branching rule: each
+    added spin grows either row, and the rows stay ordered."""
+    counts = {(1, 0): 1}
+    for _ in range(k - 1):
+        grown = {}
+        for (l1, l2), count in counts.items():
+            for row in ((l1 + 1, l2), (l1, l2 + 1)):
+                if row[0] >= row[1]:
+                    grown[row] = grown.get(row, 0) + count
+        counts = grown
+    return counts.get((lam.lambda1, lam.lambda2), 0)
 
 
 def count_standard_tableaux(lam):
