@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import block_cap
-from .linalg import DensityMatrix, eigenvalue_below, herm_deviation
+from .caps import block_cap, block_cap_error
+from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
 from .schur import SchurBasis, alpha_coeff, diag_coeffs
 from .young import YoungDiagram, hook_dim, list_diagrams
 
@@ -26,35 +26,38 @@ class BlockState:
 
     The weighted normalization sum_lam tableau_count(lam) * tr(X_lam) = 1
     makes the glued global state unit trace. Every block must have finite
-    entries and be Hermitian and PSD within atol; positivity is settled by a
-    Cholesky factorization, and only a block it cannot accept is handed to
-    eigvalsh (see `linalg.eigenvalue_below`).
+    entries and be Hermitian within atol, and PSD within atol: its smallest
+    eigenvalue at least -atol. Positivity is settled by a Cholesky
+    factorization, and only a block it cannot accept is handed to eigvalsh
+    (see `linalg.eigenvalue_below`). check_psd=False skips the positivity
+    check, as in `DensityMatrix`; callers use it when positivity is
+    structural, as for the solver's certificate, which is PSD by
+    construction.
     """
 
-    def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6):
+    def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6, check_psd: bool = True):
+        if isinstance(k, (bool, np.bool_)) or isinstance(dA, (bool, np.bool_)):
+            raise ValueError(f"k and dA must be integers, got k={k!r}, dA={dA!r}")
         self.k = int(k)
         self.dA = int(dA)
         if not 1 <= self.k <= block_cap():
-            raise ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
+            raise block_cap_error(k)
         if self.dA < 1:
             raise ValueError(f"invalid A dimension {dA}")
         clean: dict[YoungDiagram, np.ndarray] = {}
         for lam, x in blocks.items():
             if not (isinstance(lam, YoungDiagram) and lam.k == self.k):
                 raise ValueError(f"{lam} is not a sector of {self.k} qubits")
+            name = f"block for {lam}"
             x = np.asarray(x, dtype=complex)
             n = self.dA * lam.num_weights
             if x.shape != (n, n):
-                raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] has shape {x.shape}, expected {(n, n)}")
-            if not np.all(np.isfinite(x)):
-                raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] entries must be finite")
-            dev = herm_deviation(x)
-            if dev > atol:
-                raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] not Hermitian (deviation {dev:.3e})")
-            x = (x + x.conj().T) / 2
-            low = eigenvalue_below(x, atol)
-            if low is not None:
-                raise ValueError(f"block for [{lam.lambda1},{lam.lambda2}] has eigenvalue {low:.3e}")
+                raise ValueError(f"{name} has shape {x.shape}, expected {(n, n)}")
+            x = hermitian_part(x, atol, name + " entries must be finite", name + " not Hermitian (deviation {dev:.3e})")
+            if check_psd:
+                low = eigenvalue_below(x, atol)
+                if low is not None:
+                    raise ValueError(f"{name} has eigenvalue {low:.3e}")
             x.flags.writeable = False
             clean[lam] = x
         self.blocks = clean
@@ -157,6 +160,9 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
     if not 1 <= int(dA) <= 4:
         raise ValueError(f"A dimension {dA} outside 1..4")
+    # before any block is drawn: the blocks of a large k alone can exhaust memory
+    if k > block_cap():
+        raise block_cap_error(k)
     diagrams = list_diagrams(k)
     if profile == PROFILE_EXCLUDE_BOSONIC:
         diagrams = diagrams[1:]

@@ -20,3 +20,8 @@ def block_cap() -> int:
     """Largest k allowed for operations that stay in per-sector block coordinates."""
     value = os.environ.get(_ENV_VAR)
     return int(value) if value else BLOCK_DEFAULT
+
+
+def block_cap_error(k: int) -> ValueError:
+    """The error for a k outside 1..block_cap()."""
+    return ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
 from .caps import full_space_cap
-from .linalg import DensityMatrix, herm_deviation, min_eigenvalue, partial_transpose
+from .linalg import DensityMatrix, hermitian_part, min_eigenvalue, partial_transpose
 from .schur import coeff_matrix_P, sym_isometry
 from .young import YoungDiagram, hook_dim
 
@@ -52,12 +52,7 @@ class BosonicState:
         n = self.dA * (self.k + 1)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match dA={dA}, k={k}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix entries must be finite")
-        dev = herm_deviation(matrix)
-        if dev > atol:
-            raise ValueError(f"matrix not Hermitian (deviation {dev:.3e})")
-        matrix = (matrix + matrix.conj().T) / 2
+        matrix = hermitian_part(matrix, atol, "matrix entries must be finite", "matrix not Hermitian (deviation {dev:.3e})")
         tr = float(matrix.trace().real)
         if abs(tr - 1.0) > atol:
             raise ValueError(f"trace {tr!r} is not 1 within {atol:g}")

@@ -7,7 +7,7 @@ computational basis index.
 
 from __future__ import annotations
 
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -16,10 +16,25 @@ HERMITIAN_ATOL = 1e-10
 _EPS = np.finfo(float).eps
 
 
-def herm_deviation(m: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part of m."""
-    m = np.asarray(m)
-    return float(np.linalg.norm(m - m.conj().T)) / 2
+def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: str) -> np.ndarray:
+    """Hermitian part (x + x^H) / 2 of a square x, after checking x.
+
+    x must have finite entries and a deviation from Hermitian, the Frobenius
+    norm ||x - x^H|| / 2, of at most atol. Otherwise the ValueError carries
+    the message nonfinite, or not_hermitian formatted with the fields atol
+    and dev. A non-finite entry always makes the deviation inf or NaN, so the
+    entries are scanned only once the deviation check has failed, to pick
+    the message.
+    """
+    xh = x.conj().T
+    with np.errstate(invalid="ignore"):  # inf - inf, reported below as non-finite
+        d = x - xh
+    dev = sqrt(np.vdot(d, d).real) / 2
+    if not dev <= atol:
+        if not np.isfinite(x).all():
+            raise ValueError(nonfinite)
+        raise ValueError(not_hermitian.format(atol=atol, dev=dev))
+    return (x + xh) * 0.5
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
@@ -62,11 +77,10 @@ def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
 
 def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    h = np.asarray(h)
-    dev = herm_deviation(h)
-    if dev > atol:
-        raise ValueError(f"input is not Hermitian (anti-Hermitian norm {dev:.3e})")
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
+    h = hermitian_part(
+        np.asarray(h), atol, "input entries must be finite", "input is not Hermitian (anti-Hermitian norm {dev:.3e})"
+    )
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
@@ -81,7 +95,7 @@ def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
     decides.
     """
     n = h.shape[0]
-    if atol / 2 > (n + 1) * n * _EPS * float(np.linalg.norm(h)):
+    if atol / 2 > (n + 1) * n * _EPS * sqrt(np.vdot(h, h).real):
         shifted = h.copy()
         shifted.flat[:: n + 1] += atol / 2
         try:
@@ -111,12 +125,9 @@ class DensityMatrix:
         total = prod(dims)
         if matrix.shape != (total, total):
             raise ValueError(f"matrix shape {matrix.shape} does not match layout {dims}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("matrix entries must be finite")
-        dev = herm_deviation(matrix)
-        if dev > atol:
-            raise ValueError(f"matrix is not Hermitian within {atol:g} (deviation {dev:.3e})")
-        matrix = (matrix + matrix.conj().T) / 2
+        matrix = hermitian_part(
+            matrix, atol, "matrix entries must be finite", "matrix is not Hermitian within {atol:g} (deviation {dev:.3e})"
+        )
         tr = float(matrix.trace().real)
         if abs(tr - 1.0) > atol:
             raise ValueError(f"trace {tr!r} is not 1 within {atol:g}")

@@ -19,6 +19,8 @@ factorization of it succeeds it is positive definite, hence its own cone
 shadow, and a small residual on it decides FEASIBLE at iteration 1 without
 an eigendecomposition. The test runs once, not inside the loop, where a
 failed factorization would only add to the cost of the eigh that follows.
+Either way the FEASIBLE block is PSD by construction, so its certificate is
+built without a second positivity check.
 
 Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the
@@ -68,7 +70,7 @@ from typing import Any
 import numpy as np
 
 from .blocks import BlockState
-from .caps import block_cap
+from .caps import block_cap, block_cap_error
 from .linalg import DensityMatrix
 from .young import YoungDiagram
 
@@ -257,7 +259,10 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
     def residual(y: np.ndarray) -> float:
         return float(np.linalg.norm(_real_times(amap, y.reshape(-1)[cols]) - b))
 
-    x = affine_project(np.zeros((n, n), dtype=complex))
+    # the least-norm point A^T (A A^T)^+ b, which is affine_project(0): A 0 - b
+    # is exactly -b, and adding to zeros keeps the +0 that subtracting gives
+    x = np.zeros((n, n), dtype=complex)
+    x.reshape(-1)[cols] += _real_times(at, _real_times(gram_pinv, b))
     try:
         np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -314,8 +319,10 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
     """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
 
     On FEASIBLE the certificate is certify(block, atol), with the state's
-    block in the basis of `_sym_map`; on INFEASIBLE the report carries the
-    Farkas witness.
+    block in the basis of `_sym_map`; the block is PSD by construction (it
+    passed a Cholesky factorization or is an eigenvalue clip), so certify
+    need not check positivity. On INFEASIBLE the report carries the Farkas
+    witness.
     """
     cfg = cfg or SolverConfig()
     dA, dB = rho_ab.dims
@@ -342,9 +349,11 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > block_cap():
-        raise ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
+        raise block_cap_error(k)
     dA = rho_ab.dims[0]
-    return _solve_sym(rho_ab, k, cfg, lambda top, atol: BlockState(k, dA, {YoungDiagram(k, 0): top}, atol=atol))
+    return _solve_sym(
+        rho_ab, k, cfg, lambda top, atol: BlockState(k, dA, {YoungDiagram(k, 0): top}, atol=atol, check_psd=False)
+    )
 
 
 solve_bosonic = solve_symmetric

@@ -16,10 +16,12 @@ class YoungDiagram:
     lambda2: int
 
     def __post_init__(self):
-        if not isinstance(self.lambda1, int) or not isinstance(self.lambda2, int):
+        l1, l2 = self.lambda1, self.lambda2
+        # a bool is an int to isinstance, but not a row length
+        if not (isinstance(l1, int) and isinstance(l2, int)) or isinstance(l1, bool) or isinstance(l2, bool):
             raise ValueError("row lengths must be integers")
-        if not self.lambda1 >= self.lambda2 >= 0:
-            raise ValueError(f"rows must satisfy lambda1 >= lambda2 >= 0, got [{self.lambda1},{self.lambda2}]")
+        if not l1 >= l2 >= 0:
+            raise ValueError(f"rows must satisfy lambda1 >= lambda2 >= 0, got [{l1},{l2}]")
 
     @property
     def k(self) -> int:

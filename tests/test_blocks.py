@@ -13,6 +13,7 @@ from symext.blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
+from symext.caps import block_cap
 from symext.linalg import DensityMatrix
 from symext.schur import build_schur_basis, sym_isometry
 from symext.young import YoungDiagram, hook_dim, list_diagrams
@@ -56,9 +57,13 @@ def test_block_state_validation():
     BlockState(2, 1, {lam: np.diag([0.5 + 0.999e-6, 0.5, -0.999e-6])})
     with pytest.raises(ValueError, match=r"^block for \[2,0\] has eigenvalue -1\.001e-06$"):
         BlockState(2, 1, {lam: np.diag([0.5 + 1.001e-6, 0.5, -1.001e-6])})
-    for bad_entry in (np.nan, np.inf, complex(0, np.nan)):
+    # a lone non-finite entry; inf at (i, j) and at (j, i), whose difference
+    # is NaN; and NaN on the diagonal
+    for entries in ({(2, 1): np.nan}, {(2, 1): np.inf}, {(2, 1): complex(0, np.nan)},
+                    {(0, 2): np.inf, (2, 0): np.inf}, {(1, 1): np.nan}):
         bad = np.eye(3, dtype=complex) / 3
-        bad[2, 1] = bad_entry
+        for ij, v in entries.items():
+            bad[ij] = v
         with pytest.raises(ValueError, match=r"^block for \[2,0\] entries must be finite$"):
             BlockState(2, 1, {lam: bad})
     with pytest.raises(ValueError, match="trace"):
@@ -67,6 +72,10 @@ def test_block_state_validation():
         BlockState(0, 1, {})
     with pytest.raises(ValueError, match="dimension"):
         BlockState(2, 0, {lam: x})
+    # bools are not integers here, though int() takes them
+    for k, dA in ((True, 1), (1, True), (np.True_, 1)):
+        with pytest.raises(ValueError, match="^k and dA must be integers"):
+            BlockState(k, dA, {YoungDiagram(1, 0): np.eye(2) / 2})
 
 
 def test_singlet_sector_glues_to_singlet(basis2):
@@ -191,6 +200,19 @@ def test_gen_profiles():
     # the marginal is still a valid state
     assert np.linalg.eigvalsh(marg.matrix)[0] > -1e-12
     assert abs(np.trace(marg.matrix).real - 1.0) < 1e-12
+
+
+def test_gen_refuses_k_above_the_cap_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made for a k above the cap")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for k in (block_cap() + 1, 400):
+        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.{block_cap()} "):
+            gen_random_extendible(k, 4, 0)
+    monkeypatch.setenv("SYMEXT_MAX_K", "3")
+    with pytest.raises(ValueError, match=r"^k=4 outside 1\.\.3 "):
+        gen_random_extendible(4, 2, 0, PROFILE_EXCLUDE_BOSONIC)
 
 
 def test_gen_rejects_bad_arguments():

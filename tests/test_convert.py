@@ -44,9 +44,13 @@ def test_bosonic_state_validation():
         BosonicState(2, 2, bad)
     with pytest.raises(ValueError, match="trace"):
         BosonicState(2, 2, np.eye(6))
-    for bad_entry in (np.nan, -np.inf, complex(np.nan, 0)):
+    # non-finite entries on the diagonal, and inf at (i, j) and at (j, i),
+    # whose difference is NaN
+    for entries in ({(3, 3): np.nan}, {(3, 3): -np.inf}, {(3, 3): complex(np.nan, 0)},
+                    {(1, 4): np.inf, (4, 1): np.inf}):
         bad = np.eye(6, dtype=complex) / 6
-        bad[3, 3] = bad_entry
+        for ij, v in entries.items():
+            bad[ij] = v
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             BosonicState(2, 2, bad)
     bos = BosonicState(2, 2, np.eye(6) / 6)

@@ -7,7 +7,7 @@ from conftest import adjacent_transposition, naive_partial_trace, permutation_op
 from symext.linalg import (
     DensityMatrix,
     eigenvalue_below,
-    herm_deviation,
+    hermitian_part,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -16,8 +16,35 @@ from symext.linalg import (
 
 def test_herm_deviation_and_check():
     h = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert herm_deviation(h) == 0.0
-    assert herm_deviation(h + np.array([[0, 1e-3], [0, 0]])) == pytest.approx(1e-3 / np.sqrt(2))
+    assert np.array_equal(hermitian_part(h, 0.0, "finite", "dev {dev:.3e}"), h)
+    # the deviation is the Frobenius norm of the anti-Hermitian part
+    bumped = h + np.array([[0, 1e-3], [0, 0]])
+    with pytest.raises(ValueError, match=r"^dev 7\.071e-04 within 0\.0007$"):
+        hermitian_part(bumped, 7e-4, "finite", "dev {dev:.3e} within {atol:g}")
+    # within the tolerance the Hermitian part is (x + x^H) / 2, bit for bit
+    gen = np.random.default_rng(5)
+    x = gen.standard_normal((5, 5)) + 1j * gen.standard_normal((5, 5))
+    x = x + x.conj().T + 1e-9 * gen.standard_normal((5, 5))
+    assert np.array_equal(hermitian_part(x, 1e-8, "finite", "dev"), (x + x.conj().T) / 2)
+    # a non-finite entry picks the first message, whatever the deviation
+    for bad in (np.inf, np.nan, complex(0, np.nan)):
+        for i, j in ((0, 1), (1, 1)):
+            y = h.astype(complex)
+            y[i, j] = bad
+            with pytest.raises(ValueError, match="^finite$"):
+                hermitian_part(y, 1.0, "finite", "dev {dev:.3e}")
+
+
+def test_density_matrix_refuses_non_finite_entries():
+    # a lone non-finite entry; inf at (i, j) and at (j, i), whose difference
+    # is NaN; and NaN on the diagonal
+    for entries in ({(3, 2): np.nan}, {(3, 2): np.inf}, {(3, 2): complex(0, np.nan)},
+                    {(0, 3): np.inf, (3, 0): np.inf}, {(3, 3): np.nan}):
+        bad = np.eye(4, dtype=complex) / 4
+        for ij, v in entries.items():
+            bad[ij] = v
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            DensityMatrix(bad, (2, 2))
 
 
 @given(seed=st.integers(0, 10_000), dims_idx=st.integers(0, 3))
@@ -162,5 +189,5 @@ def test_density_matrix_from_ket_and_marginal():
 def test_random_density_is_state(seed, dim):
     m = random_density(dim, np.random.default_rng(seed))
     assert np.isclose(np.trace(m).real, 1.0)
-    assert herm_deviation(m) <= 1e-12
+    assert np.linalg.norm(m - m.conj().T) / 2 <= 1e-12
     assert min_eigenvalue(m) >= -1e-12

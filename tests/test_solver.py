@@ -354,9 +354,9 @@ def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
     assert solve_bosonic_k2_generic(DensityMatrix(np.eye(6) / 6, (2, 3)), 3).status == FEASIBLE
 
 
-def _count_eigendecompositions(monkeypatch) -> dict:
+def _count_factorizations(monkeypatch) -> dict:
     calls = {}
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -368,18 +368,19 @@ def _count_eigendecompositions(monkeypatch) -> dict:
 
 
 def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
-    # the least-norm point passes its Cholesky test, the certificate its
-    # positivity check by Cholesky, and the conversion reads cached scales
+    # the least-norm point passes its one Cholesky test, the certificate is
+    # PSD by construction and not factored again, and the conversion reads
+    # cached scales
     k = 10
     for profile in ("all", PROFILE_EXCLUDE_BOSONIC):
         rho, _ = gen_random_extendible(k, 2, seed=3, profile=profile)
         # builds the map, whose Gram pseudo-inverse is an eigh, and fills the scale cache
         sym_to_bos(solve_symmetric(rho, k).certificate)
-        calls = _count_eigendecompositions(monkeypatch)
+        calls = _count_factorizations(monkeypatch)
         report = solve_symmetric(rho, k)
         bos = sym_to_bos(report.certificate)
         assert (report.status, report.iterations) == (FEASIBLE, 1)
-        assert calls == {}, profile
+        assert calls == {"cholesky": 1}, profile
         monkeypatch.undo()
         assert verify_extension(bos, rho, k, tol=1e-7).bosonic_ok
 
@@ -388,7 +389,7 @@ def test_an_infeasible_instance_still_runs_the_loop_and_the_witness(monkeypatch)
     k = 4
     rho = _werner((k + 2) / (3 * k) + 0.05)
     solve_symmetric(rho, k)
-    calls = _count_eigendecompositions(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     report = solve_symmetric(rho, k)
     assert report.status == INFEASIBLE
     assert calls["eigh"] >= 1 and calls["eigvalsh"] >= 1

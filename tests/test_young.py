@@ -42,6 +42,10 @@ def test_diagram_validation():
         YoungDiagram(1, 2)
     with pytest.raises(ValueError):
         YoungDiagram(-1, 0)
+    # a bool is an int to Python, but not a row length
+    for rows in ((True, False), (1, False)):
+        with pytest.raises(ValueError, match="^row lengths must be integers$"):
+            YoungDiagram(*rows)
     lam = YoungDiagram(3, 1)
     assert lam.k == 4
     assert lam.spin == 1.0
