@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import block_cap, block_cap_error
+from .caps import block_cap, block_cap_error, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
 from .schur import SchurBasis, alpha_coeff, diag_coeffs
 from .young import YoungDiagram, hook_dim, list_diagrams
@@ -31,15 +31,14 @@ class BlockState:
     factorization, and only a block it cannot accept is handed to eigvalsh
     (see `linalg.eigenvalue_below`). check_psd=False skips the positivity
     check, as in `DensityMatrix`; callers use it when positivity is
-    structural, as for the solver's certificate, which is PSD by
-    construction.
+    structural, as for the solver's certificate and the Ginibre blocks of
+    `gen_random_extendible`, which are PSD by construction. k and dA must be
+    integers (Python or numpy, not bools).
     """
 
     def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6, check_psd: bool = True):
-        if isinstance(k, (bool, np.bool_)) or isinstance(dA, (bool, np.bool_)):
-            raise ValueError(f"k and dA must be integers, got k={k!r}, dA={dA!r}")
-        self.k = int(k)
-        self.dA = int(dA)
+        self.k = integer_size("k", k)
+        self.dA = integer_size("dA", dA)
         if not 1 <= self.k <= block_cap():
             raise block_cap_error(k)
         if self.dA < 1:
@@ -48,16 +47,18 @@ class BlockState:
         for lam, x in blocks.items():
             if not (isinstance(lam, YoungDiagram) and lam.k == self.k):
                 raise ValueError(f"{lam} is not a sector of {self.k} qubits")
-            name = f"block for {lam}"
             x = np.asarray(x, dtype=complex)
             n = self.dA * lam.num_weights
             if x.shape != (n, n):
-                raise ValueError(f"{name} has shape {x.shape}, expected {(n, n)}")
-            x = hermitian_part(x, atol, name + " entries must be finite", name + " not Hermitian (deviation {dev:.3e})")
+                raise ValueError(f"block for {lam} has shape {x.shape}, expected {(n, n)}")
+            try:
+                x = hermitian_part(x, atol, "entries must be finite", "not Hermitian (deviation {dev:.3e})")
+            except ValueError as exc:
+                raise ValueError(f"block for {lam} {exc}") from None
             if check_psd:
                 low = eigenvalue_below(x, atol)
                 if low is not None:
-                    raise ValueError(f"{name} has eigenvalue {low:.3e}")
+                    raise ValueError(f"block for {lam} has eigenvalue {low:.3e}")
             x.flags.writeable = False
             clean[lam] = x
         self.blocks = clean
@@ -158,7 +159,8 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
-    if not 1 <= int(dA) <= 4:
+    k, dA = integer_size("k", k), integer_size("dA", dA)
+    if not 1 <= dA <= 4:
         raise ValueError(f"A dimension {dA} outside 1..4")
     # before any block is drawn: the blocks of a large k alone can exhaust memory
     if k > block_cap():
@@ -178,5 +180,6 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
         blocks[lam] = x
         total += hook_dim(lam) * float(x.trace().real)
     blocks = {lam: x / total for lam, x in blocks.items()}
-    bs = BlockState(k, dA, blocks)
+    # every block is a Ginibre product g g^H, PSD by construction
+    bs = BlockState(k, dA, blocks, check_psd=False)
     return marginal_from_blocks(bs), bs

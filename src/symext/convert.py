@@ -26,14 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import full_space_cap
+from .caps import full_space_cap, integer_size
 from .linalg import DensityMatrix, hermitian_part, min_eigenvalue, partial_transpose
 from .schur import coeff_matrix_P, sym_isometry
 from .young import YoungDiagram, hook_dim
+
+
+_NONFINITE = "matrix entries must be finite"
 
 
 class BosonicState:
@@ -41,23 +45,41 @@ class BosonicState:
 
     The matrix acts on A tensor the k+1 weight slots (A index major, weight
     ascending); embedding through the Dicke isometry gives the full state.
-    Its entries must be finite, and it must be Hermitian with unit trace
-    within atol; positivity is measured by `verify_extension`.
+    dA and k must be integers (Python or numpy, not bools). The entries must
+    be finite, and the matrix Hermitian with unit trace within atol;
+    positivity is measured by `verify_extension`.
     """
 
     def __init__(self, dA: int, k: int, matrix, *, atol: float = 1e-6):
-        self.dA = int(dA)
-        self.k = int(k)
+        dA, k = integer_size("dA", dA), integer_size("k", k)
         matrix = np.array(matrix, dtype=complex)
-        n = self.dA * (self.k + 1)
+        n = dA * (k + 1)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match dA={dA}, k={k}")
-        matrix = hermitian_part(matrix, atol, "matrix entries must be finite", "matrix not Hermitian (deviation {dev:.3e})")
+        matrix = hermitian_part(matrix, atol, _NONFINITE, "matrix not Hermitian (deviation {dev:.3e})")
+        self._adopt(dA, k, matrix, atol)
+
+    @classmethod
+    def _of_hermitian(cls, dA: int, k: int, matrix: np.ndarray) -> "BosonicState":
+        """The state of a matrix of the right shape that no one else holds.
+
+        The matrix must equal its Hermitian part bit for bit; only its
+        finiteness and its trace, within the default atol, are checked.
+        """
+        # the squared norm is finite unless an entry is not, or it overflows
+        if not isfinite(np.vdot(matrix, matrix).real) and not np.isfinite(matrix).all():
+            raise ValueError(_NONFINITE)
+        state = cls.__new__(cls)
+        state._adopt(dA, k, matrix, 1e-6)
+        return state
+
+    def _adopt(self, dA: int, k: int, matrix: np.ndarray, atol: float) -> None:
+        """Takes a matrix checked but for its trace as this state's own."""
         tr = float(matrix.trace().real)
         if abs(tr - 1.0) > atol:
             raise ValueError(f"trace {tr!r} is not 1 within {atol:g}")
         matrix.flags.writeable = False
-        self.matrix = matrix
+        self.dA, self.k, self.matrix = dA, k, matrix
 
     @property
     def blocks(self) -> dict:
@@ -86,8 +108,8 @@ def _sector_scale(lam: YoungDiagram) -> np.ndarray:
     return scale
 
 
-def sym_to_bos(bs: BlockState) -> BosonicState:
-    """Convert a block state into a bosonic extension with the same marginal."""
+def _bosonic_sum(bs: BlockState) -> np.ndarray:
+    """The matrix of sym_to_bos(bs), unchecked."""
     k, dA = bs.k, bs.dA
     out = np.zeros((dA, k + 1, dA, k + 1), dtype=complex)
     for lam, x in bs.blocks.items():
@@ -96,7 +118,20 @@ def sym_to_bos(bs: BlockState) -> BosonicState:
         xr = x.reshape(dA, nw, dA, nw)
         lo = lam.lambda2  # weight -j sits at slot lambda2
         out[:, lo : lo + nw, :, lo : lo + nw] += xr * scale[None, :, None, :]
-    return BosonicState(dA, k, out.reshape(dA * (k + 1), dA * (k + 1)))
+    return out.reshape(dA * (k + 1), dA * (k + 1))
+
+
+def sym_to_bos(bs: BlockState) -> BosonicState:
+    """Convert a block state into a bosonic extension with the same marginal.
+
+    Every block of a BlockState is an output of `linalg.hermitian_part`, whose
+    (i, j) and (j, i) entries are conjugate up to the sign of a zero, and
+    every sector scale is real and symmetric. So the sum of their Schur
+    products, accumulated onto +0 and hence free of -0, equals its Hermitian
+    part (x + x^H) / 2 bit for bit, short of an overflow of x + x^H: the
+    Hermitian check is not run again, while finiteness and the trace are.
+    """
+    return BosonicState._of_hermitian(bs.dA, bs.k, _bosonic_sum(bs))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Decimal matrix files.
 
 States and certificates are stored as JSON with every float written with 17
-significant digits, which round-trips IEEE doubles exactly; writing the same
+significant digits, which round-trips IEEE doubles exactly, with one
+exception: -0.0 is written as -0, which JSON reads as the integer 0, so it
+loads as +0.0 (equal to -0.0, with the sign bit clear). Writing the same
 object twice yields identical bytes. A layout entry is either a local
 dimension or the tag "sym(k)" marking the symmetric weight space of k qubits.
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import sqrt
 from typing import Any
@@ -70,7 +71,7 @@ from typing import Any
 import numpy as np
 
 from .blocks import BlockState
-from .caps import block_cap, block_cap_error
+from .caps import block_cap, block_cap_error, integer_size
 from .linalg import DensityMatrix
 from .young import YoungDiagram
 
@@ -97,6 +98,9 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
+_DEFAULT_CONFIG = SolverConfig()
+
+
 @dataclass(frozen=True)
 class Witness:
     """Farkas certificate that a state has no extension.
@@ -119,6 +123,15 @@ class Witness:
 
 @dataclass
 class SolverReport:
+    """The verdict of one solve.
+
+    residual is the constraint residual of the certificate on FEASIBLE, of
+    the last iterate on INFEASIBLE, and the smallest one seen on UNDECIDED.
+    gap_estimate is 0.0 on FEASIBLE, the certified lower bound on the
+    distance between the two sets on INFEASIBLE, and on UNDECIDED the length
+    of the last Douglas-Rachford step, ||x_max_iter - x_(max_iter - 1)||.
+    """
+
     status: str
     residual: float
     gap_estimate: float
@@ -133,6 +146,12 @@ _MAP_CACHE_BYTES = 64 * 2**20
 # Bound on the dense bytes of one constraint map: a larger one is refused
 # before it is allocated.
 _MAP_BYTES_LIMIT = 2**30
+
+
+def _norm(z: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, by the formula of np.linalg.norm and bit for bit equal to it."""
+    re, im = z.real, z.imag
+    return sqrt(re.dot(re) + im.dot(im))
 
 
 def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -238,7 +257,7 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
     value = float(np.vdot(b, y).real)
     if value >= -2 * len(b) * _EPS * float(np.abs(b) @ np.abs(y)):
         return None
-    return y / np.linalg.norm(_real_times(amap.T, y))
+    return y / _norm(_real_times(amap.T, y))
 
 
 def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
@@ -257,7 +276,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         return z
 
     def residual(y: np.ndarray) -> float:
-        return float(np.linalg.norm(_real_times(amap, y.reshape(-1)[cols]) - b))
+        return _norm(_real_times(amap, y.reshape(-1)[cols]) - b)
 
     # the least-norm point A^T (A A^T)^+ b, which is affine_project(0): A 0 - b
     # is exactly -b, and adding to zeros keeps the +0 that subtracting gives
@@ -272,7 +291,6 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         if res <= cfg.tol_feasible:
             return FEASIBLE, res, 0.0, 1, x
     best_res = np.inf
-    step = np.nan
     for it in range(1, cfg.max_iter + 1):
         y = _cone_project(x)
         res = residual(y)
@@ -280,13 +298,13 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         if res <= cfg.tol_feasible:
             return FEASIBLE, res, 0.0, it, y
         nxt = x + affine_project(2.0 * y - x) - y
-        step = float(np.linalg.norm(nxt - x))
         if it % _WITNESS_PERIOD == 0 or it & (it - 1) == 0:
             farkas = _farkas(cmap, b, x - nxt)
             if farkas is not None:
                 return INFEASIBLE, res, -float(np.vdot(b, farkas).real), it, farkas
-        x = nxt
-    return UNDECIDED, best_res, step, cfg.max_iter, None
+        x, prev = nxt, x
+    # the length of the last step, measured only here, where it is reported
+    return UNDECIDED, best_res, _norm((x - prev).reshape(-1)), cfg.max_iter, None
 
 
 def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
@@ -324,10 +342,16 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
     need not check positivity. On INFEASIBLE the report carries the Farkas
     witness.
     """
-    cfg = cfg or SolverConfig()
+    if cfg is None:
+        cfg = _DEFAULT_CONFIG
     dA, dB = rho_ab.dims
     cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
-    status, res, gap, it, x = _douglas_rachford(cmap, np.append(rho_ab.matrix.ravel(), 1.0), cfg)
+    # the marginal's entries, then the trace
+    m = rho_ab.matrix.size
+    b = np.empty(m + 1, dtype=complex)
+    b[:m] = rho_ab.matrix.reshape(-1)
+    b[m] = 1.0
+    status, res, gap, it, x = _douglas_rachford(cmap, b, cfg)
     report = SolverReport(status, res, gap, it)
     if status == FEASIBLE:
         report.certificate = certify(x, max(1e-6, 10 * cfg.tol_feasible))
@@ -337,6 +361,10 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
     return report
 
 
+# The top sector [k, 0] of each k, built once: a YoungDiagram is immutable.
+_top_sector = lru_cache(maxsize=1024)(lambda k: YoungDiagram(k, 0))
+
+
 def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:
     """Decide k-extendibility of rho_ab with the extension confined to the top sector.
 
@@ -344,6 +372,7 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
     only if a bosonic one does, so this one problem decides both; it is bound
     to both names, and the certificate holds the top sector alone.
     """
+    k = integer_size("k", k)
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:
         raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use the generic pair solver for other B dimensions")
     if k < 1:
@@ -352,7 +381,7 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
         raise block_cap_error(k)
     dA = rho_ab.dims[0]
     return _solve_sym(
-        rho_ab, k, cfg, lambda top, atol: BlockState(k, dA, {YoungDiagram(k, 0): top}, atol=atol, check_psd=False)
+        rho_ab, k, cfg, lambda top, atol: BlockState(k, dA, {_top_sector(k): top}, atol=atol, check_psd=False)
     )
 
 
@@ -366,6 +395,7 @@ def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig |
     pins the (A, B1) marginal of its embedding. The certificate is the state
     on that subspace, in the basis of `schur.sym_isometry(2, dB)`.
     """
+    dB = integer_size("dB", dB)
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != dB:
         raise ValueError(f"layout {rho_ab.dims} does not match a B dimension of {dB}")
     dims = (rho_ab.dims[0], dB * (dB + 1) // 2)

@@ -14,7 +14,7 @@ from symext.blocks import (
     marginal_from_blocks,
 )
 from symext.caps import block_cap
-from symext.linalg import DensityMatrix
+from symext.linalg import DensityMatrix, eigenvalue_below
 from symext.schur import build_schur_basis, sym_isometry
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
@@ -72,10 +72,14 @@ def test_block_state_validation():
         BlockState(0, 1, {})
     with pytest.raises(ValueError, match="dimension"):
         BlockState(2, 0, {lam: x})
-    # bools are not integers here, though int() takes them
-    for k, dA in ((True, 1), (1, True), (np.True_, 1)):
-        with pytest.raises(ValueError, match="^k and dA must be integers"):
-            BlockState(k, dA, {YoungDiagram(1, 0): np.eye(2) / 2})
+    # bools and floats are not integers here, though int() takes them
+    for k, dA, field in ((True, 1, "k"), (2, True, "dA"), (np.True_, 1, "k"), (3.9, 2.0, "k"), (2, 1.0, "dA"),
+                         ("2", 1, "k")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            BlockState(k, dA, {lam: x})
+    # numpy integers are integers; the sizes are kept as Python ints
+    bs = BlockState(np.int64(2), np.int32(1), {lam: x})
+    assert (bs.k, bs.dA) == (2, 1) and type(bs.k) is int and type(bs.dA) is int
 
 
 def test_singlet_sector_glues_to_singlet(basis2):
@@ -215,6 +219,18 @@ def test_gen_refuses_k_above_the_cap_before_drawing(monkeypatch):
         gen_random_extendible(4, 2, 0, PROFILE_EXCLUDE_BOSONIC)
 
 
+def test_gen_builds_its_psd_blocks_without_a_positivity_check(monkeypatch):
+    counted = []
+    monkeypatch.setattr("symext.blocks.eigenvalue_below", lambda *a: counted.append(a) or eigenvalue_below(*a))
+    shapes = ((2, 1, 0, PROFILE_ALL), (5, 3, 1, PROFILE_EXCLUDE_BOSONIC), (10, 4, 2, PROFILE_ALL))
+    planted = [gen_random_extendible(*shape) for shape in shapes]
+    assert counted == []
+    # every block is a Ginibre product g g^H, so the skipped check passes
+    for _, bs in planted:
+        BlockState(bs.k, bs.dA, bs.blocks)
+    assert len(counted) == sum(len(bs.blocks) for _, bs in planted)
+
+
 def test_gen_rejects_bad_arguments():
     with pytest.raises(ValueError, match="profile"):
         gen_random_extendible(3, 2, 0, "everything")
@@ -222,3 +238,6 @@ def test_gen_rejects_bad_arguments():
         gen_random_extendible(3, 5, 0)
     with pytest.raises(ValueError, match="k >= 2"):
         gen_random_extendible(1, 2, 0, PROFILE_EXCLUDE_BOSONIC)
+    for k, dA, field in ((3.0, 2, "k"), (True, 2, "k"), (3, 2.0, "dA")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            gen_random_extendible(k, dA, 0)

@@ -21,15 +21,16 @@ from symext.blocks import (
 )
 from symext.convert import (
     BosonicState,
+    _bosonic_sum,
     _sector_scale,
     _swap_adjacent_legs,
     sym_to_bos,
     tilde_state,
     verify_extension,
 )
-from symext.linalg import DensityMatrix, partial_trace
+from symext.linalg import DensityMatrix, hermitian_part, partial_trace
 from symext.schur import build_schur_basis, coeff_matrix_P
-from symext.solver import qutrit_counterexample
+from symext.solver import qutrit_counterexample, solve_symmetric
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
 from test_blocks import random_block_state
@@ -55,6 +56,48 @@ def test_bosonic_state_validation():
             BosonicState(2, 2, bad)
     bos = BosonicState(2, 2, np.eye(6) / 6)
     assert bos.matrix.flags.writeable is False
+    for dA, k, field in ((2.9, 3.2, "dA"), (2, 2.0, "k"), (True, 2, "dA"), (2, np.True_, "k")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            BosonicState(dA, k, np.eye(6) / 6)
+    # numpy integers are integers; the sizes are kept as Python ints
+    bos = BosonicState(np.int64(2), np.uint8(2), np.eye(6) / 6)
+    assert (bos.dA, bos.k) == (2, 2) and type(bos.dA) is int and type(bos.k) is int
+
+
+def test_conversion_keeps_the_trace_and_finiteness_checks():
+    # a block state accepted at a looser tolerance fails the conversion's 1e-6
+    lam = YoungDiagram(2, 0)
+    loose = BlockState(2, 1, {lam: np.eye(3) * (1 + 5e-5) / 3}, atol=1e-4)
+    with pytest.raises(ValueError, match="^trace .* is not 1 within 1e-06$"):
+        sym_to_bos(loose)
+    # finite blocks whose scaled entries overflow: sector [3,1] scales its
+    # diagonal by 3
+    x = np.diag([8e307, -8e307, 1 / 3]).astype(complex)
+    overflow = BlockState(4, 1, {YoungDiagram(3, 1): x}, check_psd=False)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        sym_to_bos(overflow)
+    # entries too large for a finite squared norm but finite are kept
+    top = np.diag([1e200, -1e200, 1.0, 0.0, 0.0]).astype(complex)
+    bos = sym_to_bos(BlockState(4, 1, {YoungDiagram(4, 0): top}, check_psd=False))
+    assert np.array_equal(bos.matrix, top)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 10, 16, 32, 64])
+def test_conversion_sum_is_its_own_hermitian_part(k):
+    # sym_to_bos skips the Hermitian check: its sum of Schur products of
+    # Hermitian blocks with real symmetric scales must equal its Hermitian
+    # part bit for bit, planted witnesses and solver certificates alike
+    for lam in list_diagrams(k):
+        scale = _sector_scale(lam)
+        assert np.array_equal(scale, scale.T), lam
+    for dA in (1, 2, 3, 4):
+        for profile in (PROFILE_ALL, PROFILE_EXCLUDE_BOSONIC):
+            rho, bs = gen_random_extendible(k, dA, seed=k + dA, profile=profile)
+            for state in (bs, solve_symmetric(rho, k).certificate):
+                m = _bosonic_sum(state)
+                # atol 0: the deviation from Hermitian is exactly 0
+                assert hermitian_part(m, 0.0, "", "").tobytes() == m.tobytes(), (dA, profile)
+                assert sym_to_bos(state).matrix.tobytes() == m.tobytes()
 
 
 def test_pair_state_converts_to_triplet():

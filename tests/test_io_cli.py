@@ -46,6 +46,19 @@ def test_state_round_trip_is_exact(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_negative_zero_loads_as_positive_zero(tmp_path):
+    # the one double that does not round-trip: -0.0 is written as -0, which
+    # JSON reads as the integer 0
+    path = tmp_path / "rho.state"
+    m = np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
+    save_matrix_file(path, m, [2])
+    assert '"entries": [[0.5, 0], [-0, -0], [-0, 0], [0.5, 0]]' in path.read_text()
+    back = load_matrix_file(path).entries
+    assert np.array_equal(back, m)
+    assert not np.signbit(back.view(np.float64)).any()
+    assert np.signbit(m.view(np.float64)).sum() == 3
+
+
 def _per_element_entries_text(matrix):
     # the per-element formatter the list-based writer replaces
     flat = np.asarray(matrix, dtype=complex).reshape(-1)

@@ -7,7 +7,7 @@ from conftest import product_state, random_two_qubit_states, singlet_state
 from symext import solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import sym_to_bos, verify_extension
-from symext.linalg import DensityMatrix, partial_trace
+from symext.linalg import DensityMatrix, hermitian_part, partial_trace
 from symext.solver import (
     FEASIBLE,
     INFEASIBLE,
@@ -125,6 +125,8 @@ def test_undecided_on_iteration_starvation():
     assert report.status == UNDECIDED
     assert report.certificate is None and report.witness is None
     assert report.iterations == 10
+    # gap_estimate is the length of the last DR step, measured at the exit
+    assert report.gap_estimate == 0.009261101051190306
     assert solve_symmetric(rho, 2).status == FEASIBLE
 
 
@@ -148,6 +150,24 @@ def test_rejects_non_qubit_b_side():
 def test_rejects_bad_k():
     with pytest.raises(ValueError, match="at least 1"):
         solve_symmetric(product_state(), 0)
+
+
+def test_sizes_must_be_integers_before_any_map_is_built(monkeypatch):
+    monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
+    rho = product_state()
+    for k in (3.0, True, np.True_, np.float64(3), "3"):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            solve_symmetric(rho, k)
+    marg, _, _ = qutrit_counterexample()
+    for dB in (3.0, True):
+        with pytest.raises(ValueError, match="^dB must be an integer, got "):
+            solve_bosonic_k2_generic(marg, dB)
+    assert not solver._MAPS._maps
+    # numpy integers are integers: the same solve, under the same map key
+    report = solve_symmetric(rho, np.int64(3))
+    assert report.status == FEASIBLE and report.certificate.k == 3
+    assert list(solver._MAPS._maps) == [(3, 2, 2)] and type(next(iter(solver._MAPS._maps))[0]) is int
+    assert solve_bosonic_k2_generic(marg, np.int32(3)).status == INFEASIBLE
 
 
 def test_generic_pair_solver_agrees_on_qubits():
@@ -367,18 +387,29 @@ def _count_factorizations(monkeypatch) -> dict:
     return calls
 
 
+def _count_hermitian_parts(monkeypatch) -> list:
+    calls = []
+    for module in ("linalg", "blocks", "convert"):
+        monkeypatch.setattr(f"symext.{module}.hermitian_part", lambda *a: calls.append(a) or hermitian_part(*a))
+    return calls
+
+
 def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
     # the least-norm point passes its one Cholesky test, the certificate is
-    # PSD by construction and not factored again, and the conversion reads
-    # cached scales
+    # PSD by construction and not factored again, its one Hermitian check is
+    # the certificate's, and the conversion reads cached scales and checks
+    # no Hermitian part again
     k = 10
     for profile in ("all", PROFILE_EXCLUDE_BOSONIC):
         rho, _ = gen_random_extendible(k, 2, seed=3, profile=profile)
         # builds the map, whose Gram pseudo-inverse is an eigh, and fills the scale cache
         sym_to_bos(solve_symmetric(rho, k).certificate)
         calls = _count_factorizations(monkeypatch)
+        hermitian = _count_hermitian_parts(monkeypatch)
         report = solve_symmetric(rho, k)
+        assert len(hermitian) == 1, profile
         bos = sym_to_bos(report.certificate)
+        assert len(hermitian) == 1, profile
         assert (report.status, report.iterations) == (FEASIBLE, 1)
         assert calls == {"cholesky": 1}, profile
         monkeypatch.undo()
