@@ -15,7 +15,6 @@ from .blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
-from .caps import block_cap, full_space_cap
 from .convert import BosonicState, ExtensionReport, TildeReport, sym_to_bos, tilde_state, verify_extension
 from .io import MatrixFile, MatrixFileError, load_blocks, load_extension, load_state, save_blocks, save_state
 from .linalg import DensityMatrix, partial_trace, partial_transpose
@@ -53,12 +52,10 @@ __all__ = [
     "UNDECIDED",
     "YoungDiagram",
     "alpha_coeff",
-    "block_cap",
     "blocks_to_global",
     "build_schur_basis",
     "coeff_matrix_P",
     "diag_coeffs",
-    "full_space_cap",
     "gen_random_extendible",
     "global_to_blocks",
     "hook_dim",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import block_cap, block_cap_error, integer_size
+from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
 from .schur import SchurBasis, alpha_coeff, diag_coeffs
 from .young import YoungDiagram, hook_dim, list_diagrams
@@ -39,7 +39,7 @@ class BlockState:
     def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6, check_psd: bool = True):
         self.k = integer_size("k", k)
         self.dA = integer_size("dA", dA)
-        if not 1 <= self.k <= block_cap():
+        if not 1 <= self.k <= BLOCK_CAP:
             raise block_cap_error(k)
         if self.dA < 1:
             raise ValueError(f"invalid A dimension {dA}")
@@ -76,11 +76,12 @@ class BlockState:
 
 
 def blocks_to_global(bs: BlockState, basis: SchurBasis) -> DensityMatrix:
-    """Glue the blocks into the full state of A plus k qubits."""
+    """Glue the blocks into the full state of A plus k qubits, if `caps` allows its bytes."""
     if basis.k != bs.k:
         raise ValueError(f"basis is for k={basis.k}, blocks for k={bs.k}")
     n = 2**bs.k
     dA = bs.dA
+    check_dense_bytes(f"the glued state of dA={dA}, k={bs.k}", 16 * (dA * n) ** 2)
     out = np.zeros((dA, n, dA, n), dtype=complex)
     for lam, x in bs.blocks.items():
         sec = basis.sector(lam)
@@ -163,7 +164,7 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
     if not 1 <= dA <= 4:
         raise ValueError(f"A dimension {dA} outside 1..4")
     # before any block is drawn: the blocks of a large k alone can exhaust memory
-    if k > block_cap():
+    if k > BLOCK_CAP:
         raise block_cap_error(k)
     diagrams = list_diagrams(k)
     if profile == PROFILE_EXCLUDE_BOSONIC:

@@ -1,31 +1,30 @@
-"""Runtime size caps for the number of extension legs, and the check of a size argument."""
+"""Size policy, and the check of a size argument.
+
+Block-coordinate work caps k at BLOCK_CAP. A dense array over the full 2^k
+space, or a constraint map, is refused with a ValueError before it is
+allocated when its bytes would exceed DENSE_BYTES_LIMIT (1 GiB): the Schur
+basis (8 * 4^k bytes) above k = 13, a glued or embedded state
+(16 (dA 2^k)^2 bytes) above dA 2^k = 8192: above k = 13, 12, 11 and 11 at
+dA = 1..4.
+"""
 
 from __future__ import annotations
 
 import operator
-import os
 
-_ENV_VAR = "SYMEXT_MAX_K"
-
-FULL_SPACE_DEFAULT = 12
-BLOCK_DEFAULT = 64
-
-
-def full_space_cap() -> int:
-    """Largest k allowed for operations that materialize 2^k-dimensional objects."""
-    value = os.environ.get(_ENV_VAR)
-    return int(value) if value else FULL_SPACE_DEFAULT
-
-
-def block_cap() -> int:
-    """Largest k allowed for operations that stay in per-sector block coordinates."""
-    value = os.environ.get(_ENV_VAR)
-    return int(value) if value else BLOCK_DEFAULT
+BLOCK_CAP = 64
+DENSE_BYTES_LIMIT = 2**30
 
 
 def block_cap_error(k: int) -> ValueError:
-    """The error for a k outside 1..block_cap()."""
-    return ValueError(f"k={k} outside 1..{block_cap()} (set SYMEXT_MAX_K to change the cap)")
+    """The error for a k outside 1..BLOCK_CAP."""
+    return ValueError(f"k={k} outside 1..{BLOCK_CAP}")
+
+
+def check_dense_bytes(what: str, nbytes: int) -> None:
+    """Refuse an array of nbytes dense bytes above DENSE_BYTES_LIMIT; what names it."""
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise ValueError(f"{what} needs {nbytes / 2**20:.1f} MiB, above the {DENSE_BYTES_LIMIT / 2**20:g} MiB limit")
 
 
 def integer_size(name: str, value) -> int:

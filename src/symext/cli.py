@@ -271,11 +271,7 @@ def run_command(argv) -> tuple[int, str]:
     try:
         args = build_parser().parse_args(list(argv))
         code = args.func(args, lines, timings)
-    except _UsageError as exc:
-        lines.append(f"error: {exc}")
-        lines.append("status: ERROR")
-        code = 1
-    except (mio.MatrixFileError, OSError, ValueError) as exc:
+    except (_UsageError, mio.MatrixFileError, OSError, ValueError) as exc:
         lines.append(f"error: {exc}")
         lines.append("status: ERROR")
         code = 1

@@ -31,7 +31,7 @@ from math import isfinite
 import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import full_space_cap, integer_size
+from .caps import check_dense_bytes, integer_size
 from .linalg import DensityMatrix, hermitian_part, min_eigenvalue, partial_transpose
 from .schur import coeff_matrix_P, sym_isometry
 from .young import YoungDiagram, hook_dim
@@ -87,9 +87,8 @@ class BosonicState:
         return {YoungDiagram(self.k, 0): self.matrix}
 
     def embed(self) -> DensityMatrix:
-        """Full state on A plus k qubits."""
-        if self.k > full_space_cap():
-            raise ValueError(f"k={self.k} above the full-space cap {full_space_cap()}")
+        """Full state on A plus k qubits, if `caps` allows its bytes."""
+        check_dense_bytes(f"the embedded state of dA={self.dA}, k={self.k}", 16 * (self.dA * 2**self.k) ** 2)
         lift = np.kron(np.eye(self.dA), sym_isometry(self.k, 2))
         full = lift @ self.matrix @ lift.conj().T
         return DensityMatrix(full, (self.dA,) + (2,) * self.k, check_psd=False)
@@ -240,6 +239,7 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
     coordinates at every k; a full-space DensityMatrix is checked in the full
     space.
     """
+    k = integer_size("k", k)
     if isinstance(sigma, (BosonicState, BlockState)):
         return _verify_sectors(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
@@ -262,6 +262,7 @@ def tilde_state(rho_ab: DensityMatrix, k: int) -> TildeReport:
     """
     if len(rho_ab.dims) != 2:
         raise ValueError(f"layout {rho_ab.dims} is not bipartite")
+    k = integer_size("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     dA, dB = rho_ab.dims

@@ -26,6 +26,7 @@ from math import prod
 import numpy as np
 
 from .blocks import BlockState
+from .caps import integer_size
 from .convert import BosonicState
 from .linalg import DensityMatrix
 from .young import YoungDiagram
@@ -84,14 +85,12 @@ def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict |
 
 
 def _is_int(value) -> bool:
-    # JSON true and false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_field(path, name: str, value) -> int:
-    if not _is_int(value):
-        raise MatrixFileError(f"{path}: {name} must be an integer, got {value!r}")
-    return value
+    """Whether `caps.integer_size` accepts value; it refuses JSON true, false and 3.0."""
+    try:
+        integer_size("", value)
+    except ValueError:
+        return False
+    return True
 
 
 def _check_version(path, doc: dict) -> None:
@@ -229,11 +228,11 @@ def _blocks(path, doc) -> BlockState:
         raise MatrixFileError(f"{path}: not a blocks certificate file")
     _check_version(path, doc)
     try:
-        k = _int_field(path, "k", doc["k"])
-        dA = _int_field(path, "dA", doc["dA"])
+        k = integer_size("k", doc["k"])
+        dA = integer_size("dA", doc["dA"])
         blocks = {}
         for part in doc["blocks"]:
-            l1, l2 = (_int_field(path, "diagram row", v) for v in part["diagram"])
+            l1, l2 = (integer_size("diagram row", v) for v in part["diagram"])
             lam = YoungDiagram(l1, l2)
             n = dA * lam.num_weights
             entries = part["entries"]

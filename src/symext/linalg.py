@@ -24,17 +24,22 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
     the message nonfinite, or not_hermitian formatted with the fields atol
     and dev. A non-finite entry always makes the deviation inf or NaN, so the
     entries are scanned only once the deviation check has failed, to pick
-    the message.
+    the message. Where x + x^H overflows, the result is x / 2 + x^H / 2, which
+    is finite; every other result is (x + x^H) * 0.5, bit for bit.
     """
     xh = x.conj().T
-    with np.errstate(invalid="ignore"):  # inf - inf, reported below as non-finite
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow, reported below
         d = x - xh
     dev = sqrt(np.vdot(d, d).real) / 2
     if not dev <= atol:
         if not np.isfinite(x).all():
             raise ValueError(nonfinite)
         raise ValueError(not_hermitian.format(atol=atol, dev=dev))
-    return (x + xh) * 0.5
+    try:
+        with np.errstate(over="raise"):
+            return (x + xh) * 0.5
+    except FloatingPointError:  # entries near the largest double; halved first, they cannot overflow
+        return x * 0.5 + xh * 0.5
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:

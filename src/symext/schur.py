@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from .caps import full_space_cap
+from .caps import check_dense_bytes, integer_size
 from .young import YoungDiagram, coupling_paths, list_diagrams
 
 
@@ -54,10 +54,11 @@ class SchurBasis:
 
 
 def build_schur_basis(k: int) -> SchurBasis:
-    """Couple k spin-1/2 systems one at a time into the sector basis."""
-    cap = full_space_cap()
-    if not 1 <= k <= cap:
-        raise ValueError(f"k={k} outside 1..{cap} (set SYMEXT_MAX_K to change the cap)")
+    """Couple k spin-1/2 systems one at a time into the sector basis, if `caps` allows its 8 * 4^k bytes."""
+    k = integer_size("k", k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    check_dense_bytes(f"the Schur basis of k={k}", 8 * 4**k)
     return _build_schur_basis_cached(k)
 
 

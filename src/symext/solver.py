@@ -55,8 +55,8 @@ projection works on the touched entries alone. At the block cap (k = 64,
 dA = 4, dB = 2) the map takes 1.6 MB. The cache evicts the least recently
 used maps once they hold more than 64 MB together. Pair maps grow about as
 dB^5 (4.3 MiB at dA = 2, dB = 8; 133 MiB at dB = 16), so a map whose dense
-array would exceed 1 GiB is refused with a ValueError before it is allocated
-(at dA = 2, from dB = 25 on).
+array would exceed `caps.DENSE_BYTES_LIMIT` (1 GiB) is refused with a
+ValueError before it is allocated (at dA = 2, from dB = 25 on).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from typing import Any
 import numpy as np
 
 from .blocks import BlockState
-from .caps import block_cap, block_cap_error, integer_size
+from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix
 from .young import YoungDiagram
 
@@ -143,9 +143,6 @@ class SolverReport:
 # Bound on the bytes of the cached constraint maps: room for many shapes, so
 # that a batch cycling through a handful of them builds each map once.
 _MAP_CACHE_BYTES = 64 * 2**20
-# Bound on the dense bytes of one constraint map: a larger one is refused
-# before it is allocated.
-_MAP_BYTES_LIMIT = 2**30
 
 
 def _norm(z: np.ndarray) -> float:
@@ -201,12 +198,9 @@ def _compact_map(n: int, dim_out: int, p, q, i, j, coeff) -> _ConstraintMap:
     is_touched = np.zeros(n * n, dtype=bool)
     is_touched[cols] = True
     touched = np.flatnonzero(is_touched)
-    nbytes = (trace_row + 1) * len(touched) * 8
-    if nbytes > _MAP_BYTES_LIMIT:
-        raise ValueError(
-            f"constraint map of a {n} x {n} block onto a {dim_out} x {dim_out} marginal needs "
-            f"{nbytes / 2**20:.1f} MiB, above the {_MAP_BYTES_LIMIT / 2**20:g} MiB limit"
-        )
+    check_dense_bytes(
+        f"constraint map of a {n} x {n} block onto a {dim_out} x {dim_out} marginal", (trace_row + 1) * len(touched) * 8
+    )
     flat = rows * len(touched) + np.searchsorted(touched, cols)
     amap = np.bincount(flat, weights=vals, minlength=(trace_row + 1) * len(touched)).reshape(trace_row + 1, -1)
     gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
@@ -377,7 +371,7 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
         raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use the generic pair solver for other B dimensions")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > block_cap():
+    if k > BLOCK_CAP:
         raise block_cap_error(k)
     dA = rho_ab.dims[0]
     return _solve_sym(

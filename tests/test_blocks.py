@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from symext.blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
-from symext.caps import block_cap
+from symext import caps
+from symext.convert import BosonicState, sym_to_bos
 from symext.linalg import DensityMatrix, eigenvalue_below
 from symext.schur import build_schur_basis, sym_isometry
 from symext.young import YoungDiagram, hook_dim, list_diagrams
@@ -211,12 +214,43 @@ def test_gen_refuses_k_above_the_cap_before_drawing(monkeypatch):
         raise AssertionError("a generator was made for a k above the cap")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    for k in (block_cap() + 1, 400):
-        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.{block_cap()} "):
-            gen_random_extendible(k, 4, 0)
-    monkeypatch.setenv("SYMEXT_MAX_K", "3")
-    with pytest.raises(ValueError, match=r"^k=4 outside 1\.\.3 "):
-        gen_random_extendible(4, 2, 0, PROFILE_EXCLUDE_BOSONIC)
+    for k, dA, profile in ((65, 4, PROFILE_ALL), (400, 4, PROFILE_ALL), (65, 2, PROFILE_EXCLUDE_BOSONIC)):
+        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.64$"):
+            gen_random_extendible(k, dA, 0, profile)
+    with pytest.raises(ValueError, match=r"^k=65 outside 1\.\.64$"):
+        BlockState(65, 1, {})
+
+
+def _refused_without_allocating(call, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_full_space_arrays_above_the_byte_bound_are_refused_before_allocation(monkeypatch):
+    # at the 1 GiB bound an embedded state with dA 2^k above 8192 is refused:
+    # from k = 14 at dA = 1, k = 13 at dA = 2 and k = 12 at dA = 3 or 4
+    for dA, k, mib in ((1, 14, "4096"), (2, 13, "4096"), (3, 12, "2304"), (4, 12, "4096")):
+        sigma = BosonicState(dA, k, np.eye(dA * (k + 1)) / (dA * (k + 1)))
+        message = rf"^the embedded state of dA={dA}, k={k} needs {mib}\.0 MiB, above the 1024 MiB limit$"
+        _refused_without_allocating(sigma.embed, message)
+    # at a 1 MiB bound: the k = 8 basis takes 0.5 MiB and a dA = 1, k = 8
+    # state exactly 1 MiB; the k = 9 basis takes 2 MiB, a dA = 2, k = 8 state 4 MiB
+    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
+    basis = build_schur_basis(8)
+    _, small = gen_random_extendible(8, 1, 0)
+    assert blocks_to_global(small, basis).dim == sym_to_bos(small).embed().dim == 256
+    _, witness = gen_random_extendible(8, 2, 0)
+    bosonic = sym_to_bos(witness)
+    limit = r"needs 4\.0 MiB, above the 1 MiB limit$"
+    _refused_without_allocating(lambda: build_schur_basis(9), r"^the Schur basis of k=9 needs 2\.0 MiB, ")
+    _refused_without_allocating(lambda: blocks_to_global(witness, basis), "^the glued state of dA=2, k=8 " + limit)
+    _refused_without_allocating(bosonic.embed, "^the embedded state of dA=2, k=8 " + limit)
 
 
 def test_gen_builds_its_psd_blocks_without_a_positivity_check(monkeypatch):

@@ -82,6 +82,23 @@ def test_conversion_keeps_the_trace_and_finiteness_checks():
     assert np.array_equal(bos.matrix, top)
 
 
+def test_constructors_hold_finite_entries_where_the_hermitian_sum_overflows():
+    # 1e308 + 1e308 overflows, so the Hermitian part is taken as x / 2 + x^H / 2
+    m = np.array([[0.5, 1e308 - 1.5e308j], [1e308 + 1.5e308j, 0.5]])
+    top = YoungDiagram(1, 0)
+    held = (
+        DensityMatrix(m, (2,), check_psd=False).matrix,
+        BlockState(1, 1, {top: m}, check_psd=False).blocks[top],
+        BosonicState(1, 1, m).matrix,
+    )
+    for matrix in held:
+        assert np.array_equal(matrix, m)
+    # a finite sum is still (x + x^H) * 0.5: halving 5e-324 first would give 0
+    tiny = np.array([[0.5, 5e-324], [5e-324, 0.5]])
+    assert DensityMatrix(tiny, (2,), check_psd=False).matrix[0, 1] == 5e-324
+    assert BosonicState(1, 1, tiny).matrix[1, 0] == 5e-324
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 10, 16, 32, 64])
 def test_conversion_sum_is_its_own_hermitian_part(k):
     # sym_to_bos skips the Hermitian check: its sum of Schur products of
@@ -338,6 +355,12 @@ def test_verify_accepts_block_certificates():
     assert not report.bosonic_ok
     rho2, w2 = gen_random_extendible(9, 2, 6)
     assert verify_extension(w2, rho2, 9).symmetric_ok
+    # k is a size: numpy integers pass, bools and floats are refused
+    assert verify_extension(w2, rho2, np.int64(9)) == verify_extension(w2, rho2, 9)
+    assert verify_extension(sym_to_bos(w2), rho2, np.int32(9)).bosonic_ok
+    for k in (9.0, True):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            verify_extension(w2, rho2, k)
 
 
 def test_maximally_mixed_is_tilde_fixed_point():
@@ -384,3 +407,8 @@ def test_tilde_validation():
         tilde_state(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 2)
     with pytest.raises(ValueError, match="at least 1"):
         tilde_state(product_state(), 0)
+    for k in (2.5, True, np.float64(2), "2"):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            tilde_state(product_state(), k)
+    # numpy integers are integers
+    assert np.array_equal(tilde_state(product_state(), np.int64(3)).state.matrix, tilde_state(product_state(), 3).state.matrix)

@@ -247,10 +247,10 @@ def test_check_bos2_exit_codes(tmp_path):
 
 
 def test_check_bos2_refuses_an_oversized_map(tmp_path, monkeypatch):
-    from symext import solver
+    from symext import caps, solver
 
     monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
-    monkeypatch.setattr(solver, "_MAP_BYTES_LIMIT", 2**20)
+    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
     state = write_state(DensityMatrix(np.eye(16) / 16, (2, 8)), tmp_path / "big.state")
     code, report = run_command(["check-bos2", "--dB", "8", "--in", state])
     assert code == 1

@@ -218,12 +218,16 @@ def test_top_sector_coeff_matrix_is_all_ones():
         assert np.abs(p - 1.0).max() <= 1e-12
 
 
-def test_build_rejects_bad_k(monkeypatch):
-    with pytest.raises(ValueError):
+def test_build_rejects_bad_k():
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
         build_schur_basis(0)
-    monkeypatch.setenv("SYMEXT_MAX_K", "4")
-    with pytest.raises(ValueError):
-        build_schur_basis(5)
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            build_schur_basis(k)
+    # 8 * 4^k bytes: 2 GiB at k = 14, above the 1 GiB bound, refused before it is built
+    with pytest.raises(ValueError, match=r"^the Schur basis of k=14 needs 2048\.0 MiB, above the 1024 MiB limit$"):
+        build_schur_basis(14)
+    assert build_schur_basis(np.int64(3)).k == 3
 
 
 def test_sym2_isometry_shape_and_range():

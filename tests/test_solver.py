@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import product_state, random_two_qubit_states, singlet_state
-from symext import solver
+from symext import caps, solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import sym_to_bos, verify_extension
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
@@ -364,7 +364,7 @@ def test_block_cap_planted_state_is_feasible():
 def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
     # the dA = 2, dB = 8 pair map takes 3.8 MiB dense, over a 1 MiB bound
     monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
-    monkeypatch.setattr(solver, "_MAP_BYTES_LIMIT", 2**20)
+    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
     rho = DensityMatrix(np.eye(16) / 16, (2, 8))
     with pytest.raises(ValueError, match=r"needs 3\.8 MiB, above the 1 MiB limit"):
         solve_bosonic_k2_generic(rho, 8)
