@@ -3,7 +3,7 @@
 The package decides whether a state admits a k-party symmetric extension of
 its B subsystem, converts any such extension into one supported on the
 symmetric (Dicke) subspace, and ships verifiers for every numerical claim
-it relies on.
+it relies on. Everything else is imported from its submodule.
 """
 
 from .blocks import (
@@ -13,24 +13,22 @@ from .blocks import (
     blocks_to_global,
     gen_random_extendible,
     global_to_blocks,
-    marginal_from_blocks,
 )
 from .convert import BosonicState, ExtensionReport, TildeReport, sym_to_bos, tilde_state, verify_extension
-from .io import MatrixFile, MatrixFileError, load_blocks, load_extension, load_state, save_blocks, save_state
-from .linalg import DensityMatrix, partial_trace, partial_transpose
-from .schur import SchurBasis, alpha_coeff, build_schur_basis, coeff_matrix_P, diag_coeffs, p_coeff
+from .io import MatrixFileError, load_blocks, load_extension, load_state, save_blocks, save_state
+from .linalg import DensityMatrix
+from .schur import build_schur_basis
 from .solver import (
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
-    SolverConfig,
     SolverReport,
     qutrit_counterexample,
     solve_bosonic,
     solve_bosonic_k2_generic,
     solve_symmetric,
 )
-from .young import YoungDiagram, hook_dim, list_diagrams
+from .young import YoungDiagram
 
 __version__ = "0.1.0"
 
@@ -43,30 +41,18 @@ __all__ = [
     "ExtensionReport",
     "FEASIBLE",
     "INFEASIBLE",
-    "MatrixFile",
     "MatrixFileError",
-    "SchurBasis",
-    "SolverConfig",
     "SolverReport",
     "TildeReport",
     "UNDECIDED",
     "YoungDiagram",
-    "alpha_coeff",
     "blocks_to_global",
     "build_schur_basis",
-    "coeff_matrix_P",
-    "diag_coeffs",
     "gen_random_extendible",
     "global_to_blocks",
-    "hook_dim",
-    "list_diagrams",
     "load_blocks",
     "load_extension",
     "load_state",
-    "marginal_from_blocks",
-    "p_coeff",
-    "partial_trace",
-    "partial_transpose",
     "qutrit_counterexample",
     "save_blocks",
     "save_state",

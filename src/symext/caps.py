@@ -2,10 +2,13 @@
 
 Block-coordinate work caps k at BLOCK_CAP. A dense array over the full 2^k
 space, or a constraint map, is refused with a ValueError before it is
-allocated when its bytes would exceed DENSE_BYTES_LIMIT (1 GiB): the Schur
-basis (8 * 4^k bytes) above k = 13, a glued or embedded state
-(16 (dA 2^k)^2 bytes) above dA 2^k = 8192: above k = 13, 12, 11 and 11 at
-dA = 1..4.
+allocated when the bytes charged for it would exceed DENSE_BYTES_LIMIT
+(1 GiB). A full-space array is charged the peak of the call that builds it,
+not only its own bytes: the Schur basis (8 * 4^k bytes, built at a peak of
+about twice that) is charged 3 * 8 * 4^k and refused above k = 12; a glued
+or embedded state (16 (dA 2^k)^2 bytes, built at a peak of about five times
+that) is charged 6 * 16 (dA 2^k)^2 and refused above dA 2^k = 3344: above
+k = 11, 10, 10 and 9 at dA = 1..4.
 """
 
 from __future__ import annotations

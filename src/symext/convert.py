@@ -24,6 +24,7 @@ each costs O((dA*d^k)^2)), and the weight outside the symmetric subspace.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
@@ -31,7 +32,7 @@ from math import isfinite
 import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import check_dense_bytes, integer_size
+from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, hermitian_part, min_eigenvalue, partial_transpose
 from .schur import coeff_matrix_P, sym_isometry
 from .young import YoungDiagram, hook_dim
@@ -45,13 +46,16 @@ class BosonicState:
 
     The matrix acts on A tensor the k+1 weight slots (A index major, weight
     ascending); embedding through the Dicke isometry gives the full state.
-    dA and k must be integers (Python or numpy, not bools). The entries must
-    be finite, and the matrix Hermitian with unit trace within atol;
-    positivity is measured by `verify_extension`.
+    dA and k must be integers (Python or numpy, not bools), k in
+    1..BLOCK_CAP as for a BlockState. The entries must be finite, and the
+    matrix Hermitian with unit trace within atol; positivity is measured by
+    `verify_extension`.
     """
 
     def __init__(self, dA: int, k: int, matrix, *, atol: float = 1e-6):
         dA, k = integer_size("dA", dA), integer_size("k", k)
+        if not 1 <= k <= BLOCK_CAP:
+            raise block_cap_error(k)
         matrix = np.array(matrix, dtype=complex)
         n = dA * (k + 1)
         if matrix.shape != (n, n):
@@ -88,7 +92,9 @@ class BosonicState:
 
     def embed(self) -> DensityMatrix:
         """Full state on A plus k qubits, if `caps` allows its bytes."""
-        check_dense_bytes(f"the embedded state of dA={self.dA}, k={self.k}", 16 * (self.dA * 2**self.k) ** 2)
+        # the peak holds about five arrays of the output's size (the lifted state,
+        # then DensityMatrix's copy, x - x^H, x + x^H and its half), and is charged six
+        check_dense_bytes(f"the embedded state of dA={self.dA}, k={self.k}", 6 * 16 * (self.dA * 2**self.k) ** 2)
         lift = np.kron(np.eye(self.dA), sym_isometry(self.k, 2))
         full = lift @ self.matrix @ lift.conj().T
         return DensityMatrix(full, (self.dA,) + (2,) * self.k, check_psd=False)
@@ -98,7 +104,7 @@ class BosonicState:
 
 
 # Up to the block cap of 64 there are about 1,100 diagrams, whose scales take
-# about 6 MB together; the bound only matters for a raised cap.
+# about 6 MB together.
 @lru_cache(maxsize=2048)
 def _sector_scale(lam: YoungDiagram) -> np.ndarray:
     """hook_dim(lam) * coeff_matrix_P(lam), read-only: it depends on the diagram alone."""
@@ -237,9 +243,12 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
 
     A BlockState or BosonicState certificate is checked in sector
     coordinates at every k; a full-space DensityMatrix is checked in the full
-    space.
+    space. tol must be finite and not negative: an infinite one would pass
+    any candidate, and a NaN would fail every check.
     """
     k = integer_size("k", k)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and not negative, got {tol!r}")
     if isinstance(sigma, (BosonicState, BlockState)):
         return _verify_sectors(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
@@ -266,6 +275,9 @@ def tilde_state(rho_ab: DensityMatrix, k: int) -> TildeReport:
     if k < 1:
         raise ValueError("k must be at least 1")
     dA, dB = rho_ab.dims
+    # the mixing weights below are floats
+    if k + dB * dB > sys.float_info.max:
+        raise ValueError("k does not fit in a float")
     rho_a = rho_ab.marginal((0,))
     mix = np.kron(rho_a, np.eye(dB))
     if dB == 2:

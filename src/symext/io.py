@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -54,8 +54,6 @@ def _metadata_text(metadata: dict | None) -> str:
 class MatrixFile:
     layout: list
     entries: np.ndarray  # square complex matrix
-    kind: str = "state"
-    metadata: dict = field(default_factory=dict)
 
     def dims(self) -> tuple[int, ...]:
         """Local dimensions, with sym(k) tags resolved to k+1 slots."""
@@ -126,7 +124,7 @@ def _matrix_file(path, doc) -> MatrixFile:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise MatrixFileError(f"{path}: missing entries")
-    mf = MatrixFile(clean_layout, np.empty(0), str(doc.get("kind", "state")), doc.get("metadata") or {})
+    mf = MatrixFile(clean_layout, np.empty(0))
     dim = prod(mf.dims())
     if len(entries) != dim * dim:
         raise MatrixFileError(f"{path}: expected {dim * dim} entries for layout {clean_layout}, found {len(entries)}")

@@ -7,7 +7,7 @@ computational basis index.
 
 from __future__ import annotations
 
-from math import prod, sqrt
+from math import inf, isnan, prod, sqrt
 
 import numpy as np
 
@@ -24,8 +24,9 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
     the message nonfinite, or not_hermitian formatted with the fields atol
     and dev. A non-finite entry always makes the deviation inf or NaN, so the
     entries are scanned only once the deviation check has failed, to pick
-    the message. Where x + x^H overflows, the result is x / 2 + x^H / 2, which
-    is finite; every other result is (x + x^H) * 0.5, bit for bit.
+    the message; a finite x whose x - x^H overflows reports dev as inf.
+    Where x + x^H overflows, the result is x / 2 + x^H / 2, which is finite;
+    every other result is (x + x^H) * 0.5, bit for bit.
     """
     xh = x.conj().T
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow, reported below
@@ -34,7 +35,8 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
     if not dev <= atol:
         if not np.isfinite(x).all():
             raise ValueError(nonfinite)
-        raise ValueError(not_hermitian.format(atol=atol, dev=dev))
+        # an overflowed entry of d can make the vdot NaN
+        raise ValueError(not_hermitian.format(atol=atol, dev=inf if isnan(dev) else dev))
     try:
         with np.errstate(over="raise"):
             return (x + xh) * 0.5
@@ -80,10 +82,13 @@ def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape)
 
 
-def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+def min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a matrix Hermitian within HERMITIAN_ATOL."""
     h = hermitian_part(
-        np.asarray(h), atol, "input entries must be finite", "input is not Hermitian (anti-Hermitian norm {dev:.3e})"
+        np.asarray(h),
+        HERMITIAN_ATOL,
+        "input entries must be finite",
+        "input is not Hermitian (anti-Hermitian norm {dev:.3e})",
     )
     return float(np.linalg.eigvalsh(h)[0])
 
@@ -145,12 +150,12 @@ class DensityMatrix:
         self.dims = dims
 
     @classmethod
-    def from_ket(cls, ket, dims, *, atol: float = 1e-8) -> "DensityMatrix":
+    def from_ket(cls, ket, dims) -> "DensityMatrix":
         ket = np.asarray(ket, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(ket)
-        if abs(nrm - 1.0) > atol:
-            raise ValueError(f"ket norm {nrm!r} is not 1 within {atol:g}")
-        return cls(np.outer(ket, ket.conj()), dims, atol=atol, check_psd=False)
+        if abs(nrm - 1.0) > 1e-8:
+            raise ValueError(f"ket norm {nrm!r} is not 1 within 1e-08")
+        return cls(np.outer(ket, ket.conj()), dims, check_psd=False)
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .caps import check_dense_bytes, integer_size
-from .young import YoungDiagram, coupling_paths, list_diagrams
+from .young import YoungDiagram, list_diagrams
 
 
 def _cg(j: float, m: float, s: float, up: bool) -> float:
@@ -54,11 +54,15 @@ class SchurBasis:
 
 
 def build_schur_basis(k: int) -> SchurBasis:
-    """Couple k spin-1/2 systems one at a time into the sector basis, if `caps` allows its 8 * 4^k bytes."""
+    """Couple k spin-1/2 systems one at a time into the sector basis, if `caps` allows its peak bytes.
+
+    The basis takes 8 * 4^k bytes; the build peaks at about twice that, the
+    last coupling level beside the stacked sectors, and is charged three times.
+    """
     k = integer_size("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
-    check_dense_bytes(f"the Schur basis of k={k}", 8 * 4**k)
+    check_dense_bytes(f"the Schur basis of k={k}", 3 * 8 * 4**k)
     return _build_schur_basis_cached(k)
 
 
@@ -89,11 +93,12 @@ def _build_schur_basis_cached(k: int) -> SchurBasis:
                             out[bit::2, mi] += c * mat[:, int(round(m_old + j))]
                 grown[path + (jn,)] = out
         level = grown
-    grouped = coupling_paths(k)
-    sectors = {
-        lam: np.stack([level[p] for p in paths], axis=1) for lam, paths in grouped.items()
-    }
-    return SchurBasis(k, sectors)
+    # each sector stacks the paths that end at its spin j, in lexicographic order
+    grouped: dict[YoungDiagram, list[np.ndarray]] = {}
+    for path in sorted(level):
+        j = path[-1]
+        grouped.setdefault(YoungDiagram(round(k / 2 + j), round(k / 2 - j)), []).append(level[path])
+    return SchurBasis(k, {lam: np.stack(mats, axis=1) for lam, mats in grouped.items()})
 
 
 def sym_isometry(k: int, d: int) -> np.ndarray:

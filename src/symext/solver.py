@@ -37,7 +37,7 @@ tr(W rho) + c < 0. The test costs one eigvalsh and runs at iterations
 1, 2, 4, ..., 32 and then at every 32nd; on INFEASIBLE, gap_estimate is the
 certified lower bound -b^T y' / ||A^T y'|| on the distance between the two
 sets, and the witness is scaled to ||A^T y'|| = 1. A run that reaches
-max_iter with neither certificate is UNDECIDED.
+`_MAX_ITER` (20,000) iterations with neither certificate is UNDECIDED.
 
 The iterate is the block itself, an n x n complex matrix, and the affine
 set's linear map A is a real matrix over its flat entries p n + q: the rows
@@ -85,20 +85,10 @@ _WITNESS_PERIOD = 32
 
 _EPS = np.finfo(float).eps
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_feasible: float = 1e-8
-    max_iter: int = 20000
-
-    def __post_init__(self):
-        if self.tol_feasible <= 0:
-            raise ValueError("tol_feasible must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-_DEFAULT_CONFIG = SolverConfig()
+# A block whose constraint residual is at most _TOL_FEASIBLE is FEASIBLE; a run
+# of _MAX_ITER iterations with no certificate either way is UNDECIDED.
+_TOL_FEASIBLE = 1e-8
+_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -128,8 +118,9 @@ class SolverReport:
     residual is the constraint residual of the certificate on FEASIBLE, of
     the last iterate on INFEASIBLE, and the smallest one seen on UNDECIDED.
     gap_estimate is 0.0 on FEASIBLE, the certified lower bound on the
-    distance between the two sets on INFEASIBLE, and on UNDECIDED the length
-    of the last Douglas-Rachford step, ||x_max_iter - x_(max_iter - 1)||.
+    distance between the two sets on INFEASIBLE, and on UNDECIDED, after
+    `_MAX_ITER` iterations, the length of the last Douglas-Rachford step,
+    ||x_n - x_(n - 1)|| with n = _MAX_ITER.
     """
 
     status: str
@@ -254,7 +245,7 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
     return y / _norm(_real_times(amap.T, y))
 
 
-def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
+def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     """Returns (status, residual, gap_estimate, iterations, x).
 
     x is the feasible block on FEASIBLE, the scaled Farkas vector on
@@ -282,14 +273,14 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
         pass
     else:
         res = residual(x)
-        if res <= cfg.tol_feasible:
+        if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, 1, x
     best_res = np.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         y = _cone_project(x)
         res = residual(y)
         best_res = min(best_res, res)
-        if res <= cfg.tol_feasible:
+        if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, it, y
         nxt = x + affine_project(2.0 * y - x) - y
         if it % _WITNESS_PERIOD == 0 or it & (it - 1) == 0:
@@ -298,7 +289,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray, cfg: SolverConfig):
                 return INFEASIBLE, res, -float(np.vdot(b, farkas).real), it, farkas
         x, prev = nxt, x
     # the length of the last step, measured only here, where it is reported
-    return UNDECIDED, best_res, _norm((x - prev).reshape(-1)), cfg.max_iter, None
+    return UNDECIDED, best_res, _norm((x - prev).reshape(-1)), _MAX_ITER, None
 
 
 def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
@@ -327,17 +318,14 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     return _compact_map(dA * nsym, dA * dB, *(x.ravel() for x in terms))
 
 
-def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify) -> SolverReport:
+def _solve_sym(rho_ab: DensityMatrix, k: int, certify) -> SolverReport:
     """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
 
-    On FEASIBLE the certificate is certify(block, atol), with the state's
-    block in the basis of `_sym_map`; the block is PSD by construction (it
-    passed a Cholesky factorization or is an eigenvalue clip), so certify
-    need not check positivity. On INFEASIBLE the report carries the Farkas
-    witness.
+    On FEASIBLE the certificate is certify(block), with the state's block in
+    the basis of `_sym_map`; the block is PSD by construction (it passed a
+    Cholesky factorization or is an eigenvalue clip), so certify need not
+    check positivity. On INFEASIBLE the report carries the Farkas witness.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
     dA, dB = rho_ab.dims
     cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
     # the marginal's entries, then the trace
@@ -345,10 +333,10 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
     b = np.empty(m + 1, dtype=complex)
     b[:m] = rho_ab.matrix.reshape(-1)
     b[m] = 1.0
-    status, res, gap, it, x = _douglas_rachford(cmap, b, cfg)
+    status, res, gap, it, x = _douglas_rachford(cmap, b)
     report = SolverReport(status, res, gap, it)
     if status == FEASIBLE:
-        report.certificate = certify(x, max(1e-6, 10 * cfg.tol_feasible))
+        report.certificate = certify(x)
     elif status == INFEASIBLE:
         w = x[:-1].reshape(dA * dB, dA * dB)
         report.witness = Witness((w + w.conj().T) / 2, float(x[-1].real))
@@ -359,7 +347,7 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None, certify)
 _top_sector = lru_cache(maxsize=1024)(lambda k: YoungDiagram(k, 0))
 
 
-def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = None) -> SolverReport:
+def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
     """Decide k-extendibility of rho_ab with the extension confined to the top sector.
 
     For a qubit B side a k-leg permutation-invariant extension exists if and
@@ -374,15 +362,13 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int, cfg: SolverConfig | None = No
     if k > BLOCK_CAP:
         raise block_cap_error(k)
     dA = rho_ab.dims[0]
-    return _solve_sym(
-        rho_ab, k, cfg, lambda top, atol: BlockState(k, dA, {_top_sector(k): top}, atol=atol, check_psd=False)
-    )
+    return _solve_sym(rho_ab, k, lambda top: BlockState(k, dA, {_top_sector(k): top}, atol=1e-6, check_psd=False))
 
 
 solve_bosonic = solve_symmetric
 
 
-def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig | None = None) -> SolverReport:
+def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int) -> SolverReport:
     """Two-leg bosonic extendibility for any B dimension.
 
     The variable lives on A tensor the symmetric pair subspace; the affine set
@@ -393,7 +379,7 @@ def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int, cfg: SolverConfig |
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != dB:
         raise ValueError(f"layout {rho_ab.dims} does not match a B dimension of {dB}")
     dims = (rho_ab.dims[0], dB * (dB + 1) // 2)
-    return _solve_sym(rho_ab, 2, cfg, lambda pair, atol: DensityMatrix(pair, dims, atol=atol, check_psd=False))
+    return _solve_sym(rho_ab, 2, lambda pair: DensityMatrix(pair, dims, atol=1e-6, check_psd=False))
 
 
 def qutrit_counterexample(coeffs=(1.0, 2.0, 3.0)):

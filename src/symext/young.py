@@ -1,4 +1,4 @@
-"""Two-row partitions of k spins and their coupling-path combinatorics."""
+"""Two-row partitions of k spins and the count of their coupling paths."""
 
 from __future__ import annotations
 
@@ -61,24 +61,3 @@ def hook_dim(lam: YoungDiagram) -> int:
     """Number of standard tableaux of the diagram (hook length formula)."""
     l1, l2 = lam.lambda1, lam.lambda2
     return factorial(l1 + l2) * (l1 - l2 + 1) // (factorial(l2) * factorial(l1 + 1))
-
-
-def coupling_paths(k: int) -> dict[YoungDiagram, list[tuple[float, ...]]]:
-    """Intermediate-spin sequences, grouped by final sector, lexicographic order."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    paths: list[tuple[float, ...]] = [(0.5,)]
-    for _ in range(k - 1):
-        grown = []
-        for p in paths:
-            j = p[-1]
-            if j > 0:
-                grown.append(p + (j - 0.5,))
-            grown.append(p + (j + 0.5,))
-        paths = grown
-    grouped: dict[YoungDiagram, list[tuple[float, ...]]] = {}
-    for p in sorted(paths):
-        j = p[-1]
-        lam = YoungDiagram(int(round(k / 2 + j)), int(round(k / 2 - j)))
-        grouped.setdefault(lam, []).append(p)
-    return grouped

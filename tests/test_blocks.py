@@ -15,7 +15,7 @@ from symext.blocks import (
     global_to_blocks,
     marginal_from_blocks,
 )
-from symext import caps
+from symext import caps, schur
 from symext.convert import BosonicState, sym_to_bos
 from symext.linalg import DensityMatrix, eigenvalue_below
 from symext.schur import build_schur_basis, sym_isometry
@@ -221,36 +221,73 @@ def test_gen_refuses_k_above_the_cap_before_drawing(monkeypatch):
         BlockState(65, 1, {})
 
 
-def _refused_without_allocating(call, message):
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=message):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**16
+
+
+def _refused_without_allocating(call, message):
+    def refused():
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    assert _traced_peak(refused) < 2**16
 
 
 def test_full_space_arrays_above_the_byte_bound_are_refused_before_allocation(monkeypatch):
-    # at the 1 GiB bound an embedded state with dA 2^k above 8192 is refused:
-    # from k = 14 at dA = 1, k = 13 at dA = 2 and k = 12 at dA = 3 or 4
-    for dA, k, mib in ((1, 14, "4096"), (2, 13, "4096"), (3, 12, "2304"), (4, 12, "4096")):
+    # an embedded state is charged six times its 16 (dA 2^k)^2 bytes, so at the
+    # 1 GiB bound it is refused above dA 2^k = 3344: from k = 12 at dA = 1,
+    # k = 11 at dA = 2 or 3 and k = 10 at dA = 4
+    for dA, k, mib in ((1, 12, "1536"), (2, 11, "1536"), (3, 11, "3456"), (4, 10, "1536")):
         sigma = BosonicState(dA, k, np.eye(dA * (k + 1)) / (dA * (k + 1)))
         message = rf"^the embedded state of dA={dA}, k={k} needs {mib}\.0 MiB, above the 1024 MiB limit$"
         _refused_without_allocating(sigma.embed, message)
-    # at a 1 MiB bound: the k = 8 basis takes 0.5 MiB and a dA = 1, k = 8
-    # state exactly 1 MiB; the k = 9 basis takes 2 MiB, a dA = 2, k = 8 state 4 MiB
-    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
+    # at a 6 MiB bound: the k = 8 basis is charged 1.5 MiB and a dA = 1, k = 8
+    # state exactly 6 MiB; the k = 10 basis and a dA = 2, k = 8 state 24 MiB
+    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 6 * 2**20)
     basis = build_schur_basis(8)
     _, small = gen_random_extendible(8, 1, 0)
     assert blocks_to_global(small, basis).dim == sym_to_bos(small).embed().dim == 256
     _, witness = gen_random_extendible(8, 2, 0)
     bosonic = sym_to_bos(witness)
-    limit = r"needs 4\.0 MiB, above the 1 MiB limit$"
-    _refused_without_allocating(lambda: build_schur_basis(9), r"^the Schur basis of k=9 needs 2\.0 MiB, ")
+    limit = r"needs 24\.0 MiB, above the 6 MiB limit$"
+    _refused_without_allocating(lambda: build_schur_basis(10), "^the Schur basis of k=10 " + limit)
     _refused_without_allocating(lambda: blocks_to_global(witness, basis), "^the glued state of dA=2, k=8 " + limit)
     _refused_without_allocating(bosonic.embed, "^the embedded state of dA=2, k=8 " + limit)
+
+
+def test_full_space_builds_peak_within_the_bytes_charged(monkeypatch):
+    # the byte bound charges each call its peak, not its output: the glue and
+    # the embedding peak at about five outputs, the basis at about two
+    charged = []
+
+    def recorded(what, nbytes):
+        charged.append(nbytes)
+        caps.check_dense_bytes(what, nbytes)
+
+    for module in ("blocks", "convert", "schur"):
+        monkeypatch.setattr(f"symext.{module}.check_dense_bytes", recorded)
+    # outputs of 4, 2.25 and 1 MiB; the largest call peaks near 20 MiB
+    for k, dA in ((8, 2), (7, 3), (6, 4)):
+        basis = build_schur_basis(k)
+        _, witness = gen_random_extendible(k, dA, 0)
+        bosonic = sym_to_bos(witness)
+        for call in (lambda: blocks_to_global(witness, basis), bosonic.embed):
+            charged.clear()
+            peak = _traced_peak(call)
+            assert charged == [6 * 16 * (dA * 2**k) ** 2]
+            assert 4 * 16 * (dA * 2**k) ** 2 < peak <= charged[0], (k, dA, peak / charged[0])
+    # bases of 0.5 and 8 MiB, built afresh
+    for k in (8, 10):
+        schur._build_schur_basis_cached.cache_clear()
+        charged.clear()
+        peak = _traced_peak(lambda: build_schur_basis(k))
+        assert charged == [3 * 8 * 4**k]
+        assert 8 * 4**k < peak <= charged[0], (k, peak / charged[0])
 
 
 def test_gen_builds_its_psd_blocks_without_a_positivity_check(monkeypatch):

@@ -62,6 +62,11 @@ def test_bosonic_state_validation():
     # numpy integers are integers; the sizes are kept as Python ints
     bos = BosonicState(np.int64(2), np.uint8(2), np.eye(6) / 6)
     assert (bos.dA, bos.k) == (2, 2) and type(bos.dA) is int and type(bos.k) is int
+    # k runs over 1..64, as for a BlockState
+    for k in (0, -1, 65):
+        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.64$"):
+            BosonicState(2, k, np.eye(2) / 2)
+    assert BosonicState(1, 64, np.eye(65) / 65).k == 64
 
 
 def test_conversion_keeps_the_trace_and_finiteness_checks():
@@ -97,6 +102,19 @@ def test_constructors_hold_finite_entries_where_the_hermitian_sum_overflows():
     tiny = np.array([[0.5, 5e-324], [5e-324, 0.5]])
     assert DensityMatrix(tiny, (2,), check_psd=False).matrix[0, 1] == 5e-324
     assert BosonicState(1, 1, tiny).matrix[1, 0] == 5e-324
+
+
+def test_a_deviation_that_overflows_is_reported_as_inf():
+    # finite entries whose x - x^H overflows: the deviation is unbounded, not NaN
+    m = np.array([[0.5, 1.7e308], [-1.7e308, 0.5]])
+    top = YoungDiagram(1, 0)
+    for build, message in (
+        (lambda: DensityMatrix(m, (2,)), r"^matrix is not Hermitian within 1e-08 \(deviation inf\)$"),
+        (lambda: BlockState(1, 1, {top: m}), r"^block for \[1,0\] not Hermitian \(deviation inf\)$"),
+        (lambda: BosonicState(1, 1, m), r"^matrix not Hermitian \(deviation inf\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 10, 16, 32, 64])
@@ -361,6 +379,11 @@ def test_verify_accepts_block_certificates():
     for k in (9.0, True):
         with pytest.raises(ValueError, match="^k must be an integer, got "):
             verify_extension(w2, rho2, k)
+    # an infinite tol would pass anything and a NaN fail everything
+    for tol in (-1e-8, float("inf"), float("nan"), -0.5):
+        with pytest.raises(ValueError, match="^tol must be finite and not negative, got "):
+            verify_extension(w2, rho2, 9, tol=tol)
+    assert verify_extension(w2, rho2, 9, tol=0.0).tol == 0.0
 
 
 def test_maximally_mixed_is_tilde_fixed_point():
@@ -412,3 +435,7 @@ def test_tilde_validation():
             tilde_state(product_state(), k)
     # numpy integers are integers
     assert np.array_equal(tilde_state(product_state(), np.int64(3)).state.matrix, tilde_state(product_state(), 3).state.matrix)
+    # the mixing weights are floats, so k must fit in one
+    with pytest.raises(ValueError, match="^k does not fit in a float$"):
+        tilde_state(product_state(), 10**400)
+    assert tilde_state(product_state(), 10**300).ppt

@@ -404,6 +404,20 @@ def test_usage_errors_exit_one(tmp_path):
     code, report = run_command(["check-sym", "--k", "2", "--in", str(tri)])
     assert code == 1
     assert "bipartite" in report
+    # a k too large for a float, a tol that would pass or fail everything, and
+    # a bosonic file of zero legs
+    code, report = run_command(["tilde", "--k", "1" + "0" * 400, "--in", good])
+    assert code == 1 and "error: k does not fit in a float\nstatus: ERROR" in report
+    rho, witness = gen_random_extendible(3, 2, 4)
+    sigma, marginal = tmp_path / "sigma.state", write_state(rho, tmp_path / "rho.state")
+    save_bosonic(sym_to_bos(witness), sigma)
+    for tol in ("inf", "nan", "-1e-8"):
+        code, report = run_command(["verify", "--k", "3", "--ext", str(sigma), "--marginal", marginal, f"--tol={tol}"])
+        assert code == 1 and "error: tol must be finite and not negative, got " in report, tol
+    zero = tmp_path / "zero.bos"
+    save_matrix_file(zero, np.eye(2) / 2, [2, "sym(0)"])
+    code, report = run_command(["verify", "--k", "0", "--ext", str(zero), "--marginal", good])
+    assert code == 1 and f"error: {zero}: k=0 outside 1..64\nstatus: ERROR" in report
 
 
 def test_main_prints_and_exits(tmp_path, capsys):

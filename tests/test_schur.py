@@ -21,9 +21,43 @@ def test_basis_orthonormal_small():
     # every sector side by side is one square matrix: a unitary
     for k in range(1, 11):
         basis = build_schur_basis(k)
+        for lam in list_diagrams(k):
+            # one coupling path per standard tableau
+            assert basis.sector(lam).shape == (2**k, hook_dim(lam), lam.num_weights)
         b = np.concatenate([basis.sector(lam).reshape(2**k, -1) for lam in list_diagrams(k)], axis=1)
         assert b.shape == (2**k, 2**k)
         assert np.abs(b.conj().T @ b - np.eye(2**k)).max() <= 1e-12
+
+
+def test_sector_paths_follow_the_coupling_in_lexicographic_order():
+    # the path of a basis vector is read off the vector itself: the spin j_t
+    # of its first t qubits, from their Casimir J^2 = 3t/4 - t(t-1)/4 plus the
+    # sum of the swaps among them, which has the vector as an eigenvector
+    for k in range(1, 8):
+        basis = build_schur_basis(k)
+        swaps, casimirs = np.zeros((2**k, 2**k)), []
+        for t in range(1, k + 1):
+            for a in range(t - 1):
+                perm = list(range(k))
+                perm[a], perm[t - 1] = t - 1, a
+                swaps = swaps + permutation_operator(k, perm)
+            casimirs.append(swaps + (3 * t - t * (t - 1)) / 4 * np.eye(2**k))
+        for lam in list_diagrams(k):
+            sec = basis.sector(lam)
+            paths = []
+            for mu in range(sec.shape[1]):
+                v = sec[:, mu, 0]
+                path = []
+                for c in casimirs:
+                    value = float(v @ c @ v)
+                    assert np.abs(c @ v - value * v).max() <= 1e-12
+                    path.append(round(np.sqrt(1 + 4 * value) - 1) / 2)
+                paths.append(tuple(path))
+            assert len(paths) == hook_dim(lam) and paths == sorted(set(paths)), (k, lam)
+            for path in paths:
+                # each step couples one more spin-1/2
+                assert path[0] == 0.5 and path[-1] == lam.spin
+                assert all(abs(a - b) == 0.5 for a, b in zip(path, path[1:]))
 
 
 def test_singlet_sector_is_the_singlet():
@@ -224,9 +258,9 @@ def test_build_rejects_bad_k():
     for k in (2.0, True):
         with pytest.raises(ValueError, match="^k must be an integer, got "):
             build_schur_basis(k)
-    # 8 * 4^k bytes: 2 GiB at k = 14, above the 1 GiB bound, refused before it is built
-    with pytest.raises(ValueError, match=r"^the Schur basis of k=14 needs 2048\.0 MiB, above the 1024 MiB limit$"):
-        build_schur_basis(14)
+    # charged 3 * 8 * 4^k bytes: 1.5 GiB at k = 13, above the 1 GiB bound, refused before it is built
+    with pytest.raises(ValueError, match=r"^the Schur basis of k=13 needs 1536\.0 MiB, above the 1024 MiB limit$"):
+        build_schur_basis(13)
     assert build_schur_basis(np.int64(3)).k == 3
 
 

@@ -12,7 +12,6 @@ from symext.solver import (
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
-    SolverConfig,
     qutrit_counterexample,
     solve_bosonic,
     solve_bosonic_k2_generic,
@@ -20,16 +19,6 @@ from symext.solver import (
 )
 from symext.schur import sym_isometry
 from symext.young import YoungDiagram
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_feasible=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    # infeasibility is certified by a witness, not by a gap threshold
-    with pytest.raises(TypeError):
-        SolverConfig(tol_infeasible_gap=1e-6)
 
 
 def test_symmetric_and_bosonic_are_one_solver():
@@ -117,16 +106,18 @@ def test_bosonic_rejects_singlet():
     assert report.gap_estimate >= 1e-3
 
 
-def test_undecided_on_iteration_starvation():
+def test_undecided_on_iteration_starvation(monkeypatch):
     # state 429 of the two-copy draw is extendible, but only barely: DR needs
     # hundreds of iterations to reach a certificate
     rho = DensityMatrix(random_two_qubit_states(430)[429], (2, 2))
-    report = solve_symmetric(rho, 2, SolverConfig(max_iter=10))
+    monkeypatch.setattr(solver, "_MAX_ITER", 10)
+    report = solve_symmetric(rho, 2)
     assert report.status == UNDECIDED
     assert report.certificate is None and report.witness is None
     assert report.iterations == 10
     # gap_estimate is the length of the last DR step, measured at the exit
     assert report.gap_estimate == 0.009261101051190306
+    monkeypatch.undo()
     assert solve_symmetric(rho, 2).status == FEASIBLE
 
 

@@ -10,12 +10,19 @@ module-level function or class must be read somewhere in the package outside
 its own definition, `__init__.py` not counted, or be named in the benchmark
 (`bench/*.py`) as a name, an attribute or a string: the benchmark's span
 table names the functions it wraps by string.
+
+The package's exports, `symext.__all__`, are exactly the names that the
+Library section of README.md lists as exported, so that an export cannot be
+added or kept without the README saying so.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
+
+import symext
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "symext"
@@ -91,6 +98,30 @@ def public_names_only_tests_use(package: dict[str, str], bench: list[str]) -> li
             if not any(node.name in _references(other, skip=node) for other in trees.values()):
                 unused.append(f"{module} line {node.lineno}: {node.name}")
     return unused
+
+
+def readme_exports(readme: str) -> list[str]:
+    """The names in the README's sentence "The package exports N names: ...",
+    after checking that N is their count."""
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    count, sentence = re.search(r"The package exports (\d+) names:(.*?)\.(?:\s|$)", section, re.S).groups()
+    names = re.findall(r"`(\w+)`", sentence)
+    assert len(names) == int(count), (count, names)
+    return names
+
+
+def test_the_check_reads_the_readme_exports():
+    readme = (
+        "# x\n\n## Library\n\nIt is importable. The package exports 2 names: `a`\nand `b_c`. Also `d`.\n"
+        "\n## Other\n\nThe package exports 1 names: `e`.\n"
+    )
+    assert readme_exports(readme) == ["a", "b_c"]
+
+
+def test_the_readme_lists_every_export_and_no_other():
+    exported = readme_exports((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sorted(exported) == sorted(symext.__all__)
+    assert len(set(symext.__all__)) == len(symext.__all__)
 
 
 def test_the_check_finds_an_unused_import():

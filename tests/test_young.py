@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symext.young import YoungDiagram, coupling_paths, hook_dim, list_diagrams
+from symext.young import YoungDiagram, hook_dim, list_diagrams
 
 
 def multiplicity(k, lam):
@@ -99,18 +99,3 @@ def test_multiplicity_equals_hook_dim():
     for k in range(1, 13):
         for lam in list_diagrams(k):
             assert multiplicity(k, lam) == hook_dim(lam)
-
-
-def test_coupling_paths_counts_and_order():
-    for k in range(1, 9):
-        paths = coupling_paths(k)
-        assert set(paths) == set(list_diagrams(k))
-        for lam, plist in paths.items():
-            assert len(plist) == hook_dim(lam)
-            assert plist == sorted(plist)
-            for path in plist:
-                assert len(path) == k
-                assert path[0] == 0.5
-                assert path[-1] == lam.spin
-                # each step couples one more spin-1/2
-                assert all(abs(a - b) == 0.5 for a, b in zip(path, path[1:]))
