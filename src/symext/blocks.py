@@ -13,7 +13,7 @@ import numpy as np
 
 from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
-from .schur import SchurBasis, alpha_coeff, diag_coeffs
+from .schur import SchurBasis, sector_tables
 from .young import YoungDiagram, hook_dim, list_diagrams
 
 PROFILE_ALL = "all"
@@ -118,28 +118,21 @@ def global_to_blocks(rho: DensityMatrix, basis: SchurBasis) -> BlockState:
     return BlockState(k, dA, blocks)
 
 
-def _accumulate_marginal(out: np.ndarray, k: int, dA: int, lam: YoungDiagram, x: np.ndarray) -> None:
-    # out has shape (dA, 2, dA, 2); adds the (A, B1) marginal of one glued sector
-    d = hook_dim(lam)
-    nw = lam.num_weights
-    xr = np.asarray(x).reshape(dA, nw, dA, nw)
-    for iw, w in enumerate(lam.weights()):
-        t0, t1 = diag_coeffs(k, w)
-        diag = xr[:, iw, :, iw]
-        out[:, 0, :, 0] += d * t0 * diag
-        out[:, 1, :, 1] += d * t1 * diag
-        if iw + 1 < nw:
-            a = alpha_coeff(lam, w, w + 1)
-            cross = xr[:, iw, :, iw + 1]
-            out[:, 0, :, 1] += d * a * cross
-            out[:, 1, :, 0] += d * a * cross.conj().T
-
-
-def raw_marginal_from_blocks(k: int, dA: int, items) -> np.ndarray:
+def raw_marginal_from_blocks(dA: int, items) -> np.ndarray:
     """(A, B1) marginal matrix for raw (sector, block) pairs, no validation."""
     out = np.zeros((dA, 2, dA, 2), dtype=complex)
     for lam, x in items:
-        _accumulate_marginal(out, k, dA, lam, x)
+        c0, c1, ca, _ = sector_tables(lam)
+        nw = lam.num_weights
+        xr = np.asarray(x).reshape(dA, nw, dA, nw)
+        for iw in range(nw):
+            diag = xr[:, iw, :, iw]
+            out[:, 0, :, 0] += c0[iw] * diag
+            out[:, 1, :, 1] += c1[iw] * diag
+            if iw + 1 < nw:
+                cross = xr[:, iw, :, iw + 1]
+                out[:, 0, :, 1] += ca[iw] * cross
+                out[:, 1, :, 0] += ca[iw] * cross.conj().T
     return out.reshape(2 * dA, 2 * dA)
 
 
@@ -148,7 +141,7 @@ def marginal_from_blocks(bs: BlockState) -> DensityMatrix:
 
     Only k, dA and blocks are read, so a BosonicState (its top sector) works too.
     """
-    matrix = raw_marginal_from_blocks(bs.k, bs.dA, bs.blocks.items())
+    matrix = raw_marginal_from_blocks(bs.dA, bs.blocks.items())
     # positivity is structural: the glued global state is PSD
     return DensityMatrix(matrix, (bs.dA, 2), check_psd=False)
 

@@ -2,11 +2,12 @@
 partial-transpose screen.
 
 The conversion rescales each block entrywise by the unit-diagonal PSD matrix
-of its sector and embeds the result into the weight slots of the symmetric
-subspace. The Schur product keeps every block PSD, the unit diagonal keeps the
-weighted trace, and the adjacent-weight entries of the rescaling matrix are
-exactly the ratio of marginal coefficients, so the (A, B1) marginal is
-unchanged.
+P of its sector, times the sector's tableau count (the `scale` of
+`schur.sector_tables`), and embeds the result into the weight slots of the
+symmetric subspace. The Schur product keeps every block PSD, the unit
+diagonal keeps the weighted trace, and the adjacent-weight entries of the
+rescaling matrix are exactly the ratio of marginal coefficients, so the
+(A, B1) marginal is unchanged.
 
 Certificates are verified in sector coordinates at every k: a BlockState
 sector by sector, a BosonicState as its one top sector. Gluing the blocks
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .blocks import BlockState, raw_marginal_from_blocks
 from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, hermitian_part, min_eigenvalue, partial_transpose
-from .schur import coeff_matrix_P, sym_isometry
+from .schur import sector_tables, sym_isometry
 from .young import YoungDiagram, hook_dim
 
 
@@ -103,23 +103,13 @@ class BosonicState:
         return f"BosonicState(dA={self.dA}, k={self.k})"
 
 
-# Up to the block cap of 64 there are about 1,100 diagrams, whose scales take
-# about 6 MB together.
-@lru_cache(maxsize=2048)
-def _sector_scale(lam: YoungDiagram) -> np.ndarray:
-    """hook_dim(lam) * coeff_matrix_P(lam), read-only: it depends on the diagram alone."""
-    scale = hook_dim(lam) * coeff_matrix_P(lam)
-    scale.flags.writeable = False
-    return scale
-
-
 def _bosonic_sum(bs: BlockState) -> np.ndarray:
     """The matrix of sym_to_bos(bs), unchecked."""
     k, dA = bs.k, bs.dA
     out = np.zeros((dA, k + 1, dA, k + 1), dtype=complex)
     for lam, x in bs.blocks.items():
         nw = lam.num_weights
-        scale = _sector_scale(lam)
+        *_, scale = sector_tables(lam)
         xr = x.reshape(dA, nw, dA, nw)
         lo = lam.lambda2  # weight -j sits at slot lambda2
         out[:, lo : lo + nw, :, lo : lo + nw] += xr * scale[None, :, None, :]
@@ -231,7 +221,7 @@ def _verify_sectors(sigma: BlockState | BosonicState, rho_ab: DensityMatrix, k: 
     low = min((float(np.linalg.eigvalsh(x)[0]) for _, x in items), default=0.0)
     weights = [(lam, hook_dim(lam) * float(x.trace().real)) for lam, x in items]
     trace_dev = abs(sum(w for _, w in weights) - 1.0)
-    marg = raw_marginal_from_blocks(k, sigma.dA, items)
+    marg = raw_marginal_from_blocks(sigma.dA, items)
     marg_dev = float(np.linalg.norm(marg - rho_ab.matrix))
     top = YoungDiagram(k, 0)
     outside = sum(w for lam, w in weights if lam != top)

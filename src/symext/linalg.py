@@ -7,7 +7,7 @@ computational basis index.
 
 from __future__ import annotations
 
-from math import inf, isnan, prod, sqrt
+from math import inf, isfinite, isnan, prod, sqrt
 
 import numpy as np
 
@@ -24,7 +24,8 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
     the message nonfinite, or not_hermitian formatted with the fields atol
     and dev. A non-finite entry always makes the deviation inf or NaN, so the
     entries are scanned only once the deviation check has failed, to pick
-    the message; a finite x whose x - x^H overflows reports dev as inf.
+    the message. Where the squared norm overflows, dev is measured on a
+    scaled x - x^H, and a finite x whose x - x^H overflows reports dev as inf.
     Where x + x^H overflows, the result is x / 2 + x^H / 2, which is finite;
     every other result is (x + x^H) * 0.5, bit for bit.
     """
@@ -35,7 +36,12 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
     if not dev <= atol:
         if not np.isfinite(x).all():
             raise ValueError(nonfinite)
-        # an overflowed entry of d can make the vdot NaN
+        if not isfinite(dev):
+            # the squared norm overflowed: scale d to parts of at most 1 first;
+            # an entry of d that overflowed itself leaves dev NaN or inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                s = max(np.abs(d.real).max(), np.abs(d.imag).max())
+                dev = s / 2 * sqrt(np.vdot(d / s, d / s).real)
         raise ValueError(not_hermitian.format(atol=atol, dev=inf if isnan(dev) else dev))
     try:
         with np.errstate(over="raise"):

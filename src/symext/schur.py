@@ -6,6 +6,17 @@ labelled by a two-row sector, a coupling path, and a total J_z weight. In
 this basis every permutation of the qubits is block diagonal over
 (sector, weight), and for a fixed sector the block is the same matrix for
 every weight, which is what makes per-sector block coordinates well defined.
+
+Each sector also has a table of coefficients (`sector_tables`). Averaged
+over its paths, the term between weights w and w' of sector lam traces down,
+on one qubit, to diag(t0, t1) when w' = w, with t0 = (k - 2w) / (2k) and
+t1 = (k + 2w) / (2k), to alpha |0><1| when w' = w + 1, with
+alpha = sqrt((j - w)(j + w + 1)) / k for the sector's spin j, and to zero
+otherwise. A block becomes bosonic through the entrywise product with
+P = xi xi^T + diag(1 - xi^2), unit diagonal and PSD because every xi is at
+most 1, whose adjacent entries are the ratios p of the sector's alpha to the
+top sector's, so that the pair marginal does not move. The tables are cached
+per diagram: all of them up to the block cap of 64 take about 6.8 MiB.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from math import sqrt
 import numpy as np
 
 from .caps import check_dense_bytes, integer_size
-from .young import YoungDiagram, list_diagrams
+from .young import YoungDiagram, hook_dim, list_diagrams
 
 
 def _cg(j: float, m: float, s: float, up: bool) -> float:
@@ -121,81 +132,42 @@ def sym_isometry(k: int, d: int) -> np.ndarray:
     return v
 
 
-def alpha_coeff(lam: YoungDiagram, omega: float, omega_p: float) -> float:
-    """Off-diagonal one-qubit marginal coefficient of a sector cross term.
+@lru_cache(maxsize=2048)
+def sector_tables(lam: YoungDiagram) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients of one sector, (c0, c1, ca, scale), read-only and cached.
 
-    The averaged cross term between weights omega and omega_p of a sector
-    traces down to alpha * |0><1| on one qubit; alpha vanishes unless
-    omega_p = omega + 1.
+    With d = hook_dim(lam), j = lam.spin and the weights w of `lam.weights()`,
+    c0 and c1 hold d t0 = d (k - 2w) / (2k) and d t1 = d (k + 2w) / (2k) per
+    weight, ca holds d alpha = d sqrt((j - w)(j + w + 1)) / k per adjacent pair
+    (w, w + 1), at its lesser weight, and scale is d P. The adjacent entries of
+    P are p = sqrt((j - w)(j + w + 1) / ((k/2 - w)(k/2 + w + 1))); the others
+    are those of xi xi^T + diag(1 - xi^2), where xi is sqrt(p) on both weights
+    of the pair with the largest p and extends outward by xi_i xi_(i+1) = p_i.
+
+    Every xi is at most 1. p^2 = (a - u) / (b - u) with u = w(w + 1),
+    a = j(j + 1) <= b = (k/2)(k/2 + 1), so p <= 1 and p falls as u grows, that
+    is away from the middle pair. Hence xi_i = xi_(i+2) p_i / p_(i+1) <= xi_(i+2)
+    walking left from the largest p (mirrored to the right), and the two
+    amplitudes that start each walk, sqrt(p) and p_i / sqrt(p), are at most
+    sqrt(max p) <= 1.
     """
-    j = lam.spin
-    if abs(omega_p - omega - 1.0) > 1e-9:
-        return 0.0
-    lam.weight_index(omega)
-    lam.weight_index(omega_p)
-    return sqrt((j - omega) * (j + omega + 1)) / lam.k
-
-
-def diag_coeffs(k: int, omega: float) -> tuple[float, float]:
-    """Diagonal one-qubit marginal (t0, t1) of an averaged weight term."""
-    t0 = (k - 2 * omega) / (2 * k)
-    t1 = (k + 2 * omega) / (2 * k)
-    if t0 < -1e-12 or t1 < -1e-12:
-        raise ValueError(f"weight {omega} outside -k/2..k/2 for k={k}")
-    return t0, t1
-
-
-def p_coeff(lam: YoungDiagram, omega: float, omega_p: float) -> float:
-    """Entrywise rescaling factor between a sector and the top sector.
-
-    Equals 1 on the diagonal; for adjacent weights it is the ratio of the
-    alpha coefficient of the sector to that of the top sector, evaluated at
-    the lesser weight; all remaining entries factor through the xi vector.
-    """
-    iw = lam.weight_index(omega)
-    iw_p = lam.weight_index(omega_p)
-    if iw == iw_p:
-        return 1.0
-    if abs(iw - iw_p) == 1:
-        j = lam.spin
-        lo = min(omega, omega_p)
-        num = (j - lo) * (j + lo + 1)
-        den = (lam.k / 2 - lo) * (lam.k / 2 + lo + 1)
-        return sqrt(num / den)
-    xi = xi_vector(lam)
-    return float(xi[iw] * xi[iw_p])
-
-
-def xi_vector(lam: YoungDiagram) -> np.ndarray:
-    """Unit-bounded amplitudes whose pairwise products fill the rescaling matrix.
-
-    Anchored at the adjacent weight pair with the largest rescaling factor and
-    extended outward by the two-term recursion; the factors are unimodal in the
-    weight, which keeps every amplitude at most 1.
-    """
-    nw = lam.num_weights
-    if nw == 1:
-        return np.ones(1)
+    k, j, nw, d = lam.k, lam.spin, lam.num_weights, hook_dim(lam)
     ws = lam.weights()
-    p_adj = np.array([p_coeff(lam, ws[i], ws[i + 1]) for i in range(nw - 1)])
-    xi = np.zeros(nw)
-    anchor = int(np.argmax(p_adj))
-    xi[anchor] = xi[anchor + 1] = sqrt(p_adj[anchor])
-    for i in range(anchor - 1, -1, -1):
-        xi[i] = p_adj[i] / xi[i + 1]
-    for i in range(anchor + 2, nw):
-        xi[i] = p_adj[i - 1] / xi[i - 1]
-    if np.any(xi > 1 + 1e-9):
-        raise ArithmeticError(f"xi recursion produced an amplitude above 1 for [{lam.lambda1},{lam.lambda2}]")
-    return xi
-
-
-def coeff_matrix_P(lam: YoungDiagram) -> np.ndarray:
-    """Unit-diagonal PSD rescaling matrix xi xi^T + diag(1 - xi^2)."""
-    xi = xi_vector(lam)
+    lo = ws[:-1]
+    alpha = np.sqrt((j - lo) * (j + lo + 1)) / k
+    p_adj = np.sqrt((j - lo) * (j + lo + 1) / ((k / 2 - lo) * (k / 2 + lo + 1)))
+    xi = np.ones(nw)
+    if nw > 1:
+        anchor = int(np.argmax(p_adj))
+        xi[anchor] = xi[anchor + 1] = sqrt(p_adj[anchor])
+        for i in range(anchor - 1, -1, -1):
+            xi[i] = p_adj[i] / xi[i + 1]
+        for i in range(anchor + 2, nw):
+            xi[i] = p_adj[i - 1] / xi[i - 1]
     p = np.outer(xi, xi) + np.diag(1.0 - xi**2)
-    if lam.num_weights >= 2:
-        ws = lam.weights()
-        for i in range(lam.num_weights - 1):
-            p[i, i + 1] = p[i + 1, i] = p_coeff(lam, ws[i], ws[i + 1])
-    return p
+    adj = np.arange(nw - 1)
+    p[adj, adj + 1] = p[adj + 1, adj] = p_adj
+    tables = (d * ((k - 2 * ws) / (2 * k)), d * ((k + 2 * ws) / (2 * k)), d * alpha, d * p)
+    for a in tables:
+        a.flags.writeable = False
+    return tables

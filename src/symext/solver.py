@@ -26,8 +26,10 @@ Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the
 affine set to the cone, which lies in the range of A^T and is PSD
 (Banjac, Goulart, Stellato and Boyd, JOTA 2019). The least-squares
-y = (A A^T)^+ A d is made exact on the cone side by adding -lambda_min(A^T y)
-to its trace entry: the trace row's A^T is the identity, so A^T y' is PSD.
+y = (A A^T)^+ A d, its marginal part replaced by its Hermitian part and its
+trace entry by its real part, so that the vector tested is the one reported,
+is made exact on the cone side by adding -lambda_min(A^T y) to its trace
+entry: the trace row's A^T is the identity, so A^T y' is PSD.
 If then b^T y' < 0 beyond the rounding of the eigvalsh and of the dot
 product, no PSD block X can satisfy A X = b, since that would give
 b^T y' = <A^T y', X> >= 0. Read as operators, y' is a Farkas witness
@@ -65,7 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import sqrt
+from math import isqrt, sqrt
 from typing import Any
 
 import numpy as np
@@ -235,6 +237,12 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
     """
     n, cols, amap = cmap.n, cmap.cols, cmap.amap
     y = _real_times(cmap.gram_pinv, _real_times(amap, d.reshape(-1)[cols]))
+    # the vector tested is the one reported: eigvalsh reads only the lower
+    # triangle of A^T y, so y's marginal part must be Hermitian, its trace real
+    m = isqrt(len(y) - 1)
+    marginal = y[:-1].reshape(m, m)
+    marginal[...] = (marginal + marginal.conj().T) / 2
+    y[-1] = y[-1].real
     z = np.zeros(n * n, dtype=complex)
     z[cols] = _real_times(amap.T, y)
     w = np.linalg.eigvalsh(z.reshape(n, n))
@@ -338,8 +346,8 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, certify) -> SolverReport:
     if status == FEASIBLE:
         report.certificate = certify(x)
     elif status == INFEASIBLE:
-        w = x[:-1].reshape(dA * dB, dA * dB)
-        report.witness = Witness((w + w.conj().T) / 2, float(x[-1].real))
+        # _farkas leaves the marginal part Hermitian and the trace entry real
+        report.witness = Witness(x[:-1].reshape(dA * dB, dA * dB), float(x[-1].real))
     return report
 
 

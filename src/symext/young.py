@@ -40,12 +40,6 @@ class YoungDiagram:
         """Total J_z eigenvalues carried by the sector, ascending."""
         return -self.spin + np.arange(self.num_weights, dtype=float)
 
-    def weight_index(self, omega: float) -> int:
-        i = int(round(omega + self.spin))
-        if not 0 <= i < self.num_weights or abs(i - self.spin - omega) > 1e-9:
-            raise ValueError(f"weight {omega} not valid for [{self.lambda1},{self.lambda2}]")
-        return i
-
     def __str__(self):
         return f"[{self.lambda1},{self.lambda2}]"
 

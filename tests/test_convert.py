@@ -22,14 +22,13 @@ from symext.blocks import (
 from symext.convert import (
     BosonicState,
     _bosonic_sum,
-    _sector_scale,
     _swap_adjacent_legs,
     sym_to_bos,
     tilde_state,
     verify_extension,
 )
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
-from symext.schur import build_schur_basis, coeff_matrix_P
+from symext.schur import build_schur_basis, sector_tables
 from symext.solver import qutrit_counterexample, solve_symmetric
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
@@ -117,13 +116,27 @@ def test_a_deviation_that_overflows_is_reported_as_inf():
             build()
 
 
+def test_a_deviation_whose_square_overflows_is_reported_finite():
+    # x - x^H is finite but its squared norm is not: the deviation is
+    # ||x - x^H|| / 2 = sqrt(2) 1e200, measured on a scaled copy
+    m = np.array([[0.5, 1e200], [-1e200, 0.5]])
+    top = YoungDiagram(1, 0)
+    for build, message in (
+        (lambda: DensityMatrix(m, (2,)), r"^matrix is not Hermitian within 1e-08 \(deviation 1\.414e\+200\)$"),
+        (lambda: BlockState(1, 1, {top: m}), r"^block for \[1,0\] not Hermitian \(deviation 1\.414e\+200\)$"),
+        (lambda: BosonicState(1, 1, m), r"^matrix not Hermitian \(deviation 1\.414e\+200\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 10, 16, 32, 64])
 def test_conversion_sum_is_its_own_hermitian_part(k):
     # sym_to_bos skips the Hermitian check: its sum of Schur products of
     # Hermitian blocks with real symmetric scales must equal its Hermitian
     # part bit for bit, planted witnesses and solver certificates alike
     for lam in list_diagrams(k):
-        scale = _sector_scale(lam)
+        *_, scale = sector_tables(lam)
         assert np.array_equal(scale, scale.T), lam
     for dA in (1, 2, 3, 4):
         for profile in (PROFILE_ALL, PROFILE_EXCLUDE_BOSONIC):
@@ -189,20 +202,26 @@ def test_entrywise_rescale_keeps_blocks_psd():
             n = dA * lam.num_weights
             g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
             x = g @ g.conj().T
-            scale = np.kron(np.ones((dA, dA)), coeff_matrix_P(lam))
+            scale = np.kron(np.ones((dA, dA)), sector_tables(lam)[3])
             assert np.linalg.eigvalsh(x * scale)[0] > -1e-10
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 33])
 def test_cached_sector_scale_is_read_only_and_exact(k):
+    # the conversion of a one-sector block is its Schur product with the
+    # cached, read-only scale of that sector, bit for bit
+    gen = np.random.default_rng(k)
     for lam in list_diagrams(k):
-        scale = _sector_scale(lam)
-        assert scale is _sector_scale(lam)
-        assert np.array_equal(scale, hook_dim(lam) * coeff_matrix_P(lam))
+        *_, scale = sector_tables(lam)
+        assert scale is sector_tables(lam)[3]
         with pytest.raises(ValueError, match="read-only"):
             scale[0, 0] = 0.0
-        # the public helper still hands out a writable array of its own
-        assert coeff_matrix_P(lam).flags.writeable
+        n = lam.num_weights
+        g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        x = g @ g.conj().T
+        bs = BlockState(k, 1, {lam: x / (hook_dim(lam) * x.trace().real)})
+        lo = lam.lambda2
+        assert np.array_equal(_bosonic_sum(bs)[lo : lo + n, lo : lo + n], bs.blocks[lam] * scale)
 
 
 def test_wrong_rescale_coefficient_breaks_the_marginal():
@@ -213,7 +232,7 @@ def test_wrong_rescale_coefficient_breaks_the_marginal():
     out = np.zeros((dA, k + 1, dA, k + 1), dtype=complex)
     for lam, x in bs.blocks.items():
         nw = lam.num_weights
-        scale = hook_dim(lam) * coeff_matrix_P(lam)
+        scale = sector_tables(lam)[3]
         if lam.lambda2 == 1:
             scale = scale * (1 + 1e-3 * (1 - np.eye(nw)))
         lo = lam.lambda2

@@ -414,6 +414,10 @@ def test_usage_errors_exit_one(tmp_path):
     for tol in ("inf", "nan", "-1e-8"):
         code, report = run_command(["verify", "--k", "3", "--ext", str(sigma), "--marginal", marginal, f"--tol={tol}"])
         assert code == 1 and "error: tol must be finite and not negative, got " in report, tol
+    # a negative value in its own argument is a value, not an option
+    for tol in ("-1e-8", "-1E-8", "-2.5e+3", "-0.5"):
+        code, report = run_command(["verify", "--k", "3", "--ext", str(sigma), "--marginal", marginal, "--tol", tol])
+        assert code == 1 and f"error: tol must be finite and not negative, got {float(tol)!r}\n" in report, tol
     zero = tmp_path / "zero.bos"
     save_matrix_file(zero, np.eye(2) / 2, [2, "sym(0)"])
     code, report = run_command(["verify", "--k", "0", "--ext", str(zero), "--marginal", good])

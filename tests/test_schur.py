@@ -1,19 +1,13 @@
 import itertools
+from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
 
 from conftest import adjacent_transposition, dicke, permutation_operator
 from symext.linalg import partial_trace
-from symext.schur import (
-    alpha_coeff,
-    build_schur_basis,
-    coeff_matrix_P,
-    diag_coeffs,
-    p_coeff,
-    sym_isometry,
-    xi_vector,
-)
+from symext.schur import build_schur_basis, sector_tables, sym_isometry
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
 
@@ -155,24 +149,33 @@ def test_jplus_ladder_action():
                         assert np.linalg.norm(got) <= 1e-12
 
 
+def coeffs(lam):
+    """The tables of a sector over its tableau count: t0, t1, alpha and P."""
+    d = hook_dim(lam)
+    return tuple(a / d for a in sector_tables(lam))
+
+
 def test_diag_coeffs_values_and_normalization():
-    assert diag_coeffs(3, -0.5) == pytest.approx((2 / 3, 1 / 3))
-    assert diag_coeffs(3, 1.5) == pytest.approx((0.0, 1.0))
+    t0, t1, _, _ = coeffs(YoungDiagram(2, 1))
+    assert (t0[0], t1[0]) == pytest.approx((2 / 3, 1 / 3))
+    t0, t1, _, _ = coeffs(YoungDiagram(3, 0))
+    assert (t0[3], t1[3]) == pytest.approx((0.0, 1.0))
     for k in (1, 2, 5, 9):
-        for omega in np.arange(-k / 2, k / 2 + 1):
-            t0, t1 = diag_coeffs(k, omega)
-            assert t0 + t1 == pytest.approx(1.0)
-            if abs(omega) < k / 2:
-                assert t0 / t1 == pytest.approx((k - 2 * omega) / (k + 2 * omega))
+        for lam in list_diagrams(k):
+            t0, t1, _, _ = coeffs(lam)
+            assert t0 + t1 == pytest.approx(np.ones(lam.num_weights))
+            for omega, a, b in zip(lam.weights(), t0, t1):
+                if abs(omega) < k / 2:
+                    assert a / b == pytest.approx((k - 2 * omega) / (k + 2 * omega))
 
 
 def test_alpha_known_values():
-    assert alpha_coeff(YoungDiagram(3, 0), -0.5, 0.5) == pytest.approx(2 / 3)
-    assert alpha_coeff(YoungDiagram(2, 1), -0.5, 0.5) == pytest.approx(1 / 3)
-    assert alpha_coeff(YoungDiagram(2, 0), -1.0, 0.0) == pytest.approx(np.sqrt(2) / 2)
-    # only adjacent ascending weight pairs couple
-    assert alpha_coeff(YoungDiagram(3, 0), -0.5, 1.5) == 0.0
-    assert alpha_coeff(YoungDiagram(3, 0), 0.5, -0.5) == 0.0
+    # one entry per adjacent ascending weight pair, at the lesser weight
+    assert coeffs(YoungDiagram(3, 0))[2][1] == pytest.approx(2 / 3)
+    assert coeffs(YoungDiagram(2, 1))[2][0] == pytest.approx(1 / 3)
+    assert coeffs(YoungDiagram(2, 0))[2][0] == pytest.approx(np.sqrt(2) / 2)
+    for lam in list_diagrams(6):
+        assert sector_tables(lam)[2].shape == (lam.num_weights - 1,)
 
 
 def brute_force_pair_marginal(basis, lam, wi, wj):
@@ -186,48 +189,52 @@ def test_marginal_coefficients_against_brute_force():
     for k in range(1, 9):
         basis = build_schur_basis(k)
         for lam in list_diagrams(k):
-            ws = lam.weights()
-            for wi, omega in enumerate(ws):
+            t0, t1, alpha, _ = coeffs(lam)
+            for wi in range(lam.num_weights):
                 m = brute_force_pair_marginal(basis, lam, wi, wi)
-                t0, t1 = diag_coeffs(k, omega)
-                assert np.abs(m - np.diag([t0, t1])).max() <= 1e-12
-                if wi + 1 < len(ws):
+                assert np.abs(m - np.diag([t0[wi], t1[wi]])).max() <= 1e-12
+                if wi + 1 < lam.num_weights:
                     c = brute_force_pair_marginal(basis, lam, wi, wi + 1)
                     expect = np.zeros((2, 2))
-                    expect[0, 1] = alpha_coeff(lam, omega, omega + 1)
+                    expect[0, 1] = alpha[wi]
                     assert np.abs(c - expect).max() <= 1e-12
 
 
 def test_p_coeff_identity_and_examples():
-    lam = YoungDiagram(2, 1)
-    assert p_coeff(lam, -0.5, -0.5) == 1.0
-    assert p_coeff(lam, -0.5, 0.5) == pytest.approx(0.5)
+    p = coeffs(YoungDiagram(2, 1))[3]
+    assert p[0, 0] == 1.0
+    assert p[0, 1] == pytest.approx(0.5)
     # ratio form: p * alpha_top = alpha_lambda on adjacent pairs
     for k in (2, 3, 4, 6, 9):
-        top = YoungDiagram(k, 0)
+        alpha_top = coeffs(YoungDiagram(k, 0))[2]
         for lam in list_diagrams(k):
-            for omega in lam.weights()[:-1]:
-                lhs = p_coeff(lam, omega, omega + 1) * alpha_coeff(top, omega, omega + 1)
-                assert lhs == pytest.approx(alpha_coeff(lam, omega, omega + 1), abs=1e-13)
+            _, _, alpha, p = coeffs(lam)
+            lo = lam.lambda2  # weight -j sits at slot lambda2 of the top sector
+            for wi in range(lam.num_weights - 1):
+                assert p[wi, wi + 1] * alpha_top[lo + wi] == pytest.approx(alpha[wi], abs=1e-13)
 
 
 def test_xi_vector_reproduces_adjacent_ratios():
+    # off its diagonal P is xi xi^T, with every amplitude at most 1: any three
+    # weights give xi_a^2 = P_ab P_ac / P_bc
     for k in (3, 5, 8):
         for lam in list_diagrams(k):
-            if lam.num_weights < 2:
+            nw = lam.num_weights
+            if nw < 3:
                 continue
-            xi = xi_vector(lam)
-            assert xi.shape == (lam.num_weights,)
-            assert np.all(np.abs(xi) <= 1.0 + 1e-12)
-            ws = lam.weights()
-            for wi in range(len(ws) - 1):
-                assert xi[wi] * xi[wi + 1] == pytest.approx(p_coeff(lam, ws[wi], ws[wi + 1]), abs=1e-12)
+            p = coeffs(lam)[3]
+            xi = np.array([np.sqrt(p[a, b] * p[a, c] / p[b, c]) for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1))])
+            xi = np.concatenate([xi, p[0, 3:] / xi[0]])
+            assert np.all(xi <= 1.0 + 1e-12)
+            off = ~np.eye(nw, dtype=bool)
+            assert np.abs(np.outer(xi, xi) - p)[off].max() <= 1e-12
 
 
 def test_coeff_matrix_psd_unit_diagonal():
     for k in range(1, 11):
         for lam in list_diagrams(k):
-            p = coeff_matrix_P(lam)
+            _, _, alpha, p = coeffs(lam)
+            alpha_top = coeffs(YoungDiagram(k, 0))[2]
             nw = lam.num_weights
             assert p.shape == (nw, nw)
             assert np.allclose(np.diag(p), 1.0)
@@ -235,21 +242,71 @@ def test_coeff_matrix_psd_unit_diagonal():
             eigs = np.linalg.eigvalsh(p)
             assert eigs.min() >= -1e-10
             # adjacent entries are exactly the pair couplings
-            ws = lam.weights()
             for wi in range(nw - 1):
-                assert p[wi, wi + 1] == pytest.approx(p_coeff(lam, ws[wi], ws[wi + 1]), abs=1e-12)
+                assert p[wi, wi + 1] == pytest.approx(alpha[wi] / alpha_top[lam.lambda2 + wi], abs=1e-12)
 
 
 def test_coeff_matrix_example_three_copies():
-    p = coeff_matrix_P(YoungDiagram(2, 1))
+    p = coeffs(YoungDiagram(2, 1))[3]
     assert np.allclose(p, [[1.0, 0.5], [0.5, 1.0]])
     assert np.linalg.eigvalsh(p).min() == pytest.approx(0.5)
 
 
 def test_top_sector_coeff_matrix_is_all_ones():
     for k in (2, 4, 7):
-        p = coeff_matrix_P(YoungDiagram(k, 0))
+        p = coeffs(YoungDiagram(k, 0))[3]
         assert np.abs(p - 1.0).max() <= 1e-12
+
+
+def reference_tables(lam):
+    """sector_tables(lam) computed one weight at a time in Python floats."""
+    k, j, nw, d = lam.k, lam.spin, lam.num_weights, hook_dim(lam)
+    ws = [-j + i for i in range(nw)]
+    c0 = [d * ((k - 2 * w) / (2 * k)) for w in ws]
+    c1 = [d * ((k + 2 * w) / (2 * k)) for w in ws]
+    ca = [d * (sqrt((j - w) * (j + w + 1)) / k) for w in ws[:-1]]
+    p = [sqrt((j - w) * (j + w + 1) / ((k / 2 - w) * (k / 2 + w + 1))) for w in ws[:-1]]
+    xi = [1.0] * nw
+    if nw > 1:
+        a = p.index(max(p))
+        xi[a] = xi[a + 1] = sqrt(p[a])
+        for i in range(a - 1, -1, -1):
+            xi[i] = p[i] / xi[i + 1]
+        for i in range(a + 2, nw):
+            xi[i] = p[i - 1] / xi[i - 1]
+    scale = [[d * (p[min(r, c)] if abs(r - c) == 1 else xi[r] * xi[c] + (1.0 - xi[r] * xi[r]) * (r == c))
+              for c in range(nw)] for r in range(nw)]
+    return tuple(np.array(t, dtype=float) for t in (c0, c1, ca, scale))
+
+
+def test_sector_tables_over_the_block_cap():
+    # every diagram up to k = 64, against exact rationals where they exist
+    for k in range(1, 65):
+        for lam in list_diagrams(k):
+            tables = sector_tables(lam)
+            assert sector_tables(lam) is tables
+            for got, want in zip(tables, reference_tables(lam)):
+                assert np.array_equal(got, want), lam
+            for a in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0.0
+            d = hook_dim(lam)
+            c0, c1, ca, scale = tables
+            nw = lam.num_weights
+            assert np.abs(c0 + c1 - d).max() <= 4 * np.finfo(float).eps * d
+            # (ca / d)^2 = (j - w)(j + w + 1) / k^2 = (2j - i)(i + 1) / k^2 at w = -j + i
+            two_j = lam.lambda1 - lam.lambda2
+            ratios = [Fraction((two_j - i) * (i + 1), k * k) for i in range(nw - 1)]
+            assert np.allclose((ca / d) ** 2, [float(r) for r in ratios], rtol=1e-13, atol=0)
+            p = scale / d
+            assert np.abs(np.diag(p) - 1.0).max() <= 1e-12
+            assert np.array_equal(p, p.T)
+            assert np.linalg.eigvalsh(p).min() >= -1e-12
+            # adjacent entries squared: alpha_lambda^2 / alpha_top^2, exactly
+            # (2j = k there, and weight -j + i sits at slot lambda2 + i of the top sector)
+            top = [Fraction((k - i) * (i + 1), k * k) for i in range(lam.lambda2, lam.lambda2 + nw - 1)]
+            want = [float(r / t) for r, t in zip(ratios, top)]
+            assert np.allclose(np.diag(p, 1) ** 2, want, rtol=1e-13, atol=0)
 
 
 def test_build_rejects_bad_k():

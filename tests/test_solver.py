@@ -56,6 +56,36 @@ def test_product_state_always_extendible(k):
     assert check.symmetric_ok
 
 
+def _pure_products():
+    """Pure products |a><a| x |b><b|, 20 per k for k = 2, 3, 4, 8, 16, 32, 64 in
+    turn, from one stream: a and then b complex Gaussian, normalised."""
+    gen = np.random.default_rng(0)
+    out = {}
+    for k in (2, 3, 4, 8, 16, 32, 64):
+        for i in range(20):
+            a, b = (gen.standard_normal(2) + 1j * gen.standard_normal(2) for _ in range(2))
+            out[k, i] = DensityMatrix.from_ket(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)), (2, 2))
+    return out
+
+
+# the draws solved at each k; those at k = 32 and 64 cover states that were
+# once called INFEASIBLE there (0..3 and 3) while keeping the test short: a
+# solve at k = 64 takes about 650 iterations
+PURE_PRODUCT_DRAWS = {3: range(20), 4: range(20), 8: range(20), 16: range(20), 32: range(4), 64: [3]}
+
+
+@pytest.mark.parametrize("k", sorted(PURE_PRODUCT_DRAWS))
+def test_pure_products_are_extendible(k):
+    # a Farkas vector whose tested and reported forms differed once made
+    # these separable states INFEASIBLE
+    states = _pure_products()
+    for i in PURE_PRODUCT_DRAWS[k]:
+        rho = states[k, i]
+        report = solve_symmetric(rho, k)
+        assert report.status == FEASIBLE, (k, i)
+        assert verify_extension(report.certificate, rho, k).symmetric_ok, (k, i)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_singlet_not_extendible(k):
     report = solve_symmetric(singlet_state(), k)
@@ -289,7 +319,7 @@ def test_sector_map_equals_column_by_column_map(dA):
     for k in range(1, 11):
         lam = YoungDiagram(k, 0)
         got, want = _on_hermitian_basis(
-            solver._sym_map(k, dA, 2), lambda h: raw_marginal_from_blocks(k, dA, [(lam, h)]))
+            solver._sym_map(k, dA, 2), lambda h: raw_marginal_from_blocks(dA, [(lam, h)]))
         assert np.array_equal(got, want), (k, dA)
 
 

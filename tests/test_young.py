@@ -56,9 +56,8 @@ def test_weights_ascending_and_indexable():
     lam = YoungDiagram(4, 1)
     w = lam.weights()
     assert np.allclose(w, [-1.5, -0.5, 0.5, 1.5])
-    assert lam.weight_index(0.5) == 2
-    with pytest.raises(ValueError):
-        lam.weight_index(2.5)
+    # weight w sits at position w + j of every per-weight table
+    assert np.array_equal(w + lam.spin, np.arange(lam.num_weights))
 
 
 def test_list_diagrams_structure():
