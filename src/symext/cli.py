@@ -48,8 +48,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number in exponent form, like -1e-8, is a value, not an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # a negative number in any form float() reads, like -1e-8 or -inf, is a
+        # value, not an option
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
     # exit code 1 for bad usage, and no direct sys.exit from library calls
     def error(self, message):
@@ -113,7 +114,9 @@ def _as_block_state(path, k: int) -> tuple[BlockState, list[str]]:
     """Load a convertible object: block certificate, bipartite state, or
     full-space extension. Bipartite states are solved for a witness first."""
     notes = []
-    state = mio.load_block_or_state(path)
+    state = mio.load_extension(path)
+    if isinstance(state, BosonicState):
+        raise _UsageError(f"{path}: a bosonic state is not convertible; give a block certificate or a plain state")
     if isinstance(state, BlockState):
         if state.k != k:
             raise _UsageError(f"{path}: certificate is for k={state.k}, not k={k}")

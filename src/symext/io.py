@@ -244,16 +244,3 @@ def _blocks(path, doc) -> BlockState:
 
 def load_blocks(path) -> BlockState:
     return _blocks(path, _read_json(path))
-
-
-def load_block_or_state(path) -> BlockState | DensityMatrix:
-    """A block certificate if the file's kind is "blocks", else a plain state.
-
-    The file is read and parsed once. A blocks file that does not hold a valid
-    certificate raises the error `load_blocks` would; any other file raises
-    the error `load_state` would.
-    """
-    doc = _read_json(path)
-    if isinstance(doc, dict) and doc.get("kind") == "blocks":
-        return _blocks(path, doc)
-    return _state(path, _matrix_file(path, doc))

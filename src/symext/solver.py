@@ -25,10 +25,12 @@ built without a second positivity check.
 Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the
 affine set to the cone, which lies in the range of A^T and is PSD
-(Banjac, Goulart, Stellato and Boyd, JOTA 2019). The least-squares
-y = (A A^T)^+ A d, its marginal part replaced by its Hermitian part and its
-trace entry by its real part, so that the vector tested is the one reported,
-is made exact on the cone side by adding -lambda_min(A^T y) to its trace
+(Banjac, Goulart, Stellato and Boyd, JOTA 2019). Its multiplier G A d,
+with G = (A A^T)^+, equals G r for the residual r = A y_n - b of the cone
+shadow y_n, so it is read before the step: A P_aff(z) = Pi b for every z,
+with Pi = A A^T G, and G Pi = G. `_farkas` takes any multiplier vector y,
+makes its marginal part Hermitian and its trace entry real, so that the
+vector tested is the one reported, and adds -lambda_min(A^T y) to that
 entry: the trace row's A^T is the identity, so A^T y' is PSD.
 If then b^T y' < 0 beyond the rounding of the eigvalsh and of the dot
 product, no PSD block X can satisfy A X = b, since that would give
@@ -227,16 +229,17 @@ class _MapCache:
 _MAPS = _MapCache(_MAP_CACHE_BYTES)
 
 
-def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
-    """A Farkas vector y' from the DR displacement d, or None.
+def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
+    """The Farkas vector y' made of a multiplier vector y, or None.
 
-    y' has A^T y' PSD, with a margin for the rounding of the eigvalsh, and
-    b^T y' < 0 beyond the rounding of the dot product; it is scaled to
+    y' has a Hermitian marginal part, a real trace entry and A^T y' PSD, with
+    a margin for the rounding of the eigvalsh; it is returned when
+    b^T y' < 0 beyond the rounding of the dot product, scaled to
     ||A^T y'|| = 1, so -b^T y' bounds the distance between the two sets from
     below. The trace row is last, and its A^T is the identity.
     """
-    n, cols, amap = cmap.n, cmap.cols, cmap.amap
-    y = _real_times(cmap.gram_pinv, _real_times(amap, d.reshape(-1)[cols]))
+    n = cmap.n
+    y = y.astype(complex)
     # the vector tested is the one reported: eigvalsh reads only the lower
     # triangle of A^T y, so y's marginal part must be Hermitian, its trace real
     m = isqrt(len(y) - 1)
@@ -244,13 +247,15 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, d: np.ndarray):
     marginal[...] = (marginal + marginal.conj().T) / 2
     y[-1] = y[-1].real
     z = np.zeros(n * n, dtype=complex)
-    z[cols] = _real_times(amap.T, y)
+    z[cmap.cols] = _real_times(cmap.amap.T, y)
     w = np.linalg.eigvalsh(z.reshape(n, n))
-    y[-1] += 8 * n * _EPS * max(abs(w[0]), abs(w[-1])) - w[0]
+    shift = 8 * n * _EPS * max(abs(w[0]), abs(w[-1])) - w[0]
+    y[-1] += shift
     value = float(np.vdot(b, y).real)
     if value >= -2 * len(b) * _EPS * float(np.abs(b) @ np.abs(y)):
         return None
-    return y / _norm(_real_times(amap.T, y))
+    z[:: n + 1] += shift
+    return y / _norm(z)
 
 
 def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
@@ -262,14 +267,13 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
     at = amap.T
 
+    def residual(y: np.ndarray) -> np.ndarray:
+        return _real_times(amap, y.reshape(-1)[cols]) - b
+
     def affine_project(z: np.ndarray) -> np.ndarray:
         # in place; entries outside cols are not constrained
-        flat = z.reshape(-1)
-        flat[cols] -= _real_times(at, _real_times(gram_pinv, _real_times(amap, flat[cols]) - b))
+        z.reshape(-1)[cols] -= _real_times(at, _real_times(gram_pinv, residual(z)))
         return z
-
-    def residual(y: np.ndarray) -> float:
-        return _norm(_real_times(amap, y.reshape(-1)[cols]) - b)
 
     # the least-norm point A^T (A A^T)^+ b, which is affine_project(0): A 0 - b
     # is exactly -b, and adding to zeros keeps the +0 that subtracting gives
@@ -280,22 +284,23 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     except np.linalg.LinAlgError:
         pass
     else:
-        res = residual(x)
+        res = _norm(residual(x))
         if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, 1, x
     best_res = np.inf
     for it in range(1, _MAX_ITER + 1):
         y = _cone_project(x)
-        res = residual(y)
+        r = residual(y)
+        res = _norm(r)
         best_res = min(best_res, res)
         if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, it, y
-        nxt = x + affine_project(2.0 * y - x) - y
         if it % _WITNESS_PERIOD == 0 or it & (it - 1) == 0:
-            farkas = _farkas(cmap, b, x - nxt)
+            # G r is G A (x - x_next), the multiplier of the displacement
+            farkas = _farkas(cmap, b, _real_times(gram_pinv, r))
             if farkas is not None:
                 return INFEASIBLE, res, -float(np.vdot(b, farkas).real), it, farkas
-        x, prev = nxt, x
+        x, prev = x + affine_project(2.0 * y - x) - y, x
     # the length of the last step, measured only here, where it is reported
     return UNDECIDED, best_res, _norm((x - prev).reshape(-1)), _MAX_ITER, None
 

@@ -415,7 +415,7 @@ def test_usage_errors_exit_one(tmp_path):
         code, report = run_command(["verify", "--k", "3", "--ext", str(sigma), "--marginal", marginal, f"--tol={tol}"])
         assert code == 1 and "error: tol must be finite and not negative, got " in report, tol
     # a negative value in its own argument is a value, not an option
-    for tol in ("-1e-8", "-1E-8", "-2.5e+3", "-0.5"):
+    for tol in ("-1e-8", "-1E-8", "-2.5e+3", "-0.5", "-inf", "-Infinity", "-NaN"):
         code, report = run_command(["verify", "--k", "3", "--ext", str(sigma), "--marginal", marginal, "--tol", tol])
         assert code == 1 and f"error: tol must be finite and not negative, got {float(tol)!r}\n" in report, tol
     zero = tmp_path / "zero.bos"
@@ -474,6 +474,13 @@ def test_convert_reports_unreadable_inputs(tmp_path):
     code, report = run_command(["convert", "--k", "2", "--in", str(broken), "--out", out])
     assert code == 1
     assert "[2,0] is not a sector of 5 qubits" in report
+    # a bosonic file is already converted, and is refused by name, not read as a state
+    sigma = tmp_path / "sigma.bos"
+    save_bosonic(sym_to_bos(gen_random_extendible(2, 2, 0)[1]), sigma)
+    code, report = run_command(["convert", "--k", "2", "--in", str(sigma), "--out", out])
+    assert code == 1
+    assert f"error: {sigma}: a bosonic state is not convertible; " in report
+    assert "status: ERROR" in report
 
 
 def _write_entries(path, layout, entries_text):

@@ -438,10 +438,53 @@ def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
 
 
 def test_an_infeasible_instance_still_runs_the_loop_and_the_witness(monkeypatch):
+    # certified at iteration 1 with five map products and no step: two for the
+    # least-norm point, which fails its Cholesky test, one for the residual r of
+    # its cone shadow, one for the witness G r and one for A^T of it
     k = 4
     rho = _werner((k + 2) / (3 * k) + 0.05)
     solve_symmetric(rho, k)
     calls = _count_factorizations(monkeypatch)
+    products = []
+    real_times = solver._real_times
+    monkeypatch.setattr(solver, "_real_times", lambda a, z: products.append(a.shape) or real_times(a, z))
     report = solve_symmetric(rho, k)
-    assert report.status == INFEASIBLE
-    assert calls["eigh"] >= 1 and calls["eigvalsh"] >= 1
+    assert (report.status, report.iterations) == (INFEASIBLE, 1)
+    assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 1}
+    assert len(products) == 5
+
+
+def _werner_singlet_and_qutrit():
+    for k in range(2, 9):
+        for off in (0.05, 0.005, 0.002, 1e-3, 1e-4):
+            yield _werner((k + 2) / (3 * k) + off), k
+    for k in (2, 3):
+        yield singlet_state(), k
+    yield qutrit_counterexample()[0], 2
+
+
+def test_witness_multiplier_is_the_pseudo_inverse_image_of_the_residual():
+    # one DR step by hand from the least-norm point x0: the multiplier
+    # G A (x0 - x1) of the displacement equals G (A y - b) for the cone shadow
+    # y, since A P_aff(z) = Pi b for every z and G Pi = G
+    for rho, k in _werner_singlet_and_qutrit():
+        dA, dB = rho.dims
+        cmap = solver._MAPS.get((k, dA, dB), lambda: solver._sym_map(k, dA, dB))
+        a, g, cols = cmap.amap, cmap.gram_pinv, cmap.cols
+        b = np.concatenate([rho.matrix.reshape(-1), [1.0]])
+
+        def affine_project(z):
+            flat = z.reshape(-1).copy()
+            flat[cols] -= a.T @ (g @ (a @ flat[cols] - b))
+            return flat.reshape(z.shape)
+
+        x0 = affine_project(np.zeros((cmap.n, cmap.n), dtype=complex))
+        y = solver._cone_project(x0)
+        x1 = x0 + affine_project(2.0 * y - x0) - y
+        step = g @ (a @ (x0 - x1).reshape(-1)[cols])
+        residual = g @ (a @ y.reshape(-1)[cols] - b)
+        # the hand step's difference x0 - x1 of two blocks of norm about ||y||
+        # is rounded to about eps ||y||, which near the threshold (offset 1e-4)
+        # is above 1e-12 of the residual
+        floor = 64 * np.finfo(float).eps * np.linalg.norm(y)
+        assert np.linalg.norm(step - residual) <= 1e-12 * np.linalg.norm(residual) + floor, (k, rho.dims)
