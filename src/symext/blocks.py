@@ -9,11 +9,13 @@ weight transfer operators of the sector.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
-from .schur import SchurBasis, sector_tables
+from .schur import sector_tables
 from .young import YoungDiagram, hook_dim, list_diagrams
 
 PROFILE_ALL = "all"
@@ -62,6 +64,9 @@ class BlockState:
             x.flags.writeable = False
             clean[lam] = x
         self.blocks = clean
+        self._check_trace(atol)
+
+    def _check_trace(self, atol: float) -> None:
         total = self.weighted_trace
         if abs(total - 1.0) > atol:
             raise ValueError(f"weighted block trace {total!r} is not 1 within {atol:g}")
@@ -72,13 +77,14 @@ class BlockState:
 
     def __repr__(self):
         sectors = ",".join(f"[{l.lambda1},{l.lambda2}]" for l in sorted(self.blocks, key=lambda d: -d.lambda1))
-        return f"BlockState(k={self.k}, dA={self.dA}, sectors={sectors})"
+        return f"{type(self).__name__}(k={self.k}, dA={self.dA}, sectors={sectors})"
 
 
-def blocks_to_global(bs: BlockState, basis: SchurBasis) -> DensityMatrix:
-    """Glue the blocks into the full state of A plus k qubits, if `caps` allows its bytes."""
-    if basis.k != bs.k:
-        raise ValueError(f"basis is for k={basis.k}, blocks for k={bs.k}")
+def blocks_to_global(bs: BlockState, basis: MappingProxyType) -> DensityMatrix:
+    """Glue the blocks through `schur.build_schur_basis(k)` into the full state, if `caps` allows its bytes."""
+    k = next(iter(basis)).k
+    if k != bs.k:
+        raise ValueError(f"basis is for k={k}, blocks for k={bs.k}")
     n = 2**bs.k
     dA = bs.dA
     # the peak holds about five arrays of the output's size (the glued sum, then
@@ -86,7 +92,7 @@ def blocks_to_global(bs: BlockState, basis: SchurBasis) -> DensityMatrix:
     check_dense_bytes(f"the glued state of dA={dA}, k={bs.k}", 6 * 16 * (dA * n) ** 2)
     out = np.zeros((dA, n, dA, n), dtype=complex)
     for lam, x in bs.blocks.items():
-        sec = basis.sector(lam)
+        sec = basis[lam]
         nw = lam.num_weights
         # out[a, x, b, y] += sum over paths mu and weights w, v of
         # sec[x, mu, w] X[a w, b v] sec[y, mu, v]
@@ -95,22 +101,21 @@ def blocks_to_global(bs: BlockState, basis: SchurBasis) -> DensityMatrix:
     return DensityMatrix(matrix, (dA,) + (2,) * bs.k, check_psd=False)
 
 
-def global_to_blocks(rho: DensityMatrix, basis: SchurBasis) -> BlockState:
+def global_to_blocks(rho: DensityMatrix, basis: MappingProxyType) -> BlockState:
     """Blocks of the permutation average of rho.
 
     In the coupled basis the average keeps only terms diagonal in sector and
     path, so it reduces to zeroing cross blocks and averaging over paths. For
     an already invariant rho this is exact extraction.
     """
-    k = basis.k
+    k = next(iter(basis)).k
     if rho.dims != (rho.dims[0],) + (2,) * k:
         raise ValueError(f"layout {rho.dims} is not (A, qubit x {k})")
     dA = rho.dims[0]
     n = 2**k
     r = rho.matrix.reshape(dA, n, dA, n)
     blocks = {}
-    for lam in basis.diagrams:
-        sec = basis.sector(lam)
+    for lam, sec in basis.items():
         d = sec.shape[1]
         nw = lam.num_weights
         m = np.einsum("xmw,axby,ymv->awbv", sec, r, sec, optimize=True) / d
@@ -137,10 +142,7 @@ def raw_marginal_from_blocks(dA: int, items) -> np.ndarray:
 
 
 def marginal_from_blocks(bs: BlockState) -> DensityMatrix:
-    """(A, B1) marginal of the glued state, from the weight coefficient tables.
-
-    Only k, dA and blocks are read, so a BosonicState (its top sector) works too.
-    """
+    """(A, B1) marginal of the glued state, from the weight coefficient tables."""
     matrix = raw_marginal_from_blocks(bs.dA, bs.blocks.items())
     # positivity is structural: the glued global state is PSD
     return DensityMatrix(matrix, (bs.dA, 2), check_psd=False)

@@ -3,16 +3,15 @@ partial-transpose screen.
 
 The conversion rescales each block entrywise by the unit-diagonal PSD matrix
 P of its sector, times the sector's tableau count (the `scale` of
-`schur.sector_tables`), and embeds the result into the weight slots of the
-symmetric subspace. The Schur product keeps every block PSD, the unit
-diagonal keeps the weighted trace, and the adjacent-weight entries of the
-rescaling matrix are exactly the ratio of marginal coefficients, so the
-(A, B1) marginal is unchanged.
+`schur.sector_tables`), and sums the results into the top sector, whose
+weight slots span the symmetric subspace. The Schur product keeps every
+block PSD, the unit diagonal keeps the weighted trace, and the
+adjacent-weight entries of the rescaling matrix are exactly the ratio of
+marginal coefficients, so the (A, B1) marginal is unchanged.
 
-Certificates are verified in sector coordinates at every k: a BlockState
-sector by sector, a BosonicState as its one top sector. Gluing the blocks
-through the orthonormal sector basis (or lifting through the symmetric
-isometry) gives a full state that is permutation invariant whatever the
+Certificates, BlockStates and the BosonicStates among them, are verified in
+sector coordinates at every k. Gluing the blocks through the orthonormal
+sector basis gives a full state that is permutation invariant whatever the
 blocks hold, whose nonzero spectrum is that of the blocks, whose k
 marginals are all equal, and whose weight outside the symmetric subspace is
 the weighted trace of the non-top sectors. So positivity, trace, marginal
@@ -32,36 +31,28 @@ from math import isfinite
 import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
-from .linalg import DensityMatrix, hermitian_part, min_eigenvalue, partial_transpose
+from .caps import BLOCK_CAP, block_cap_error, integer_size
+from .linalg import DensityMatrix, min_eigenvalue, partial_transpose
 from .schur import sector_tables, sym_isometry
-from .young import YoungDiagram, hook_dim
+from .solver import _top_sector
+from .young import hook_dim
 
 
-_NONFINITE = "matrix entries must be finite"
+class BosonicState(BlockState):
+    """Extension supported on the symmetric subspace: the block state whose
+    one sector is the top one, [k, 0].
 
-
-class BosonicState:
-    """Extension supported on the symmetric subspace, in weight coordinates.
-
-    The matrix acts on A tensor the k+1 weight slots (A index major, weight
-    ascending); embedding through the Dicke isometry gives the full state.
-    dA and k must be integers (Python or numpy, not bools), k in
-    1..BLOCK_CAP as for a BlockState. The entries must be finite, and the
-    matrix Hermitian with unit trace within atol; positivity is measured by
-    `verify_extension`.
+    The matrix is that block, on A tensor the k+1 weight slots (A index
+    major, weight ascending). It is checked as a BlockState block, but for
+    positivity, which `verify_extension` measures.
     """
 
     def __init__(self, dA: int, k: int, matrix, *, atol: float = 1e-6):
-        dA, k = integer_size("dA", dA), integer_size("k", k)
+        # the top sector is built before BlockState checks k
+        k = integer_size("k", k)
         if not 1 <= k <= BLOCK_CAP:
             raise block_cap_error(k)
-        matrix = np.array(matrix, dtype=complex)
-        n = dA * (k + 1)
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dA={dA}, k={k}")
-        matrix = hermitian_part(matrix, atol, _NONFINITE, "matrix not Hermitian (deviation {dev:.3e})")
-        self._adopt(dA, k, matrix, atol)
+        super().__init__(k, dA, {_top_sector(k): matrix}, atol=atol, check_psd=False)
 
     @classmethod
     def _of_hermitian(cls, dA: int, k: int, matrix: np.ndarray) -> "BosonicState":
@@ -70,37 +61,19 @@ class BosonicState:
         The matrix must equal its Hermitian part bit for bit; only its
         finiteness and its trace, within the default atol, are checked.
         """
+        top = _top_sector(k)
         # the squared norm is finite unless an entry is not, or it overflows
         if not isfinite(np.vdot(matrix, matrix).real) and not np.isfinite(matrix).all():
-            raise ValueError(_NONFINITE)
+            raise ValueError(f"block for {top} entries must be finite")
+        matrix.flags.writeable = False
         state = cls.__new__(cls)
-        state._adopt(dA, k, matrix, 1e-6)
+        state.k, state.dA, state.blocks = k, dA, {top: matrix}
+        state._check_trace(1e-6)
         return state
 
-    def _adopt(self, dA: int, k: int, matrix: np.ndarray, atol: float) -> None:
-        """Takes a matrix checked but for its trace as this state's own."""
-        tr = float(matrix.trace().real)
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"trace {tr!r} is not 1 within {atol:g}")
-        matrix.flags.writeable = False
-        self.dA, self.k, self.matrix = dA, k, matrix
-
     @property
-    def blocks(self) -> dict:
-        """The one top sector [k, 0], as a BlockState would hold it."""
-        return {YoungDiagram(self.k, 0): self.matrix}
-
-    def embed(self) -> DensityMatrix:
-        """Full state on A plus k qubits, if `caps` allows its bytes."""
-        # the peak holds about five arrays of the output's size (the lifted state,
-        # then DensityMatrix's copy, x - x^H, x + x^H and its half), and is charged six
-        check_dense_bytes(f"the embedded state of dA={self.dA}, k={self.k}", 6 * 16 * (self.dA * 2**self.k) ** 2)
-        lift = np.kron(np.eye(self.dA), sym_isometry(self.k, 2))
-        full = lift @ self.matrix @ lift.conj().T
-        return DensityMatrix(full, (self.dA,) + (2,) * self.k, check_psd=False)
-
-    def __repr__(self):
-        return f"BosonicState(dA={self.dA}, k={self.k})"
+    def matrix(self) -> np.ndarray:
+        return self.blocks[_top_sector(self.k)]
 
 
 def _bosonic_sum(bs: BlockState) -> np.ndarray:
@@ -211,8 +184,8 @@ def _verify_full(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float
     return ExtensionReport(tol, low, trace_dev, marg_dev, inv_dev, max(overlap, 0.0))
 
 
-def _verify_sectors(sigma: BlockState | BosonicState, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
-    """Check a BlockState or a BosonicState on its blocks."""
+def _verify_sectors(sigma: BlockState, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
+    """Check a BlockState, a BosonicState among them, on its blocks."""
     if sigma.k != k:
         raise ValueError(f"extension has k={sigma.k}, expected {k}")
     if rho_ab.dims != (sigma.dA, 2):
@@ -223,15 +196,14 @@ def _verify_sectors(sigma: BlockState | BosonicState, rho_ab: DensityMatrix, k: 
     trace_dev = abs(sum(w for _, w in weights) - 1.0)
     marg = raw_marginal_from_blocks(sigma.dA, items)
     marg_dev = float(np.linalg.norm(marg - rho_ab.matrix))
-    top = YoungDiagram(k, 0)
-    outside = sum(w for lam, w in weights if lam != top)
+    outside = sum(w for lam, w in weights if lam.lambda2)
     return ExtensionReport(tol, low, trace_dev, marg_dev, 0.0, max(outside, 0.0), by_construction=True)
 
 
 def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) -> ExtensionReport:
     """Check an extension candidate against its claimed pair marginal.
 
-    A BlockState or BosonicState certificate is checked in sector
+    A BlockState certificate, a BosonicState among them, is checked in sector
     coordinates at every k; a full-space DensityMatrix is checked in the full
     space. tol must be finite and not negative: an infinite one would pass
     any candidate, and a NaN would fail every check.
@@ -239,7 +211,7 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
     k = integer_size("k", k)
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and not negative, got {tol!r}")
-    if isinstance(sigma, (BosonicState, BlockState)):
+    if isinstance(sigma, BlockState):
         return _verify_sectors(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
         return _verify_full(sigma, rho_ab, k, tol)

@@ -11,9 +11,10 @@ Loading checks the entry count of a matrix, or of each block of a
 certificate, and then converts the entries in one numpy pass when they are
 all plain [re, im] number pairs; any other list is checked entry by entry, so
 an error names the first entry (and its block's diagram) that is not a pair
-of numbers or does not fit in a float. Sizes (format_version, k, dA, the
-rows of a diagram and the dimensions of a layout) must be JSON integers;
-true, false and 3.0 are refused.
+of numbers or does not fit in a float. JSON true and false are not numbers
+there. Sizes (format_version, k, dA, the rows of a diagram and the
+dimensions of a layout) must be JSON integers; true, false and 3.0 are
+refused.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -141,12 +143,14 @@ def _complex_entries(where, entries: list) -> np.ndarray:
         pairs = np.asarray(entries)
     except ValueError:  # ragged nesting
         pairs = None
-    if pairs is not None and pairs.dtype.kind in "biuf" and pairs.shape == (len(entries), 2):
+    fast = pairs is not None and pairs.dtype.kind in "iuf" and pairs.shape == (len(entries), 2)
+    # numpy reads true and false beside numbers as 1 and 0; the loop below refuses them
+    if fast and bool not in map(type, chain.from_iterable(entries)):
         # a view keeps every part as parsed; re + 1j*im would turn inf into nan
         return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
     flat = np.empty(len(entries), dtype=complex)
     for i, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
             raise MatrixFileError(f"{where}: entry {i} is not a [re, im] pair")
         try:
             flat[i] = complex(pair[0], pair[1])
@@ -182,7 +186,7 @@ def save_bosonic(sigma: BosonicState, path, metadata: dict | None = None) -> Non
     )
 
 
-def load_extension(path) -> DensityMatrix | BosonicState | BlockState:
+def load_extension(path) -> DensityMatrix | BlockState:
     """Load a full-space extension, a bosonic one (by layout tag) or a block
     certificate (by kind), parsing the file once."""
     doc = _read_json(path)
@@ -232,6 +236,8 @@ def _blocks(path, doc) -> BlockState:
         for part in doc["blocks"]:
             l1, l2 = (integer_size("diagram row", v) for v in part["diagram"])
             lam = YoungDiagram(l1, l2)
+            if lam in blocks:
+                raise MatrixFileError(f"{path}: diagram [{l1},{l2}] appears twice")
             n = dA * lam.num_weights
             entries = part["entries"]
             if len(entries) != n * n:

@@ -1,8 +1,9 @@
 """Dense complex linear algebra on multipartite systems.
 
-Operators are plain numpy arrays. A layout is a tuple of local dimensions;
-subsystem 0 is the leftmost tensor factor and the most significant digit of a
-computational basis index.
+Operators are plain numpy arrays. A layout is a tuple of local dimensions,
+each a Python or numpy integer, not a bool or a float (`caps.integer_size`);
+subsystem 0 is the leftmost tensor factor and the most significant digit of
+a computational basis index.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from math import inf, isfinite, isnan, prod, sqrt
 
 import numpy as np
+
+from .caps import integer_size
 
 HERMITIAN_ATOL = 1e-10
 
@@ -57,7 +60,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     is linear and trace preserving.
     """
     m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(integer_size("layout entry", d) for d in dims)
     total = prod(dims)
     if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match layout {dims}")
@@ -78,7 +81,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
     """Transpose one subsystem in place."""
     m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(integer_size("layout entry", d) for d in dims)
     n = len(dims)
     if not 0 <= sys < n:
         raise ValueError(f"subsystem {sys} outside layout of {n} subsystems")
@@ -135,7 +138,7 @@ class DensityMatrix:
 
     def __init__(self, matrix, dims, *, atol: float = 1e-8, check_psd: bool = True):
         matrix = np.array(matrix, dtype=complex)
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(integer_size("layout entry", d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid layout {dims}")
         total = prod(dims)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,34 +42,15 @@ def _cg(j: float, m: float, s: float, up: bool) -> float:
     return sqrt((j + m + 0.5) / (2 * j + 1))
 
 
-class SchurBasis:
-    """Orthonormal coupled basis of (C^2)^(x k), grouped into sectors.
-
-    `sector(lam)` returns the basis vectors of one sector as a read-only
-    array of shape (2^k, paths, weights), with coupling paths in
-    lexicographic order and weights ascending.
-    """
-
-    def __init__(self, k: int, sectors):
-        self.k = int(k)
-        self.diagrams = list_diagrams(self.k)
-        self._sectors = sectors
-        for arr in sectors.values():
-            arr.flags.writeable = False
-
-    def sector(self, lam: YoungDiagram) -> np.ndarray:
-        """Basis vectors of one sector, shape (2^k, paths, weights)."""
-        return self._sectors[lam]
-
-    def __repr__(self):
-        return f"SchurBasis(k={self.k}, sectors={len(self.diagrams)})"
-
-
-def build_schur_basis(k: int) -> SchurBasis:
+def build_schur_basis(k: int) -> MappingProxyType:
     """Couple k spin-1/2 systems one at a time into the sector basis, if `caps` allows its peak bytes.
 
-    The basis takes 8 * 4^k bytes; the build peaks at about twice that, the
-    last coupling level beside the stacked sectors, and is charged three times.
+    The basis is a read-only mapping from each diagram of `list_diagrams(k)`,
+    in that order, to the sector's orthonormal basis vectors: a read-only
+    array of shape (2^k, paths, weights), with coupling paths in
+    lexicographic order and weights ascending. It takes 8 * 4^k bytes; the
+    build peaks at about twice that, the last coupling level beside the
+    stacked sectors, and is charged three times.
     """
     k = integer_size("k", k)
     if k < 1:
@@ -78,7 +60,7 @@ def build_schur_basis(k: int) -> SchurBasis:
 
 
 @lru_cache(maxsize=8)
-def _build_schur_basis_cached(k: int) -> SchurBasis:
+def _build_schur_basis_cached(k: int) -> MappingProxyType:
     # level maps each coupling path to an array with one column per weight
     level: dict[tuple[float, ...], np.ndarray] = {(0.5,): np.eye(2)}
     for _ in range(k - 1):
@@ -109,7 +91,10 @@ def _build_schur_basis_cached(k: int) -> SchurBasis:
     for path in sorted(level):
         j = path[-1]
         grouped.setdefault(YoungDiagram(round(k / 2 + j), round(k / 2 - j)), []).append(level[path])
-    return SchurBasis(k, {lam: np.stack(mats, axis=1) for lam, mats in grouped.items()})
+    sectors = {lam: np.stack(grouped[lam], axis=1) for lam in list_diagrams(k)}
+    for arr in sectors.values():
+        arr.flags.writeable = False
+    return MappingProxyType(sectors)
 
 
 def sym_isometry(k: int, d: int) -> np.ndarray:

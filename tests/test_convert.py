@@ -28,7 +28,7 @@ from symext.convert import (
     verify_extension,
 )
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
-from symext.schur import build_schur_basis, sector_tables
+from symext.schur import build_schur_basis, sector_tables, sym_isometry
 from symext.solver import qutrit_counterexample, solve_symmetric
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
@@ -51,11 +51,11 @@ def test_bosonic_state_validation():
         bad = np.eye(6, dtype=complex) / 6
         for ij, v in entries.items():
             bad[ij] = v
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        with pytest.raises(ValueError, match=r"^block for \[2,0\] entries must be finite$"):
             BosonicState(2, 2, bad)
     bos = BosonicState(2, 2, np.eye(6) / 6)
     assert bos.matrix.flags.writeable is False
-    for dA, k, field in ((2.9, 3.2, "dA"), (2, 2.0, "k"), (True, 2, "dA"), (2, np.True_, "k")):
+    for dA, k, field in ((2.9, 2, "dA"), (2, 2.0, "k"), (True, 2, "dA"), (2, np.True_, "k")):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             BosonicState(dA, k, np.eye(6) / 6)
     # numpy integers are integers; the sizes are kept as Python ints
@@ -68,17 +68,30 @@ def test_bosonic_state_validation():
     assert BosonicState(1, 64, np.eye(65) / 65).k == 64
 
 
+def test_a_bosonic_state_is_the_top_sector_block_state():
+    # its glue through the sector basis is its lift through the Dicke isometry
+    for k in range(1, 11):
+        for dA in (1, 2) if k <= 8 else (1,):
+            bos = sym_to_bos(random_block_state(k, dA, seed=k + dA))
+            assert isinstance(bos, BlockState)
+            assert list(bos.blocks) == [YoungDiagram(k, 0)] and bos.blocks[YoungDiagram(k, 0)] is bos.matrix
+            assert repr(bos) == f"BosonicState(k={k}, dA={dA}, sectors=[{k},0])"
+            lift = np.kron(np.eye(dA), sym_isometry(k, 2))
+            glued = blocks_to_global(bos, build_schur_basis(k))
+            assert np.abs(glued.matrix - lift @ bos.matrix @ lift.conj().T).max() <= 1e-12, (k, dA)
+
+
 def test_conversion_keeps_the_trace_and_finiteness_checks():
     # a block state accepted at a looser tolerance fails the conversion's 1e-6
     lam = YoungDiagram(2, 0)
     loose = BlockState(2, 1, {lam: np.eye(3) * (1 + 5e-5) / 3}, atol=1e-4)
-    with pytest.raises(ValueError, match="^trace .* is not 1 within 1e-06$"):
+    with pytest.raises(ValueError, match="^weighted block trace .* is not 1 within 1e-06$"):
         sym_to_bos(loose)
     # finite blocks whose scaled entries overflow: sector [3,1] scales its
     # diagonal by 3
     x = np.diag([8e307, -8e307, 1 / 3]).astype(complex)
     overflow = BlockState(4, 1, {YoungDiagram(3, 1): x}, check_psd=False)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^matrix entries must be finite$"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^block for \[4,0\] entries must be finite$"):
         sym_to_bos(overflow)
     # entries too large for a finite squared norm but finite are kept
     top = np.diag([1e200, -1e200, 1.0, 0.0, 0.0]).astype(complex)
@@ -110,7 +123,7 @@ def test_a_deviation_that_overflows_is_reported_as_inf():
     for build, message in (
         (lambda: DensityMatrix(m, (2,)), r"^matrix is not Hermitian within 1e-08 \(deviation inf\)$"),
         (lambda: BlockState(1, 1, {top: m}), r"^block for \[1,0\] not Hermitian \(deviation inf\)$"),
-        (lambda: BosonicState(1, 1, m), r"^matrix not Hermitian \(deviation inf\)$"),
+        (lambda: BosonicState(1, 1, m), r"^block for \[1,0\] not Hermitian \(deviation inf\)$"),
     ):
         with pytest.raises(ValueError, match=message):
             build()
@@ -124,7 +137,7 @@ def test_a_deviation_whose_square_overflows_is_reported_finite():
     for build, message in (
         (lambda: DensityMatrix(m, (2,)), r"^matrix is not Hermitian within 1e-08 \(deviation 1\.414e\+200\)$"),
         (lambda: BlockState(1, 1, {top: m}), r"^block for \[1,0\] not Hermitian \(deviation 1\.414e\+200\)$"),
-        (lambda: BosonicState(1, 1, m), r"^matrix not Hermitian \(deviation 1\.414e\+200\)$"),
+        (lambda: BosonicState(1, 1, m), r"^block for \[1,0\] not Hermitian \(deviation 1\.414e\+200\)$"),
     ):
         with pytest.raises(ValueError, match=message):
             build()
@@ -154,7 +167,7 @@ def test_pair_state_converts_to_triplet():
     xi = np.array([0.6, 0.8j])
     basis = build_schur_basis(2)
     bs = BlockState(2, 2, {YoungDiagram(1, 1): np.outer(xi, xi.conj())})
-    sigma = sym_to_bos(bs).embed()
+    sigma = blocks_to_global(sym_to_bos(bs), basis)
     plus = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
     want = np.kron(np.outer(xi, xi.conj()), np.outer(plus, plus))
     assert np.linalg.norm(sigma.matrix - want) < 1e-12
@@ -162,7 +175,7 @@ def test_pair_state_converts_to_triplet():
     # xi (x) singlet written down directly
     minus = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
     for rho in (blocks_to_global(bs, basis), DensityMatrix.from_ket(np.kron(xi, minus), (2, 2, 2))):
-        again = sym_to_bos(global_to_blocks(rho, basis)).embed()
+        again = blocks_to_global(sym_to_bos(global_to_blocks(rho, basis)), basis)
         assert np.linalg.norm(again.matrix - want) < 1e-12
 
 
@@ -185,10 +198,11 @@ def test_conversion_preserves_trace_and_marginal(k, dA, seed):
 @pytest.mark.parametrize("k,dA,seed", [(2, 2, 5), (3, 2, 6), (5, 3, 7)])
 def test_conversion_marginal_in_full_space(k, dA, seed):
     bs = random_block_state(k, dA, seed)
-    sigma = sym_to_bos(bs).embed()
+    basis = build_schur_basis(k)
+    sigma = blocks_to_global(sym_to_bos(bs), basis)
     dims = (dA,) + (2,) * k
     got = naive_partial_trace(sigma.matrix, dims, (0, 1))
-    want = naive_partial_trace(blocks_to_global(bs, build_schur_basis(k)).matrix, dims, (0, 1))
+    want = naive_partial_trace(blocks_to_global(bs, basis).matrix, dims, (0, 1))
     assert np.linalg.norm(got - want) < 1e-10
 
 
@@ -280,7 +294,8 @@ def test_three_copy_golden_conversion():
                 glue[i, :, j, :] += 0.5 * np.outer(vi[mu], vj[mu].conj())
     rho = DensityMatrix(np.einsum("xiyj,iwjv->xwyv", coeff, glue).reshape(16, 16), (2, 2, 2, 2))
 
-    sigma = sym_to_bos(global_to_blocks(rho, build_schur_basis(3))).embed()
+    basis = build_schur_basis(3)
+    sigma = blocks_to_global(sym_to_bos(global_to_blocks(rho, basis)), basis)
     phi = np.column_stack([dicke(3, -0.5), dicke(3, 0.5)])
     proj = np.kron(np.eye(2), phi @ phi.conj().T)
     # the input lies wholly outside that span, so the conversion moved it
@@ -291,11 +306,11 @@ def test_three_copy_golden_conversion():
 
 def test_large_k_weight_table_matches_embedding():
     # the verifier reads the pair marginal from the weight tables; check them
-    # against an explicit embedding once, at k = 9
+    # against an explicit glue once, at k = 9
     k, dA = 9, 2
     bs = random_block_state(k, dA, seed=21, diagrams=list_diagrams(k)[:3])
     bos = sym_to_bos(bs)
-    full = bos.embed()
+    full = blocks_to_global(bos, build_schur_basis(k))
     brute = partial_trace(full.matrix, full.dims, (0, 1))
     assert np.linalg.norm(marginal_from_blocks(bos).matrix - brute) < 1e-10
     report = verify_extension(bos, marginal_from_blocks(bs), k)
@@ -364,7 +379,8 @@ def test_weight_coordinates_report_invariance_by_construction():
             assert report.by_construction
             assert report.invariance_deviation == 0.0
     small, w = gen_random_extendible(3, 2, 3)
-    assert not verify_extension(sym_to_bos(w).embed(), small, 3).by_construction
+    full = blocks_to_global(sym_to_bos(w), build_schur_basis(3))
+    assert not verify_extension(full, small, 3).by_construction
 
 
 def test_verify_layout_errors():

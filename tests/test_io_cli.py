@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import product_state, random_density, singlet_state
-from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks
+from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, blocks_to_global, gen_random_extendible, marginal_from_blocks
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
 from symext.io import (
@@ -22,6 +22,7 @@ from symext.io import (
     save_state,
 )
 from symext.linalg import DensityMatrix
+from symext.schur import build_schur_basis
 from symext.solver import qutrit_counterexample
 from symext.young import list_diagrams
 
@@ -104,7 +105,7 @@ def test_bosonic_round_trip_and_dispatch(tmp_path):
     assert np.array_equal(back.matrix, bos.matrix)
     # a plain layout comes back as a full-space state
     full = tmp_path / "full.state"
-    save_state(bos.embed(), full)
+    save_state(blocks_to_global(bos, build_schur_basis(4)), full)
     assert isinstance(load_extension(full), DensityMatrix)
 
 
@@ -500,11 +501,10 @@ def _loop_entries(entries):
     [
         [[0.5, 0.0], [0.25, -0.125], [0.25, 0.125], [0.5, 0.0]],
         [[1, 0], [0, 0], [0, 0], [0, 0]],
-        [[True, False], [False, True], [True, False], [False, False]],
         [[-0.0, -0.0], [0, -0.0], [-0.0, 0], [1e-300, -2.5e-310]],
-        [[1, -0.0], [True, 0.1], [3, -1e308], [0.5, False]],
+        [[1, -0.0], [2, 0.1], [3, -1e308], [0.5, 0]],
     ],
-    ids=["float", "int", "bool", "negative-zero", "mixed"],
+    ids=["float", "int", "negative-zero", "mixed"],
 )
 def test_fast_entry_parse_matches_the_loop(tmp_path, entries):
     path = tmp_path / "m.state"
@@ -525,6 +525,40 @@ def test_malformed_entries_name_their_index(tmp_path, bad):
     _write_entries(path, "[2]", f"[[0.5, 0], [0, 0], {bad}, [0.5, 0]]")
     with pytest.raises(MatrixFileError, match=r"entry 2 is not a \[re, im\] pair"):
         load_matrix_file(path)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[True, False], [False, True], [True, False], [False, False]],
+        [[1, -0.0], [0.5, 0.1], [True, 0.1], [0.5, 0]],
+        [[0.5, 0], [0, 0], [0, 0], [0.5, False]],
+    ],
+    ids=["all", "real-part", "imaginary-part"],
+)
+def test_json_booleans_are_not_matrix_entries(tmp_path, entries):
+    # numpy would read true and false as 1 and 0, as int() reads a size
+    bad = next(i for i, pair in enumerate(entries) if any(isinstance(v, bool) for v in pair))
+    path = tmp_path / "m.state"
+    _write_entries(path, "[2]", json.dumps(entries))
+    with pytest.raises(MatrixFileError, match=rf"entry {bad} is not a \[re, im\] pair"):
+        load_matrix_file(path)
+    cert = _damaged_blocks(tmp_path / "w.blocks", lambda e: e.__setitem__(3, [True, 0.0]))
+    with pytest.raises(MatrixFileError, match=r"diagram \[2,1\]: entry 3 is not a \[re, im\] pair"):
+        load_blocks(cert)
+
+
+def test_a_diagram_listed_twice_is_refused(tmp_path):
+    # a later block would silently replace the first
+    path = tmp_path / "w.blocks"
+    save_blocks(gen_random_extendible(3, 1, 0)[1], path)
+    doc = json.loads(path.read_text())
+    doc["blocks"].append(doc["blocks"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MatrixFileError, match=re.escape(f"{path}: diagram [3,0] appears twice")):
+        load_blocks(path)
+    code, report = run_command(["convert", "--k", "3", "--in", str(path), "--out", str(tmp_path / "s.bos")])
+    assert code == 1 and "diagram [3,0] appears twice" in report
 
 
 def test_entries_too_large_for_a_float_are_file_errors(tmp_path):
@@ -633,7 +667,7 @@ def test_verify_names_a_non_finite_bosonic_entry(tmp_path):
     ext.write_text(json.dumps(doc))
     code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", str(rho_path)])
     assert code == 1
-    assert f"error: {ext}: matrix entries must be finite" in report, report
+    assert f"error: {ext}: block for [3,0] entries must be finite" in report, report
 
 
 def test_verify_full_space_with_qutrit_legs(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,25 @@ def test_density_matrix_validation():
     assert dm.dim == 4
     with pytest.raises(ValueError):
         dm.matrix[0, 0] = 9  # frozen
+
+
+def test_layout_entries_must_be_integers():
+    # int() would read (2.9, 2.0) as (2, 2) and (True, 4) as (1, 4)
+    m = np.eye(4) / 4
+    for dims, bad in (((2.9, 2.0), 2.9), ((2, 2.0), 2.0), ((True, 4), True), ((np.True_, 4), np.True_)):
+        message = f"^layout entry must be an integer, got {re.escape(repr(bad))}$"
+        for call in (
+            lambda: DensityMatrix(m, dims),
+            lambda: partial_trace(m, dims, (0,)),
+            lambda: partial_transpose(m, dims, 0),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # numpy integers are integers; the layout is kept as Python ints
+    dm = DensityMatrix(m, (np.int64(2), np.uint8(2)))
+    assert dm.dims == (2, 2) and all(type(d) is int for d in dm.dims)
+    assert np.array_equal(partial_trace(m, np.array([2, 2]), (0,)), np.eye(2) / 2)
+    assert np.array_equal(partial_transpose(m, (np.int32(2), 2), 1), m)
 
 
 def _with_lowest_eigenvalue(low: float, n: int = 6, seed: int = 0) -> np.ndarray:

@@ -17,10 +17,21 @@ def test_basis_orthonormal_small():
         basis = build_schur_basis(k)
         for lam in list_diagrams(k):
             # one coupling path per standard tableau
-            assert basis.sector(lam).shape == (2**k, hook_dim(lam), lam.num_weights)
-        b = np.concatenate([basis.sector(lam).reshape(2**k, -1) for lam in list_diagrams(k)], axis=1)
+            assert basis[lam].shape == (2**k, hook_dim(lam), lam.num_weights)
+        b = np.concatenate([basis[lam].reshape(2**k, -1) for lam in list_diagrams(k)], axis=1)
         assert b.shape == (2**k, 2**k)
         assert np.abs(b.conj().T @ b - np.eye(2**k)).max() <= 1e-12
+
+
+def test_basis_is_a_read_only_mapping_in_diagram_order():
+    # list_diagrams order keeps every sum over the sectors in one order
+    basis = build_schur_basis(4)
+    assert list(basis) == list_diagrams(4)
+    with pytest.raises(TypeError):
+        basis[YoungDiagram(4, 0)] = np.zeros((16, 1, 5))
+    for sec in basis.values():
+        with pytest.raises(ValueError, match="read-only"):
+            sec[0, 0, 0] = 1.0
 
 
 def test_sector_paths_follow_the_coupling_in_lexicographic_order():
@@ -37,7 +48,7 @@ def test_sector_paths_follow_the_coupling_in_lexicographic_order():
                 swaps = swaps + permutation_operator(k, perm)
             casimirs.append(swaps + (3 * t - t * (t - 1)) / 4 * np.eye(2**k))
         for lam in list_diagrams(k):
-            sec = basis.sector(lam)
+            sec = basis[lam]
             paths = []
             for mu in range(sec.shape[1]):
                 v = sec[:, mu, 0]
@@ -56,7 +67,7 @@ def test_sector_paths_follow_the_coupling_in_lexicographic_order():
 
 def test_singlet_sector_is_the_singlet():
     basis = build_schur_basis(2)
-    v = basis.sector(YoungDiagram(1, 1))[:, 0, 0]
+    v = basis[YoungDiagram(1, 1)][:, 0, 0]
     target = np.array([0, 1, -1, 0]) / np.sqrt(2)
     overlap = abs(np.vdot(target, v))
     assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -67,7 +78,7 @@ def test_top_sector_equals_dicke():
         basis = build_schur_basis(k)
         lam = YoungDiagram(k, 0)
         for wi, omega in enumerate(lam.weights()):
-            v = basis.sector(lam)[:, 0, wi]
+            v = basis[lam][:, 0, wi]
             d = dicke(k, omega)
             assert abs(abs(np.vdot(d, v)) - 1.0) <= 1e-12
             # the builder fixes phases so these are equal, not just parallel
@@ -88,7 +99,7 @@ def test_section3_spans():
     psi_a = np.column_stack([(2 * e[1] - e[2] - e[4]) / np.sqrt(6), (e[2] - e[4]) / np.sqrt(2)])
     psi_b = np.column_stack([(2 * e[6] - e[5] - e[3]) / np.sqrt(6), (e[5] - e[3]) / np.sqrt(2)])
     basis = build_schur_basis(3)
-    sec = basis.sector(YoungDiagram(2, 1))
+    sec = basis[YoungDiagram(2, 1)]
     for wi, ext in ((0, psi_a), (1, psi_b)):
         mine = sec[:, :, wi]
         assert np.abs(mine @ mine.conj().T - ext @ ext.conj().T).max() <= 1e-12
@@ -101,12 +112,12 @@ def test_permutations_block_diagonal_and_weight_independent():
             op = permutation_operator(k, adjacent_transposition(k, t))
             # no mixing between different sectors: op maps each sector's span into itself
             for lam in list_diagrams(k):
-                flat = basis.sector(lam).reshape(2**k, -1)
+                flat = basis[lam].reshape(2**k, -1)
                 image = op @ flat
                 assert np.abs(image - flat @ (flat.conj().T @ image)).max() <= 1e-12
             # within a sector: block diagonal in weight, identical across weights
             for lam in list_diagrams(k):
-                sec = basis.sector(lam)
+                sec = basis[lam]
                 npath, nw = sec.shape[1], sec.shape[2]
                 flat = sec.reshape(2**k, npath * nw)
                 rep = (flat.conj().T @ op @ flat).reshape(npath, nw, npath, nw)
@@ -137,7 +148,7 @@ def test_jplus_ladder_action():
         for lam in list_diagrams(k):
             ws = lam.weights()
             j = lam.spin
-            sec = basis.sector(lam)
+            sec = basis[lam]
             for mu in range(hook_dim(lam)):
                 for wi, omega in enumerate(ws):
                     got = jp @ sec[:, mu, wi]
@@ -179,8 +190,8 @@ def test_alpha_known_values():
 
 
 def brute_force_pair_marginal(basis, lam, wi, wj):
-    k = basis.k
-    sec = basis.sector(lam)
+    k = lam.k
+    sec = basis[lam]
     v, w = sec[:, :, wi], sec[:, :, wj]
     return partial_trace(v @ w.conj().T / hook_dim(lam), [2] * k, [0])
 
@@ -318,7 +329,7 @@ def test_build_rejects_bad_k():
     # charged 3 * 8 * 4^k bytes: 1.5 GiB at k = 13, above the 1 GiB bound, refused before it is built
     with pytest.raises(ValueError, match=r"^the Schur basis of k=13 needs 1536\.0 MiB, above the 1024 MiB limit$"):
         build_schur_basis(13)
-    assert build_schur_basis(np.int64(3)).k == 3
+    assert list(build_schur_basis(np.int64(3))) == list_diagrams(3)
 
 
 def test_sym2_isometry_shape_and_range():

@@ -1,7 +1,7 @@
 """The sector-coordinate verifier against the full-space reference.
 
-Certificates (BlockState, BosonicState) are verified on their blocks; the
-reference glues or lifts them into the full space and runs the full-space
+Certificates (BlockState, BosonicState among them) are verified on their
+blocks; the reference glues them into the full space and runs the full-space
 check, which measures invariance and support instead of taking them as
 given. Both must raise the same flags, on valid certificates and on copies
 with a negative eigenvalue, the wrong marginal, or a trace of 1.01.
@@ -28,14 +28,12 @@ def _with_negative_eigenvalue(x):
 
 
 def _full(ext):
-    """Full-space state of a certificate: the Schur glue or the symmetric lift."""
-    if isinstance(ext, BosonicState):
-        return ext.embed()
+    """Full-space state of a certificate, glued through the Schur basis."""
     return blocks_to_global(ext, build_schur_basis(ext.k))
 
 
 def _scaled(full, scale):
-    # the glue and the lift are linear, so the full state of a certificate
+    # the glue is linear, so the full state of a certificate
     # scaled by 1.01 is the scaled full state; the DensityMatrix checks of
     # gluing would refuse its trace
     return DensityMatrix(scale * full.matrix, full.dims, atol=1.0, check_psd=False)

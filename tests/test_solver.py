@@ -410,7 +410,7 @@ def _count_factorizations(monkeypatch) -> dict:
 
 def _count_hermitian_parts(monkeypatch) -> list:
     calls = []
-    for module in ("linalg", "blocks", "convert"):
+    for module in ("linalg", "blocks"):
         monkeypatch.setattr(f"symext.{module}.hermitian_part", lambda *a: calls.append(a) or hermitian_part(*a))
     return calls
 
