@@ -33,9 +33,16 @@ class BlockState:
     factorization, and only a block it cannot accept is handed to eigvalsh
     (see `linalg.eigenvalue_below`). check_psd=False skips the positivity
     check, as in `DensityMatrix`; callers use it when positivity is
-    structural, as for the solver's certificate and the Ginibre blocks of
-    `gen_random_extendible`, which are PSD by construction. k and dA must be
-    integers (Python or numpy, not bools).
+    structural, as for the Ginibre blocks of `gen_random_extendible`, which
+    are PSD by construction. k and dA must be integers (Python or numpy, not
+    bools).
+
+    `_assembled` builds a state without any of these checks, from blocks that
+    are known to pass them. Only two callers use it: the solver, whose
+    certificate is the Hermitian part of a PSD block that the solve has
+    already checked (see `solver._certificate`), and
+    `convert.BosonicState._of_hermitian`, which runs its own finiteness and
+    trace checks. It never receives input from a file or a user.
     """
 
     def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6, check_psd: bool = True):
@@ -65,6 +72,19 @@ class BlockState:
             clean[lam] = x
         self.blocks = clean
         self._check_trace(atol)
+
+    @classmethod
+    def _assembled(cls, k: int, dA: int, blocks: dict) -> "BlockState":
+        """The state of blocks, built without any check of __init__.
+
+        The caller answers for every check: each block read-only, finite and
+        its own Hermitian part bit for bit, with a sector and shape that fit k
+        and dA, and a weighted trace of 1, tested on the result where the
+        caller cannot vouch for it.
+        """
+        state = cls.__new__(cls)
+        state.k, state.dA, state.blocks = k, dA, blocks
+        return state
 
     def _check_trace(self, atol: float) -> None:
         total = self.weighted_trace

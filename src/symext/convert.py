@@ -34,8 +34,7 @@ from .blocks import BlockState, raw_marginal_from_blocks
 from .caps import BLOCK_CAP, block_cap_error, integer_size
 from .linalg import DensityMatrix, min_eigenvalue, partial_transpose
 from .schur import sector_tables, sym_isometry
-from .solver import _top_sector
-from .young import hook_dim
+from .young import hook_dim, top_sector
 
 
 class BosonicState(BlockState):
@@ -52,28 +51,28 @@ class BosonicState(BlockState):
         k = integer_size("k", k)
         if not 1 <= k <= BLOCK_CAP:
             raise block_cap_error(k)
-        super().__init__(k, dA, {_top_sector(k): matrix}, atol=atol, check_psd=False)
+        super().__init__(k, dA, {top_sector(k): matrix}, atol=atol, check_psd=False)
 
     @classmethod
     def _of_hermitian(cls, dA: int, k: int, matrix: np.ndarray) -> "BosonicState":
         """The state of a matrix of the right shape that no one else holds.
 
         The matrix must equal its Hermitian part bit for bit; only its
-        finiteness and its trace, within the default atol, are checked.
+        finiteness, before `BlockState._assembled` builds the state, and its
+        trace, within the default atol, after, are checked.
         """
-        top = _top_sector(k)
+        top = top_sector(k)
         # the squared norm is finite unless an entry is not, or it overflows
         if not isfinite(np.vdot(matrix, matrix).real) and not np.isfinite(matrix).all():
             raise ValueError(f"block for {top} entries must be finite")
         matrix.flags.writeable = False
-        state = cls.__new__(cls)
-        state.k, state.dA, state.blocks = k, dA, {top: matrix}
+        state = cls._assembled(k, dA, {top: matrix})
         state._check_trace(1e-6)
         return state
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.blocks[_top_sector(self.k)]
+        return self.blocks[top_sector(self.k)]
 
 
 def _bosonic_sum(bs: BlockState) -> np.ndarray:

@@ -57,7 +57,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep.
 
     Kept subsystems appear in the result in their original order, so the map
-    is linear and trace preserving.
+    is linear and trace preserving. Each keep index must be an integer.
     """
     m = np.asarray(m)
     dims = tuple(integer_size("layout entry", d) for d in dims)
@@ -65,7 +65,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match layout {dims}")
     n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(integer_size("keep index", i) for i in keep))
     if any(i < 0 or i >= n for i in keep):
         raise ValueError(f"keep indices {keep} outside layout of {n} subsystems")
     t = m.reshape(dims + dims)
@@ -79,9 +79,10 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
-    """Transpose one subsystem in place."""
+    """Transpose one subsystem, sys, an integer index into the layout."""
     m = np.asarray(m)
     dims = tuple(integer_size("layout entry", d) for d in dims)
+    sys = integer_size("sys", sys)
     n = len(dims)
     if not 0 <= sys < n:
         raise ValueError(f"subsystem {sys} outside layout of {n} subsystems")

@@ -19,8 +19,11 @@ factorization of it succeeds it is positive definite, hence its own cone
 shadow, and a small residual on it decides FEASIBLE at iteration 1 without
 an eigendecomposition. The test runs once, not inside the loop, where a
 failed factorization would only add to the cost of the eigh that follows.
-Either way the FEASIBLE block is PSD by construction, so its certificate is
-built without a second positivity check.
+Either way the FEASIBLE block is PSD by construction, with a residual,
+trace row included, of at most 1e-8 and finite entries. So the certificate,
+the block's Hermitian part (x + x^H) / 2, is assembled with no check at all
+(`_certificate` gives the reason each check holds); the checked constructor
+stays for every block that comes from a file or a user.
 
 Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the
@@ -67,7 +70,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import isqrt, sqrt
 from typing import Any
@@ -77,7 +79,7 @@ import numpy as np
 from .blocks import BlockState
 from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
 from .linalg import DensityMatrix
-from .young import YoungDiagram
+from .young import top_sector
 
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
@@ -335,9 +337,12 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, certify) -> SolverReport:
     """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
 
     On FEASIBLE the certificate is certify(block), with the state's block in
-    the basis of `_sym_map`; the block is PSD by construction (it passed a
-    Cholesky factorization or is an eigenvalue clip), so certify need not
-    check positivity. On INFEASIBLE the report carries the Farkas witness.
+    the basis of `_sym_map`. The block is PSD by construction (it passed a
+    Cholesky factorization or is an eigenvalue clip), its constraint
+    residual, trace row included, is at most _TOL_FEASIBLE, and its entries
+    are finite: so certify need not check positivity, and the qubit solver's
+    `_certificate` checks nothing at all. On INFEASIBLE the report carries
+    the Farkas witness.
     """
     dA, dB = rho_ab.dims
     cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
@@ -356,8 +361,28 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, certify) -> SolverReport:
     return report
 
 
-# The top sector [k, 0] of each k, built once: a YoungDiagram is immutable.
-_top_sector = lru_cache(maxsize=1024)(lambda k: YoungDiagram(k, 0))
+def _certificate(k: int, dA: int, x: np.ndarray) -> BlockState:
+    """The top-sector BlockState of a FEASIBLE block x, assembled without a check.
+
+    Its block is h = (x + x^H) * 0.5, the expression `linalg.hermitian_part`
+    returns, made read-only; BlockState's checks hold by what the solve
+    established:
+    - trace: the last row of the map is the trace, so |tr x - 1| is at most
+      the residual, 1e-8; Re tr h equals Re tr x bit for bit, and the tableau
+      count of [k, 0] is 1;
+    - finiteness: the residual test fails on a non-finite touched entry; the
+      other entries are exact zeros on the Cholesky path, and on the eigh
+      path entries of u diag(w) u^H, which a non-finite w would make
+      non-finite everywhere, the touched diagonal included;
+    - Hermitian deviation: it is rounding alone, on a PSD unit-trace block
+      of norm at most 1, far below the atol of 1e-6; for the same reason
+      x + x^H cannot overflow;
+    - positivity: x passed a Cholesky factorization or is an eigenvalue
+      clip, and the sector and shape are those of the solver's own map.
+    """
+    h = (x + x.conj().T) * 0.5
+    h.flags.writeable = False
+    return BlockState._assembled(k, dA, {top_sector(k): h})
 
 
 def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
@@ -375,7 +400,7 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
     if k > BLOCK_CAP:
         raise block_cap_error(k)
     dA = rho_ab.dims[0]
-    return _solve_sym(rho_ab, k, lambda top: BlockState(k, dA, {_top_sector(k): top}, atol=1e-6, check_psd=False))
+    return _solve_sym(rho_ab, k, lambda x: _certificate(k, dA, x))
 
 
 solve_bosonic = solve_symmetric

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -42,6 +43,12 @@ class YoungDiagram:
 
     def __str__(self):
         return f"[{self.lambda1},{self.lambda2}]"
+
+
+@lru_cache(maxsize=1024)
+def top_sector(k: int) -> YoungDiagram:
+    """The top (fully symmetric) sector [k, 0], built once per k: a YoungDiagram is immutable."""
+    return YoungDiagram(k, 0)
 
 
 def list_diagrams(k: int) -> list[YoungDiagram]:

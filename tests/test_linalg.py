@@ -150,6 +150,18 @@ def test_layout_entries_must_be_integers():
     assert np.array_equal(partial_transpose(m, (np.int32(2), 2), 1), m)
 
 
+def test_subsystem_indices_must_be_integers():
+    # int() would read keep (1.9,) and (True,) as (1,), and sys=True as 1
+    m = np.diag([0.1, 0.2, 0.3, 0.4])
+    for bad in (1.9, True, 1.0, np.True_):
+        with pytest.raises(ValueError, match=f"^keep index must be an integer, got {re.escape(repr(bad))}$"):
+            partial_trace(m, (2, 2), (bad,))
+        with pytest.raises(ValueError, match=f"^sys must be an integer, got {re.escape(repr(bad))}$"):
+            partial_transpose(m, (2, 2), bad)
+    assert np.array_equal(partial_trace(m, (2, 2), (np.int64(1),)), np.diag([0.1 + 0.3, 0.2 + 0.4]))
+    assert np.array_equal(partial_transpose(m, (2, 2), np.uint8(1)), m)
+
+
 def _with_lowest_eigenvalue(low: float, n: int = 6, seed: int = 0) -> np.ndarray:
     # Hermitian, spectrum {low, 0.2, ..., 1} in a random unitary basis
     gen = np.random.default_rng(seed)

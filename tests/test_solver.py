@@ -5,7 +5,7 @@ import pytest
 
 from conftest import product_state, random_two_qubit_states, singlet_state
 from symext import caps, solver
-from symext.blocks import PROFILE_EXCLUDE_BOSONIC, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
+from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import sym_to_bos, verify_extension
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
 from symext.solver import (
@@ -417,9 +417,8 @@ def _count_hermitian_parts(monkeypatch) -> list:
 
 def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
     # the least-norm point passes its one Cholesky test, the certificate is
-    # PSD by construction and not factored again, its one Hermitian check is
-    # the certificate's, and the conversion reads cached scales and checks
-    # no Hermitian part again
+    # PSD by construction and assembled without a check, and the conversion
+    # reads cached scales and checks no Hermitian part
     k = 10
     for profile in ("all", PROFILE_EXCLUDE_BOSONIC):
         rho, _ = gen_random_extendible(k, 2, seed=3, profile=profile)
@@ -428,13 +427,44 @@ def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
         calls = _count_factorizations(monkeypatch)
         hermitian = _count_hermitian_parts(monkeypatch)
         report = solve_symmetric(rho, k)
-        assert len(hermitian) == 1, profile
+        assert len(hermitian) == 0, profile
         bos = sym_to_bos(report.certificate)
-        assert len(hermitian) == 1, profile
+        assert len(hermitian) == 0, profile
         assert (report.status, report.iterations) == (FEASIBLE, 1)
         assert calls == {"cholesky": 1}, profile
         monkeypatch.undo()
         assert verify_extension(bos, rho, k, tol=1e-7).bosonic_ok
+
+
+def _assert_certificate_passes_the_checks_it_skips(report, k):
+    # the checked constructor accepts the certificate and keeps its block bit
+    # for bit; the block is read-only and its trace within the residual bound
+    assert report.status == FEASIBLE
+    cert = report.certificate
+    assert type(cert) is BlockState
+    ((lam, block),) = cert.blocks.items()
+    assert lam == YoungDiagram(k, 0) and not block.flags.writeable
+    checked = BlockState(k, cert.dA, cert.blocks, atol=1e-6, check_psd=False)
+    assert checked.blocks[lam].tobytes() == block.tobytes()
+    assert abs(cert.weighted_trace - 1.0) <= 1e-8 + 64 * np.finfo(float).eps
+
+
+def test_a_certificate_passes_every_check_it_skips():
+    # planted states and the feasible Werner grid are decided at iteration 1,
+    # on the Cholesky path
+    for k in (1, 2, 3, 8, 64):
+        for dA in (1, 2, 3, 4):
+            rho, _ = gen_random_extendible(k, dA, seed=k + dA)
+            _assert_certificate_passes_the_checks_it_skips(solve_symmetric(rho, k), k)
+    for k in range(2, 17):
+        for off in (-0.05, -0.005, -0.002):
+            _assert_certificate_passes_the_checks_it_skips(solve_symmetric(_werner((k + 2) / (3 * k) + off), k), k)
+    # pure products at k = 3 need DR steps: the certificate is an eigenvalue clip
+    states = _pure_products()
+    for i in range(5):
+        report = solve_symmetric(states[3, i], 3)
+        assert report.iterations > 1, i
+        _assert_certificate_passes_the_checks_it_skips(report, 3)
 
 
 def test_an_infeasible_instance_still_runs_the_loop_and_the_witness(monkeypatch):
