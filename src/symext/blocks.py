@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
+from .caps import block_k, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
 from .schur import sector_tables
 from .young import YoungDiagram, hook_dim, list_diagrams
@@ -22,20 +22,23 @@ PROFILE_ALL = "all"
 PROFILE_EXCLUDE_BOSONIC = "exclude-bosonic"
 PROFILES = (PROFILE_ALL, PROFILE_EXCLUDE_BOSONIC)
 
+# the tolerance of every BlockState check: Hermitian deviation, positivity and trace
+_ATOL = 1e-6
+
 
 class BlockState:
     """One Hermitian PSD block per sector; missing sectors are zero.
 
-    The weighted normalization sum_lam tableau_count(lam) * tr(X_lam) = 1
-    makes the glued global state unit trace. Every block must have finite
-    entries and be Hermitian within atol, and PSD within atol: its smallest
-    eigenvalue at least -atol. Positivity is settled by a Cholesky
-    factorization, and only a block it cannot accept is handed to eigvalsh
-    (see `linalg.eigenvalue_below`). check_psd=False skips the positivity
-    check, as in `DensityMatrix`; callers use it when positivity is
-    structural, as for the Ginibre blocks of `gen_random_extendible`, which
-    are PSD by construction. k and dA must be integers (Python or numpy, not
-    bools).
+    The weighted normalization sum_lam tableau_count(lam) * tr(X_lam) = 1,
+    required within 1e-6, makes the glued global state unit trace. Every
+    block must have finite entries and be Hermitian within 1e-6, and PSD
+    within 1e-6: its smallest eigenvalue at least -1e-6. Positivity is
+    settled by a Cholesky factorization, and only a block it cannot accept
+    is handed to eigvalsh (see `linalg.eigenvalue_below`). check_psd=False
+    skips the positivity check, as in `DensityMatrix`; callers use it when
+    positivity is structural, as for the Ginibre blocks of
+    `gen_random_extendible`, which are PSD by construction. k and dA must be
+    integers (Python or numpy, not bools), k in 1..64 (`caps.block_k`).
 
     `_assembled` builds a state without any of these checks, from blocks that
     are known to pass them. Only two callers use it: the solver, whose
@@ -45,11 +48,9 @@ class BlockState:
     trace checks. It never receives input from a file or a user.
     """
 
-    def __init__(self, k: int, dA: int, blocks, *, atol: float = 1e-6, check_psd: bool = True):
-        self.k = integer_size("k", k)
+    def __init__(self, k: int, dA: int, blocks, *, check_psd: bool = True):
+        self.k = block_k(k)
         self.dA = integer_size("dA", dA)
-        if not 1 <= self.k <= BLOCK_CAP:
-            raise block_cap_error(k)
         if self.dA < 1:
             raise ValueError(f"invalid A dimension {dA}")
         clean: dict[YoungDiagram, np.ndarray] = {}
@@ -61,17 +62,17 @@ class BlockState:
             if x.shape != (n, n):
                 raise ValueError(f"block for {lam} has shape {x.shape}, expected {(n, n)}")
             try:
-                x = hermitian_part(x, atol, "entries must be finite", "not Hermitian (deviation {dev:.3e})")
+                x = hermitian_part(x, _ATOL, "entries must be finite", "not Hermitian (deviation {dev:.3e})")
             except ValueError as exc:
                 raise ValueError(f"block for {lam} {exc}") from None
             if check_psd:
-                low = eigenvalue_below(x, atol)
+                low = eigenvalue_below(x, _ATOL)
                 if low is not None:
                     raise ValueError(f"block for {lam} has eigenvalue {low:.3e}")
             x.flags.writeable = False
             clean[lam] = x
         self.blocks = clean
-        self._check_trace(atol)
+        self._check_trace()
 
     @classmethod
     def _assembled(cls, k: int, dA: int, blocks: dict) -> "BlockState":
@@ -86,10 +87,10 @@ class BlockState:
         state.k, state.dA, state.blocks = k, dA, blocks
         return state
 
-    def _check_trace(self, atol: float) -> None:
+    def _check_trace(self) -> None:
         total = self.weighted_trace
-        if abs(total - 1.0) > atol:
-            raise ValueError(f"weighted block trace {total!r} is not 1 within {atol:g}")
+        if abs(total - 1.0) > _ATOL:
+            raise ValueError(f"weighted block trace {total!r} is not 1 within {_ATOL:g}")
 
     @property
     def weighted_trace(self) -> float:
@@ -181,8 +182,7 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
     if not 1 <= dA <= 4:
         raise ValueError(f"A dimension {dA} outside 1..4")
     # before any block is drawn: the blocks of a large k alone can exhaust memory
-    if k > BLOCK_CAP:
-        raise block_cap_error(k)
+    block_k(k)
     diagrams = list_diagrams(k)
     if profile == PROFILE_EXCLUDE_BOSONIC:
         diagrams = diagrams[1:]

@@ -19,11 +19,6 @@ BLOCK_CAP = 64
 DENSE_BYTES_LIMIT = 2**30
 
 
-def block_cap_error(k: int) -> ValueError:
-    """The error for a k outside 1..BLOCK_CAP."""
-    return ValueError(f"k={k} outside 1..{BLOCK_CAP}")
-
-
 def check_dense_bytes(what: str, nbytes: int) -> None:
     """Refuse an array of nbytes dense bytes above DENSE_BYTES_LIMIT; what names it."""
     if nbytes > DENSE_BYTES_LIMIT:
@@ -43,3 +38,11 @@ def integer_size(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def block_k(k) -> int:
+    """The k of block-coordinate work: an integer (`integer_size`) in 1..BLOCK_CAP."""
+    k = integer_size("k", k)
+    if not 1 <= k <= BLOCK_CAP:
+        raise ValueError(f"k={k} outside 1..{BLOCK_CAP}")
+    return k

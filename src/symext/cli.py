@@ -110,49 +110,33 @@ def _cmd_check_bos2(args, lines, timings):
     return _status_code(report.status)
 
 
-def _as_block_state(path, k: int) -> tuple[BlockState, list[str]]:
-    """Load a convertible object: block certificate, bipartite state, or
-    full-space extension. Bipartite states are solved for a witness first."""
-    notes = []
+def _cmd_convert(args, lines, timings):
+    """Convert a block certificate, a bipartite state (solved for a witness
+    first) or a full-space extension; each input note follows its step."""
+    path, k = args.infile, args.k
+    t0 = time.perf_counter()
     state = mio.load_extension(path)
     if isinstance(state, BosonicState):
         raise _UsageError(f"{path}: a bosonic state is not convertible; give a block certificate or a plain state")
     if isinstance(state, BlockState):
         if state.k != k:
             raise _UsageError(f"{path}: certificate is for k={state.k}, not k={k}")
-        notes.append("input: block certificate")
-        return state, notes
-    if len(state.dims) == 2 and state.dims[1] == 2 and k != 1:
-        notes.append("input: bipartite state, solving for a witness")
+        lines.append("input: block certificate")
+    elif len(state.dims) == 2 and state.dims[1] == 2 and k != 1:
         report = solve_symmetric(state, k)
-        notes += _solver_lines(report, state)
+        lines.append("input: bipartite state, solving for a witness")
+        lines += _solver_lines(report, state)
         if report.certificate is None:
-            raise _SolveFailed(report.status, notes)
-        return report.certificate, notes
-    if len(state.dims) == k + 1 and all(d == 2 for d in state.dims[1:]):
-        notes.append("input: full-space extension")
-        return global_to_blocks(state, build_schur_basis(k)), notes
-    raise _UsageError(f"{path}: layout {list(state.dims)} is not convertible for k={k}")
-
-
-class _SolveFailed(Exception):
-    def __init__(self, status, notes):
-        super().__init__(status)
-        self.status = status
-        self.notes = notes
-
-
-def _cmd_convert(args, lines, timings):
-    t0 = time.perf_counter()
-    try:
-        bs, notes = _as_block_state(args.infile, args.k)
-    except _SolveFailed as exc:
-        lines += exc.notes
-        return _status_code(exc.status)
-    lines += notes
-    sigma = sym_to_bos(bs)
+            return _status_code(report.status)
+        state = report.certificate
+    elif len(state.dims) == k + 1 and all(d == 2 for d in state.dims[1:]):
+        state = global_to_blocks(state, build_schur_basis(k))
+        lines.append("input: full-space extension")
+    else:
+        raise _UsageError(f"{path}: layout {list(state.dims)} is not convertible for k={k}")
+    sigma = sym_to_bos(state)
     timings.append(("convert", time.perf_counter() - t0))
-    mio.save_bosonic(sigma, args.out, metadata={"k": args.k})
+    mio.save_bosonic(sigma, args.out, metadata={"k": k})
     lines.append(f"output: {args.out}")
     lines.append("status: PASS")
     return 0

@@ -31,8 +31,8 @@ from math import isfinite
 import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import BLOCK_CAP, block_cap_error, integer_size
-from .linalg import DensityMatrix, min_eigenvalue, partial_transpose
+from .caps import block_k, integer_size
+from .linalg import DensityMatrix, partial_transpose
 from .schur import sector_tables, sym_isometry
 from .young import hook_dim, top_sector
 
@@ -46,12 +46,10 @@ class BosonicState(BlockState):
     positivity, which `verify_extension` measures.
     """
 
-    def __init__(self, dA: int, k: int, matrix, *, atol: float = 1e-6):
+    def __init__(self, dA: int, k: int, matrix):
         # the top sector is built before BlockState checks k
-        k = integer_size("k", k)
-        if not 1 <= k <= BLOCK_CAP:
-            raise block_cap_error(k)
-        super().__init__(k, dA, {top_sector(k): matrix}, atol=atol, check_psd=False)
+        k = block_k(k)
+        super().__init__(k, dA, {top_sector(k): matrix}, check_psd=False)
 
     @classmethod
     def _of_hermitian(cls, dA: int, k: int, matrix: np.ndarray) -> "BosonicState":
@@ -59,7 +57,7 @@ class BosonicState(BlockState):
 
         The matrix must equal its Hermitian part bit for bit; only its
         finiteness, before `BlockState._assembled` builds the state, and its
-        trace, within the default atol, after, are checked.
+        trace, within BlockState's 1e-6, after, are checked.
         """
         top = top_sector(k)
         # the squared norm is finite unless an entry is not, or it overflows
@@ -67,7 +65,7 @@ class BosonicState(BlockState):
             raise ValueError(f"block for {top} entries must be finite")
         matrix.flags.writeable = False
         state = cls._assembled(k, dA, {top: matrix})
-        state._check_trace(1e-6)
+        state._check_trace()
         return state
 
     @property
@@ -169,7 +167,7 @@ def _verify_full(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float
         raise ValueError(f"extension legs in {dims} are not all equal")
     if rho_ab.dims != (dims[0], d):
         raise ValueError(f"marginal layout {rho_ab.dims} does not match extension {dims}")
-    low = min_eigenvalue(sigma.matrix)
+    low = float(np.linalg.eigvalsh(sigma.matrix)[0])
     trace_dev = abs(float(sigma.matrix.trace().real) - 1.0)
     marg_dev = max(
         float(np.linalg.norm(sigma.marginal((0, i)) - rho_ab.matrix)) for i in range(1, k + 1)
@@ -248,6 +246,6 @@ def tilde_state(rho_ab: DensityMatrix, k: int) -> TildeReport:
     else:
         matrix = (dB * mix + k * rho_ab.matrix) / (dB * dB + k)
     state = DensityMatrix(matrix, (dA, dB), check_psd=False)
-    pt = partial_transpose(matrix, (dA, dB), 1)
-    low = min_eigenvalue(pt)
+    # the partial transpose of the Hermitian state.matrix is Hermitian
+    low = float(np.linalg.eigvalsh(partial_transpose(state.matrix, (dA, dB), 1))[0])
     return TildeReport(state, low >= -1e-10, low)

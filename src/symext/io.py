@@ -7,6 +7,11 @@ loads as +0.0 (equal to -0.0, with the sign bit clear). Writing the same
 object twice yields identical bytes. A layout entry is either a local
 dimension or the tag "sym(k)" marking the symmetric weight space of k qubits.
 
+Every file is one JSON object, one field a line, in the one order all kinds
+share: format_version, kind, the head fields of the kind (layout for a
+matrix; k and dA for blocks), metadata with its keys sorted, and last the
+body field (entries for a matrix, blocks for blocks).
+
 Loading checks the entry count of a matrix, or of each block of a
 certificate, and then converts the entries in one numpy pass when they are
 all plain [re, im] number pairs; any other list is checked entry by entry, so
@@ -48,10 +53,6 @@ def _entries_text(matrix: np.ndarray) -> str:
     return "[" + ", ".join(map("[%.17g, %.17g]".__mod__, zip(parts, parts))) + "]"
 
 
-def _metadata_text(metadata: dict | None) -> str:
-    return json.dumps(metadata or {}, sort_keys=True)
-
-
 @dataclass
 class MatrixFile:
     layout: list
@@ -59,43 +60,34 @@ class MatrixFile:
 
     def dims(self) -> tuple[int, ...]:
         """Local dimensions, with sym(k) tags resolved to k+1 slots."""
-        out = []
-        for entry in self.layout:
-            if isinstance(entry, int):
-                out.append(entry)
-            else:
-                out.append(int(_SYM_TAG.match(entry).group(1)) + 1)
-        return tuple(out)
+        return tuple(map(_slots, self.layout))
 
 
-def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict | None = None) -> None:
-    matrix = np.asarray(matrix, dtype=complex)
-    layout_json = json.dumps(list(layout))
-    lines = [
-        "{",
-        f'"format_version": {FORMAT_VERSION},',
-        f'"kind": {json.dumps(kind)},',
-        f'"layout": {layout_json},',
-        f'"metadata": {_metadata_text(metadata)},',
-        f'"entries": {_entries_text(matrix)}',
-        "}",
-    ]
+def _slots(entry) -> int:
+    """The local dimension of a layout entry: a sym(k) tag has k+1 slots."""
+    return entry if isinstance(entry, int) else int(_SYM_TAG.match(entry).group(1)) + 1
+
+
+def _write(path, kind: str, head: dict, metadata: dict | None, body: tuple[str, str]) -> None:
+    """Write a file in the field order of every kind (see the module docstring).
+
+    head maps field names to JSON values; body is the name of the last field
+    and the JSON text of its value, written as given.
+    """
+    lines = ["{", f'"format_version": {FORMAT_VERSION},', f'"kind": {json.dumps(kind)},']
+    lines += [f'"{name}": {json.dumps(value)},' for name, value in head.items()]
+    lines += [f'"metadata": {json.dumps(metadata or {}, sort_keys=True)},', '"%s": %s' % body, "}"]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _is_int(value) -> bool:
-    """Whether `caps.integer_size` accepts value; it refuses JSON true, false and 3.0."""
-    try:
-        integer_size("", value)
-    except ValueError:
-        return False
-    return True
+def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict | None = None) -> None:
+    _write(path, kind, {"layout": list(layout)}, metadata, ("entries", _entries_text(matrix)))
 
 
 def _check_version(path, doc: dict) -> None:
     version = doc.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise MatrixFileError(f"{path}: unsupported format_version {version!r}")
 
 
@@ -115,23 +107,16 @@ def _matrix_file(path, doc) -> MatrixFile:
     layout = doc.get("layout")
     if not isinstance(layout, list) or not layout:
         raise MatrixFileError(f"{path}: missing or empty layout")
-    clean_layout = []
     for entry in layout:
-        if _is_int(entry) and entry >= 1:
-            clean_layout.append(entry)
-        elif isinstance(entry, str) and _SYM_TAG.match(entry):
-            clean_layout.append(entry)
-        else:
+        if not ((type(entry) is int and entry >= 1) or (isinstance(entry, str) and _SYM_TAG.match(entry))):
             raise MatrixFileError(f"{path}: bad layout entry {entry!r}")
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise MatrixFileError(f"{path}: missing entries")
-    mf = MatrixFile(clean_layout, np.empty(0))
-    dim = prod(mf.dims())
+    dim = prod(map(_slots, layout))
     if len(entries) != dim * dim:
-        raise MatrixFileError(f"{path}: expected {dim * dim} entries for layout {clean_layout}, found {len(entries)}")
-    mf.entries = _complex_entries(path, entries).reshape(dim, dim)
-    return mf
+        raise MatrixFileError(f"{path}: expected {dim * dim} entries for layout {layout}, found {len(entries)}")
+    return MatrixFile(layout, _complex_entries(path, entries).reshape(dim, dim))
 
 
 def _complex_entries(where, entries: list) -> np.ndarray:
@@ -206,23 +191,11 @@ def load_extension(path) -> DensityMatrix | BlockState:
 
 
 def save_blocks(bs: BlockState, path, metadata: dict | None = None) -> None:
-    parts = []
-    for lam in sorted(bs.blocks, key=lambda d: -d.lambda1):
-        parts.append(
-            f'{{"diagram": [{lam.lambda1}, {lam.lambda2}], "entries": {_entries_text(bs.blocks[lam])}}}'
-        )
-    lines = [
-        "{",
-        f'"format_version": {FORMAT_VERSION},',
-        '"kind": "blocks",',
-        f'"k": {bs.k},',
-        f'"dA": {bs.dA},',
-        f'"metadata": {_metadata_text(metadata)},',
-        '"blocks": [' + ", ".join(parts) + "]",
-        "}",
-    ]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    parts = (
+        f'{{"diagram": [{lam.lambda1}, {lam.lambda2}], "entries": {_entries_text(bs.blocks[lam])}}}'
+        for lam in sorted(bs.blocks, key=lambda d: -d.lambda1)
+    )
+    _write(path, "blocks", {"k": bs.k, "dA": bs.dA}, metadata, ("blocks", "[" + ", ".join(parts) + "]"))
 
 
 def _blocks(path, doc) -> BlockState:

@@ -14,8 +14,6 @@ import numpy as np
 
 from .caps import integer_size
 
-HERMITIAN_ATOL = 1e-10
-
 _EPS = np.finfo(float).eps
 
 
@@ -90,17 +88,6 @@ def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
     axes = list(range(2 * n))
     axes[sys], axes[n + sys] = axes[n + sys], axes[sys]
     return t.transpose(axes).reshape(m.shape)
-
-
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a matrix Hermitian within HERMITIAN_ATOL."""
-    h = hermitian_part(
-        np.asarray(h),
-        HERMITIAN_ATOL,
-        "input entries must be finite",
-        "input is not Hermitian (anti-Hermitian norm {dev:.3e})",
-    )
-    return float(np.linalg.eigvalsh(h)[0])
 
 
 def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:

@@ -77,7 +77,7 @@ from typing import Any
 import numpy as np
 
 from .blocks import BlockState
-from .caps import BLOCK_CAP, block_cap_error, check_dense_bytes, integer_size
+from .caps import block_k, check_dense_bytes, integer_size
 from .linalg import DensityMatrix
 from .young import top_sector
 
@@ -375,7 +375,7 @@ def _certificate(k: int, dA: int, x: np.ndarray) -> BlockState:
       path entries of u diag(w) u^H, which a non-finite w would make
       non-finite everywhere, the touched diagonal included;
     - Hermitian deviation: it is rounding alone, on a PSD unit-trace block
-      of norm at most 1, far below the atol of 1e-6; for the same reason
+      of norm at most 1, far below BlockState's 1e-6; for the same reason
       x + x^H cannot overflow;
     - positivity: x passed a Cholesky factorization or is an eigenvalue
       clip, and the sector and shape are those of the solver's own map.
@@ -395,10 +395,7 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
     k = integer_size("k", k)
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:
         raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use the generic pair solver for other B dimensions")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > BLOCK_CAP:
-        raise block_cap_error(k)
+    block_k(k)
     dA = rho_ab.dims[0]
     return _solve_sym(rho_ab, k, lambda x: _certificate(k, dA, x))
 

@@ -56,7 +56,7 @@ def test_block_state_validation():
         BlockState(2, 1, {lam: bad})
     with pytest.raises(ValueError, match=r"^block for \[2,0\] has eigenvalue -1\.000e\+00$"):
         BlockState(2, 1, {lam: np.diag([1.0, 1.0, -1.0])})
-    # the positivity tolerance is atol: just inside is accepted, just outside is not
+    # the positivity tolerance is 1e-6: just inside is accepted, just outside is not
     BlockState(2, 1, {lam: np.diag([0.5 + 0.999e-6, 0.5, -0.999e-6])})
     with pytest.raises(ValueError, match=r"^block for \[2,0\] has eigenvalue -1\.001e-06$"):
         BlockState(2, 1, {lam: np.diag([0.5 + 1.001e-6, 0.5, -1.001e-6])})

@@ -82,9 +82,10 @@ def test_a_bosonic_state_is_the_top_sector_block_state():
 
 
 def test_conversion_keeps_the_trace_and_finiteness_checks():
-    # a block state accepted at a looser tolerance fails the conversion's 1e-6
+    # a block state whose trace is off by 5e-5, outside BlockState's 1e-6,
+    # fails the conversion's trace check
     lam = YoungDiagram(2, 0)
-    loose = BlockState(2, 1, {lam: np.eye(3) * (1 + 5e-5) / 3}, atol=1e-4)
+    loose = BlockState._assembled(2, 1, {lam: np.eye(3) * (1 + 5e-5) / 3})
     with pytest.raises(ValueError, match="^weighted block trace .* is not 1 within 1e-06$"):
         sym_to_bos(loose)
     # finite blocks whose scaled entries overflow: sector [3,1] scales its

@@ -24,7 +24,7 @@ from symext.io import (
 from symext.linalg import DensityMatrix
 from symext.schur import build_schur_basis
 from symext.solver import qutrit_counterexample
-from symext.young import list_diagrams
+from symext.young import YoungDiagram, list_diagrams
 
 MARKER = "--- timings ---"
 
@@ -107,6 +107,32 @@ def test_bosonic_round_trip_and_dispatch(tmp_path):
     full = tmp_path / "full.state"
     save_state(blocks_to_global(bos, build_schur_basis(4)), full)
     assert isinstance(load_extension(full), DensityMatrix)
+
+
+def test_each_file_kind_is_written_byte_for_byte(tmp_path):
+    # every kind shares one field order: format_version, kind, the head
+    # fields, metadata with sorted keys, then the body; entries are exact in
+    # binary, and -0.0 is written as -0
+    meta = {"z": [True, "x"], "a": 1}
+    m = np.array([[0.5, complex(-0.0, 0.25)], [complex(-0.0, -0.25), 0.5]])
+    entries = "[[0.5, 0], [-0, 0.25], [0, -0.25], [0.5, 0]]"
+    top = np.array([[0.25, 0.125j, -0.0], [-0.125j, 0.25, 0], [-0.0, 0, 0]])
+    blocks = BlockState(2, 1, {YoungDiagram(1, 1): np.array([[0.5]]), YoungDiagram(2, 0): top})
+    for save, obj, head, body in (
+        (save_state, DensityMatrix(m, (1, 2)), '"kind": "state",\n"layout": [1, 2]', f'"entries": {entries}'),
+        (save_bosonic, BosonicState(1, 1, m), '"kind": "bosonic",\n"layout": [1, "sym(1)"]', f'"entries": {entries}'),
+        (
+            save_blocks,
+            blocks,
+            '"kind": "blocks",\n"k": 2,\n"dA": 1',
+            '"blocks": [{"diagram": [2, 0], "entries": [[0.25, 0], [0, 0.125], [-0, 0], [0, -0.125], [0.25, 0], '
+            '[0, 0], [-0, 0], [0, 0], [0, 0]]}, {"diagram": [1, 1], "entries": [[0.5, 0]]}]',
+        ),
+    ):
+        path = tmp_path / save.__name__
+        save(obj, path, metadata=meta)
+        want = f'{{\n"format_version": 1,\n{head},\n"metadata": {{"a": 1, "z": [true, "x"]}},\n{body}\n}}\n'
+        assert path.read_bytes() == want.encode("ascii")
 
 
 def test_sym_tag_resolves_weight_slots():

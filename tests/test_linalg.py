@@ -10,7 +10,6 @@ from symext.linalg import (
     DensityMatrix,
     eigenvalue_below,
     hermitian_part,
-    min_eigenvalue,
     partial_trace,
     partial_transpose,
 )
@@ -84,7 +83,7 @@ def test_partial_transpose_flags_entanglement():
     s = np.zeros((4, 4))
     s[1, 1] = s[2, 2] = 0.5
     s[1, 2] = s[2, 1] = -0.5
-    assert min_eigenvalue(partial_transpose(s, (2, 2), 1)) == pytest.approx(-0.5)
+    assert np.linalg.eigvalsh(partial_transpose(s, (2, 2), 1))[0] == pytest.approx(-0.5)
 
 
 def _perm_compose(p, q):
@@ -223,4 +222,4 @@ def test_random_density_is_state(seed, dim):
     m = random_density(dim, np.random.default_rng(seed))
     assert np.isclose(np.trace(m).real, 1.0)
     assert np.linalg.norm(m - m.conj().T) / 2 <= 1e-12
-    assert min_eigenvalue(m) >= -1e-12
+    assert np.linalg.eigvalsh(m)[0] >= -1e-12

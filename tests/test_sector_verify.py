@@ -50,8 +50,9 @@ def test_sector_check_matches_the_full_space_check(k):
             lam = max(witness.blocks, key=lambda d: d.lambda1)
             negative = BlockState(k, dA, {**witness.blocks, lam: _with_negative_eigenvalue(witness.blocks[lam])})
             negative_bos = BosonicState(dA, k, _with_negative_eigenvalue(bos.matrix))
-            high = BlockState(k, dA, {m: 1.01 * x for m, x in witness.blocks.items()}, atol=0.1)
-            high_bos = BosonicState(dA, k, 1.01 * bos.matrix, atol=0.1)
+            # a trace of 1.01 is outside every constructor's tolerance
+            high = BlockState._assembled(k, dA, {m: 1.01 * x for m, x in witness.blocks.items()})
+            high_bos = BosonicState._assembled(k, dA, {m: 1.01 * x for m, x in bos.blocks.items()})
             full, full_bos = _full(witness), _full(bos)
             cases = [
                 (witness, rho, full),
