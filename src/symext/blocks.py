@@ -108,9 +108,10 @@ def blocks_to_global(bs: BlockState, basis: MappingProxyType) -> DensityMatrix:
         raise ValueError(f"basis is for k={k}, blocks for k={bs.k}")
     n = 2**bs.k
     dA = bs.dA
-    # the peak holds about five arrays of the output's size (the glued sum, then
-    # DensityMatrix's copy, x - x^H, x + x^H and its half), and is charged six
-    check_dense_bytes(f"the glued state of dA={dA}, k={bs.k}", 6 * 16 * (dA * n) ** 2)
+    # the peak holds about three arrays of the output's size, the glued sum
+    # (which DensityMatrix takes without a copy), x^H, and x - x^H or the
+    # Hermitian part (`linalg.hermitian_part`), and is charged four
+    check_dense_bytes(f"the glued state of dA={dA}, k={bs.k}", 4 * 16 * (dA * n) ** 2)
     out = np.zeros((dA, n, dA, n), dtype=complex)
     for lam, x in bs.blocks.items():
         sec = basis[lam]

@@ -6,9 +6,9 @@ allocated when the bytes charged for it would exceed DENSE_BYTES_LIMIT
 (1 GiB). A full-space array is charged the peak of the call that builds it,
 not only its own bytes: the Schur basis (8 * 4^k bytes, built at a peak of
 about twice that) is charged 3 * 8 * 4^k and refused above k = 12; a glued
-state (16 (dA 2^k)^2 bytes, built at a peak of about five times that) is
-charged 6 * 16 (dA 2^k)^2 and refused above dA 2^k = 3344: above k = 11, 10,
-10 and 9 at dA = 1..4.
+state (16 (dA 2^k)^2 bytes, built at a peak of about three times that) is
+charged 4 * 16 (dA 2^k)^2 and refused above dA 2^k = 4096: above k = 12, 11,
+10 and 10 at dA = 1..4.
 """
 
 from __future__ import annotations

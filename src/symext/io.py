@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
@@ -47,10 +48,14 @@ class MatrixFileError(Exception):
     """Malformed or inconsistent matrix file."""
 
 
-def _entries_text(matrix: np.ndarray) -> str:
-    """The entries as [re, im] pairs, each part in 17 significant digits."""
-    parts = iter(np.ascontiguousarray(matrix, dtype=complex).view(np.float64).reshape(-1).tolist())
-    return "[" + ", ".join(map("[%.17g, %.17g]".__mod__, zip(parts, parts))) + "]"
+def _entries_chunks(matrix: np.ndarray) -> Iterator[str]:
+    """The JSON list of the entries as [re, im] pairs, each part in 17 significant digits, a row a chunk."""
+    yield "["
+    # a view of a C-contiguous complex matrix, which every state and block is
+    for r, row in enumerate(np.ascontiguousarray(matrix, dtype=complex).view(np.float64)):
+        parts = iter(row.tolist())
+        yield (", " if r else "") + ", ".join(map("[%.17g, %.17g]".__mod__, zip(parts, parts)))
+    yield "]"
 
 
 @dataclass
@@ -68,21 +73,24 @@ def _slots(entry) -> int:
     return entry if isinstance(entry, int) else int(_SYM_TAG.match(entry).group(1)) + 1
 
 
-def _write(path, kind: str, head: dict, metadata: dict | None, body: tuple[str, str]) -> None:
+def _write(path, kind: str, head: dict, metadata: dict | None, body: tuple[str, Iterable[str]]) -> None:
     """Write a file in the field order of every kind (see the module docstring).
 
     head maps field names to JSON values; body is the name of the last field
-    and the JSON text of its value, written as given.
+    and the chunks of the JSON text of its value, written as given one at a
+    time, so that the whole text is never held.
     """
     lines = ["{", f'"format_version": {FORMAT_VERSION},', f'"kind": {json.dumps(kind)},']
     lines += [f'"{name}": {json.dumps(value)},' for name, value in head.items()]
-    lines += [f'"metadata": {json.dumps(metadata or {}, sort_keys=True)},', '"%s": %s' % body, "}"]
+    lines += [f'"metadata": {json.dumps(metadata or {}, sort_keys=True)},', f'"{body[0]}": ']
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+        fh.writelines(body[1])
+        fh.write("\n}\n")
 
 
 def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict | None = None) -> None:
-    _write(path, kind, {"layout": list(layout)}, metadata, ("entries", _entries_text(matrix)))
+    _write(path, kind, {"layout": list(layout)}, metadata, ("entries", _entries_chunks(matrix)))
 
 
 def _check_version(path, doc: dict) -> None:
@@ -191,11 +199,15 @@ def load_extension(path) -> DensityMatrix | BlockState:
 
 
 def save_blocks(bs: BlockState, path, metadata: dict | None = None) -> None:
-    parts = (
-        f'{{"diagram": [{lam.lambda1}, {lam.lambda2}], "entries": {_entries_text(bs.blocks[lam])}}}'
-        for lam in sorted(bs.blocks, key=lambda d: -d.lambda1)
-    )
-    _write(path, "blocks", {"k": bs.k, "dA": bs.dA}, metadata, ("blocks", "[" + ", ".join(parts) + "]"))
+    def chunks():
+        yield "["
+        for n, lam in enumerate(sorted(bs.blocks, key=lambda d: -d.lambda1)):
+            yield f'{", " if n else ""}{{"diagram": [{lam.lambda1}, {lam.lambda2}], "entries": '
+            yield from _entries_chunks(bs.blocks[lam])
+            yield "}"
+        yield "]"
+
+    _write(path, "blocks", {"k": bs.k, "dA": bs.dA}, metadata, ("blocks", chunks()))
 
 
 def _blocks(path, doc) -> BlockState:

@@ -28,7 +28,9 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
     the message. Where the squared norm overflows, dev is measured on a
     scaled x - x^H, and a finite x whose x - x^H overflows reports dev as inf.
     Where x + x^H overflows, the result is x / 2 + x^H / 2, which is finite;
-    every other result is (x + x^H) * 0.5, bit for bit.
+    every other result is (x + x^H) * 0.5, bit for bit. The result is always
+    a new array. The call holds at most three arrays of x's size at once, x
+    among them: x, x^H and x - x^H, then x, x^H and the result.
     """
     xh = x.conj().T
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow, reported below
@@ -44,11 +46,14 @@ def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: st
                 s = max(np.abs(d.real).max(), np.abs(d.imag).max())
                 dev = s / 2 * sqrt(np.vdot(d / s, d / s).real)
         raise ValueError(not_hermitian.format(atol=atol, dev=inf if isnan(dev) else dev))
+    del d
     try:
         with np.errstate(over="raise"):
-            return (x + xh) * 0.5
+            h = x + xh
     except FloatingPointError:  # entries near the largest double; halved first, they cannot overflow
         return x * 0.5 + xh * 0.5
+    h *= 0.5
+    return h
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
@@ -125,7 +130,8 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix, dims, *, atol: float = 1e-8, check_psd: bool = True):
-        matrix = np.array(matrix, dtype=complex)
+        # no copy: hermitian_part returns a new array
+        matrix = np.asarray(matrix, dtype=complex)
         dims = tuple(integer_size("layout entry", d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid layout {dims}")

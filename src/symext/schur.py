@@ -31,17 +31,6 @@ from .caps import check_dense_bytes, integer_size
 from .young import YoungDiagram, hook_dim, list_diagrams
 
 
-def _cg(j: float, m: float, s: float, up: bool) -> float:
-    # <j, m-s; 1/2, s | j +- 1/2, m> with Condon-Shortley phases
-    if up:
-        if s > 0:
-            return sqrt((j + m + 0.5) / (2 * j + 1))
-        return sqrt((j - m + 0.5) / (2 * j + 1))
-    if s > 0:
-        return -sqrt((j - m + 0.5) / (2 * j + 1))
-    return sqrt((j + m + 0.5) / (2 * j + 1))
-
-
 def build_schur_basis(k: int) -> MappingProxyType:
     """Couple k spin-1/2 systems one at a time into the sector basis, if `caps` allows its peak bytes.
 
@@ -61,36 +50,36 @@ def build_schur_basis(k: int) -> MappingProxyType:
 
 @lru_cache(maxsize=8)
 def _build_schur_basis_cached(k: int) -> MappingProxyType:
-    # level maps each coupling path to an array with one column per weight
-    level: dict[tuple[float, ...], np.ndarray] = {(0.5,): np.eye(2)}
+    # level maps each coupling path, twice the spin after each qubit, to an
+    # array whose column i is the weight m = i - j
+    level: dict[tuple[int, ...], np.ndarray] = {(1,): np.eye(2)}
     for _ in range(k - 1):
-        grown: dict[tuple[float, ...], np.ndarray] = {}
+        grown: dict[tuple[int, ...], np.ndarray] = {}
         for path, mat in level.items():
-            j = path[-1]
-            dim = mat.shape[0]
-            for up in (False, True):
-                jn = j + 0.5 if up else j - 0.5
-                if jn < 0:
+            j2 = path[-1]
+            for tau in (-1, 1):  # 2 (J - j): couple down or up to J
+                jn2 = j2 + tau
+                if jn2 < 0:
                     continue
-                nw = int(round(2 * jn)) + 1
-                out = np.zeros((2 * dim, nw))
-                for mi in range(nw):
-                    m = -jn + mi
-                    for s, bit in ((-0.5, 0), (0.5, 1)):
-                        m_old = m - s
-                        if abs(m_old) > j + 1e-9:
-                            continue
-                        c = _cg(j, m, s, up)
-                        if c != 0.0:
-                            # appending qubit t+1 as the least significant digit
-                            out[bit::2, mi] += c * mat[:, int(round(m_old + j))]
-                grown[path + (jn,)] = out
+                out = np.zeros((2 * mat.shape[0], jn2 + 1))
+                # appending qubit t+1, of twice J_z sigma, as the least
+                # significant digit, bit: the new column i, weight m, reads the
+                # parent column i - shift, weight m - sigma / 2, over the i
+                # where both columns exist
+                for bit, sigma in ((0, -1), (1, 1)):
+                    shift = (tau + sigma) // 2
+                    for i in range(max(0, shift), min(jn2, j2 + shift) + 1):
+                        # <j, m - s; 1/2, s | J, m> = sqrt((j + 1/2 + 4 (J - j) s m) / (2j + 1)),
+                        # negated for J = j - 1/2 and s = 1/2 (Condon-Shortley phases)
+                        c = sqrt((j2 + 1 + tau * sigma * (2 * i - jn2)) / (2 * j2 + 2))
+                        out[bit::2, i] += (-c if tau < sigma else c) * mat[:, i - shift]
+                grown[path + (jn2,)] = out
         level = grown
     # each sector stacks the paths that end at its spin j, in lexicographic order
     grouped: dict[YoungDiagram, list[np.ndarray]] = {}
     for path in sorted(level):
-        j = path[-1]
-        grouped.setdefault(YoungDiagram(round(k / 2 + j), round(k / 2 - j)), []).append(level[path])
+        j2 = path[-1]
+        grouped.setdefault(YoungDiagram((k + j2) // 2, (k - j2) // 2), []).append(level[path])
     sectors = {lam: np.stack(grouped[lam], axis=1) for lam in list_diagrams(k)}
     for arr in sectors.values():
         arr.flags.writeable = False

@@ -239,29 +239,31 @@ def _refused_without_allocating(call, message):
 
 
 def test_full_space_arrays_above_the_byte_bound_are_refused_before_allocation(monkeypatch):
-    # a glued state is charged six times its 16 (dA 2^k)^2 bytes, so at the
-    # 1 GiB bound it is refused above dA 2^k = 3344: from k = 12 at dA = 1,
-    # k = 11 at dA = 2 or 3 and k = 10 at dA = 4; the glue reads only the
+    # a glued state is charged four times its 16 (dA 2^k)^2 bytes, so at the
+    # 1 GiB bound it is refused above dA 2^k = 4096: from k = 13 at dA = 1,
+    # k = 12 at dA = 2 and k = 11 at dA = 3 or 4; the glue reads only the
     # basis's first diagram before it is refused, so no basis is built
-    for dA, k, mib in ((1, 12, "1536"), (2, 11, "1536"), (3, 11, "3456"), (4, 10, "1536")):
+    for dA, k, mib in ((1, 13, "4096"), (2, 12, "4096"), (3, 11, "2304"), (4, 11, "4096")):
         sigma = BosonicState(dA, k, np.eye(dA * (k + 1)) / (dA * (k + 1)))
         message = rf"^the glued state of dA={dA}, k={k} needs {mib}\.0 MiB, above the 1024 MiB limit$"
         _refused_without_allocating(lambda: blocks_to_global(sigma, {YoungDiagram(k, 0): None}), message)
-    # at a 6 MiB bound: the k = 8 basis is charged 1.5 MiB and a dA = 1, k = 8
-    # state exactly 6 MiB; the k = 10 basis and a dA = 2, k = 8 state 24 MiB
-    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 6 * 2**20)
+    # at a 4 MiB bound: the k = 8 basis is charged 1.5 MiB and a dA = 1, k = 8
+    # state exactly 4 MiB; the k = 10 basis 24 MiB and a dA = 2, k = 8 state 16 MiB
+    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 4 * 2**20)
     basis = build_schur_basis(8)
     _, small = gen_random_extendible(8, 1, 0)
     assert blocks_to_global(small, basis).dim == blocks_to_global(sym_to_bos(small), basis).dim == 256
     _, witness = gen_random_extendible(8, 2, 0)
-    limit = r"needs 24\.0 MiB, above the 6 MiB limit$"
-    _refused_without_allocating(lambda: build_schur_basis(10), "^the Schur basis of k=10 " + limit)
-    _refused_without_allocating(lambda: blocks_to_global(witness, basis), "^the glued state of dA=2, k=8 " + limit)
+    limit = r" MiB, above the 4 MiB limit$"
+    _refused_without_allocating(lambda: build_schur_basis(10), r"^the Schur basis of k=10 needs 24\.0" + limit)
+    _refused_without_allocating(
+        lambda: blocks_to_global(witness, basis), r"^the glued state of dA=2, k=8 needs 16\.0" + limit
+    )
 
 
 def test_full_space_builds_peak_within_the_bytes_charged(monkeypatch):
     # the byte bound charges each call its peak, not its output: the glue, of
-    # any block state, peaks at about five outputs, the basis at about two
+    # any block state, peaks at about three outputs, the basis at about two
     charged = []
 
     def recorded(what, nbytes):
@@ -270,7 +272,7 @@ def test_full_space_builds_peak_within_the_bytes_charged(monkeypatch):
 
     for module in ("blocks", "schur"):
         monkeypatch.setattr(f"symext.{module}.check_dense_bytes", recorded)
-    # outputs of 4, 2.25 and 1 MiB; the largest call peaks near 20 MiB
+    # outputs of 4, 2.25 and 1 MiB; the largest call peaks near 12 MiB
     for k, dA in ((8, 2), (7, 3), (6, 4)):
         basis = build_schur_basis(k)
         _, witness = gen_random_extendible(k, dA, 0)
@@ -278,8 +280,8 @@ def test_full_space_builds_peak_within_the_bytes_charged(monkeypatch):
         for call in (lambda: blocks_to_global(witness, basis), lambda: blocks_to_global(bosonic, basis)):
             charged.clear()
             peak = _traced_peak(call)
-            assert charged == [6 * 16 * (dA * 2**k) ** 2]
-            assert 4 * 16 * (dA * 2**k) ** 2 < peak <= charged[0], (k, dA, peak / charged[0])
+            assert charged == [4 * 16 * (dA * 2**k) ** 2]
+            assert 3 * 16 * (dA * 2**k) ** 2 < peak <= charged[0], (k, dA, peak / charged[0])
     # bases of 0.5 and 8 MiB, built afresh
     for k in (8, 10):
         schur._build_schur_basis_cached.cache_clear()

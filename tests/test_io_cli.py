@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from symext.convert import BosonicState, sym_to_bos
 from symext.io import (
     MatrixFile,
     MatrixFileError,
-    _entries_text,
+    _entries_chunks,
     load_blocks,
     load_extension,
     load_matrix_file,
@@ -71,7 +72,21 @@ def test_entries_text_matches_the_per_element_formatter():
     m = gen.standard_normal((7, 7)) + 1j * gen.standard_normal((7, 7))
     m.flat[:8] = [-0.0, 5e-324, 1e-300, 1e22, complex(-0.0, -0.0), complex(1e-310, -1e308), 0.1, 1 / 3]
     for matrix in (m, m.T, m[::2, 1::3], m.real, np.eye(3, dtype=int), np.zeros((0, 0))):
-        assert _entries_text(matrix) == _per_element_entries_text(matrix)
+        assert "".join(_entries_chunks(matrix)) == _per_element_entries_text(matrix)
+
+
+def test_saving_a_full_space_state_peaks_below_its_array(tmp_path):
+    # the entries are written a row at a time, so neither the whole text nor
+    # a list of every float is held: together about twelve times the array
+    _, witness = gen_random_extendible(8, 2, 0)
+    rho = blocks_to_global(witness, build_schur_basis(8))
+    tracemalloc.start()
+    try:
+        save_state(rho, tmp_path / "full.state")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.matrix.nbytes == 16 * 512**2, peak / rho.matrix.nbytes
 
 
 def test_qutrit_qubit_layout_round_trips(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import sqrt
@@ -32,6 +33,17 @@ def test_basis_is_a_read_only_mapping_in_diagram_order():
     for sec in basis.values():
         with pytest.raises(ValueError, match="read-only"):
             sec[0, 0, 0] = 1.0
+
+
+def test_basis_bytes_are_pinned():
+    # every sector's shape and bytes for k = 1..10: a rewrite of the builder
+    # must reproduce them bit for bit, and with them every glued state
+    digest = hashlib.sha256()
+    for k in range(1, 11):
+        for lam, sec in build_schur_basis(k).items():
+            digest.update(f"{k} [{lam.lambda1},{lam.lambda2}] {sec.shape} {sec.dtype.str}".encode())
+            digest.update(sec.tobytes())
+    assert digest.hexdigest() == "9d6c26f606fc4eb0b26e703718b1d106676691d2add90189cc6007d9064e5e53"
 
 
 def test_sector_paths_follow_the_coupling_in_lexicographic_order():
