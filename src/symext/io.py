@@ -20,6 +20,16 @@ of numbers or does not fit in a float. JSON true and false are not numbers
 there. Sizes (format_version, k, dA, the rows of a diagram and the
 dimensions of a layout) must be JSON integers; true, false and 3.0 are
 refused.
+
+A file longer than one slice (64 KiB) is parsed without a Python list for
+every entry: each "entries": [[ array in the writer's spacing is cut out and
+parsed a slice of about 64 KiB at a time, cut between two pairs, into one
+float array, and the rest of the document is parsed whole. A slice is taken
+only when it holds nothing but [re, im] pairs of JSON numbers that fit in a
+float. Any other file, and every file of at most one slice, is parsed whole
+as before, and that path gives every error, so a file loads to the same
+arrays, or fails with the same message, either way. A file that is not ASCII
+is an error that names it.
 """
 
 from __future__ import annotations
@@ -99,13 +109,85 @@ def _check_version(path, doc: dict) -> None:
         raise MatrixFileError(f"{path}: unsupported format_version {version!r}")
 
 
+# a file of more bytes than this has its entries parsed a slice of about this many bytes at a time
+_SLICE = 1 << 16
+_ENTRIES = b'"entries": [['
+# the bytes of a slice of [re, im] pairs of JSON numbers, as the writer spaces them
+_PAIR_BYTES = b"-+.0123456789eE,[] "
+
+
 def _read_json(path):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    """The JSON document of the file at path, parsed as the module docstring says."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = _sliced_doc(data) if len(data) > _SLICE and data.isascii() else None
+    if doc is not None:
+        return doc
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
+    # universal newlines, as a file opened in text mode reads them
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _sliced_doc(data: bytes):
+    """json.loads(data), with every entries array in the writer's shape as a
+    flat complex array, or None where that could differ from json.loads(data).
+
+    Each array is cut out of the data and parsed a slice at a time; the rest
+    is parsed whole, with a NaN standing in for each array, so it must hold
+    no NaN or Infinity of its own. A cut can only be inside a string when
+    the quote before the key closes a string, and then the key is a bare
+    word that the rest keeps, so the rest does not parse.
+    """
+    arrays, pieces, pos = [], [], 0
+    while (start := data.find(_ENTRIES, pos)) >= 0:
+        start += len(_ENTRIES) - 2
+        end = data.find(b"]]", start)  # an array of pairs ends at its first ]]
+        pairs = _pairs(data, start + 1, end + 1) if end >= 0 else None
+        if pairs is None:
+            return None
+        arrays.append(pairs)
+        pieces += (data[pos:start], b"NaN")
+        pos = end + 2
+    pieces.append(data[pos:])
+    if not arrays or any(b"NaN" in p or b"Infinity" in p for p in pieces[::2]):
+        return None
+    placed = iter(arrays)
+    try:
+        return json.loads(b"".join(pieces).decode("ascii"), parse_constant=lambda _: next(placed))
+    except ValueError:
+        return None
+
+
+def _pairs(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """The pairs data[start:end] lists, parsed a slice at a time, as a flat
+    complex array, or None unless every item is a pair of JSON numbers that
+    fit in a float."""
+    out = np.empty((data.count(b"[", start, end), 2))
+    n = 0
+    while start < end:
+        cut = data.find(b"], [", min(start + _SLICE, end), end) + 1 or end
+        piece = data[start:cut]
+        # numpy would read true, false and "1.5" as numbers; no letter but e and E passes
+        if piece.translate(None, _PAIR_BYTES):
+            return None
+        try:
+            items = np.array(json.loads(b"[" + piece + b"]"), dtype=np.float64)
+        except (ValueError, OverflowError):
+            return None
+        if items.shape[1:] != (2,):
+            return None
+        out[n : n + len(items)] = items
+        n += len(items)
+        start = cut + 2
+    # every item is a pair of numbers, so each [ opened one of them
+    return out.view(np.complex128).reshape(-1)
 
 
 def _matrix_file(path, doc) -> MatrixFile:
@@ -119,7 +201,7 @@ def _matrix_file(path, doc) -> MatrixFile:
         if not ((type(entry) is int and entry >= 1) or (isinstance(entry, str) and _SYM_TAG.match(entry))):
             raise MatrixFileError(f"{path}: bad layout entry {entry!r}")
     entries = doc.get("entries")
-    if not isinstance(entries, list):
+    if not isinstance(entries, (list, np.ndarray)):
         raise MatrixFileError(f"{path}: missing entries")
     dim = prod(map(_slots, layout))
     if len(entries) != dim * dim:
@@ -127,11 +209,14 @@ def _matrix_file(path, doc) -> MatrixFile:
     return MatrixFile(layout, _complex_entries(path, entries).reshape(dim, dim))
 
 
-def _complex_entries(where, entries: list) -> np.ndarray:
+def _complex_entries(where, entries: list | np.ndarray) -> np.ndarray:
     """The [re, im] pairs of a matrix or block as a flat complex array.
 
     `where` names the file, or the file and the block, in error messages.
+    An array is one that `_read_json` parsed already.
     """
+    if isinstance(entries, np.ndarray):
+        return entries
     try:
         pairs = np.asarray(entries)
     except ValueError:  # ragged nesting

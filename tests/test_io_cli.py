@@ -89,6 +89,31 @@ def test_saving_a_full_space_state_peaks_below_its_array(tmp_path):
     assert peak < rho.matrix.nbytes == 16 * 512**2, peak / rho.matrix.nbytes
 
 
+def _load_peak(load, path):
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        return tracemalloc.get_traced_memory()[1], loaded
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_a_full_space_state_or_a_certificate_peaks_below_five_arrays(tmp_path):
+    # the entries are parsed a slice at a time into one array, so no list of
+    # every float is held: the file's bytes, the array and one slice's lists
+    _, witness = gen_random_extendible(8, 2, 0)
+    path = tmp_path / "full.state"
+    save_state(blocks_to_global(witness, build_schur_basis(8)), path)
+    peak, loaded = _load_peak(load_matrix_file, path)
+    assert peak < 5 * loaded.entries.nbytes == 5 * 16 * 512**2, peak / loaded.entries.nbytes
+    _, witness = gen_random_extendible(64, 2, 0)
+    path = tmp_path / "w.blocks"
+    save_blocks(witness, path)
+    peak, loaded = _load_peak(load_blocks, path)
+    size = sum(block.nbytes for block in loaded.blocks.values())
+    assert peak < 5 * size, peak / size
+
+
 def test_qutrit_qubit_layout_round_trips(tmp_path):
     gen = np.random.default_rng(2)
     m = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
@@ -566,6 +591,157 @@ def test_malformed_entries_name_their_index(tmp_path, bad):
     _write_entries(path, "[2]", f"[[0.5, 0], [0, 0], {bad}, [0.5, 0]]")
     with pytest.raises(MatrixFileError, match=r"entry 2 is not a \[re, im\] pair"):
         load_matrix_file(path)
+
+
+def _writer_files(root):
+    """A file of each kind the writer makes: marginals, a check-bos2 state, and
+    full-space, bosonic and block files both below and above one slice."""
+    files = []
+    for tag, k, full_k, sigma_k in (("small", 3, 2, 3), ("large", 12, 6, 24)):
+        rho, witness = gen_random_extendible(k, 2, 1)
+        full = gen_random_extendible(full_k, 2, 2)[1]
+        for name, save, obj, meta in (
+            ("rho.state", save_state, rho, {"seed": 1}),
+            ("full.state", save_state, blocks_to_global(full, build_schur_basis(full_k)), None),
+            ("sigma.bos", save_bosonic, sym_to_bos(gen_random_extendible(sigma_k, 2, 3)[1]), None),
+            ("w.blocks", save_blocks, witness, {"profile": "all"}),
+        ):
+            path = root / f"{tag}-{name}"
+            save(obj, path, metadata=meta)
+            files.append(path)
+    pair = root / "sym2.state"
+    save_matrix_file(pair, np.eye(6) / 6, [2, 3], metadata={"dB": 2, "sym2": True})
+    return files + [pair]
+
+
+def _pair_spans(data):
+    """Where each [re, im] pair of the last entries array of data starts and ends."""
+    start = data.rindex(b'"entries": [[') + len(b'"entries": [')
+    end = data.index(b"]]", start) + 1
+    return [m.span() for m in re.compile(rb"\[[^\[\]]*\]").finditer(data, start, end)]
+
+
+def _with_pair(data, index, new):
+    start, end = _pair_spans(data)[index]
+    return data[:start] + new + data[end:]
+
+
+def _in_metadata(data, field):
+    """data with its metadata, as the value of "z", beside one more field."""
+    start = data.index(b'"metadata": ') + len(b'"metadata": ')
+    end = data.index(b",\n", start)
+    return data[:start] + b"{" + field + b', "z": ' + data[start:end] + b"}" + data[end:]
+
+
+def _reordered(data):
+    doc = json.loads(data)
+    for part in doc.get("blocks", []):
+        part.update(reversed(list(part.items())))
+    return json.dumps(dict(reversed(list(doc.items())))).encode()
+
+
+_ENTRY_VALUES = [
+    b"NaN", b"Infinity", b"-Infinity", b"true", b"false", b'"1.5"', b"null", b"[1, 2]", b"{}",
+    b"1e999", b"-1e999", b"1e-400", b"01", b"1.", b".5", b"+1", b"-", b"1e5", b"1E-5",
+    b"-0", b"-0.0", b"1" + b"0" * 400, b"18446744073709551617", b"9007199254740993",
+]
+_PAIRS = [b"[1, 2, 3]", b"[1]", b"[]", b"[[1, 2]]", b"[1, [2]]", b"[[1], [2]]", b"1", b"[1 2]", b"[1,2]"]
+
+
+def _edits(data):
+    """Edited copies of data: each keeps or breaks the writer's shape."""
+    yield data
+    yield data.replace(b"], [", b"],\n [", 3)
+    yield data.replace(b"], [", b"],  [", 1)
+    yield data.replace(b", ", b" , ")
+    for newline in (b"\r\n", b"\r"):
+        yield data.replace(b"\n", newline)
+        yield data.replace(b"\n", newline)[: len(data) // 2]
+    yield data.replace(b'"entries": [[', b'"entries":[[')
+    yield _reordered(data)
+    yield data.replace(b'"entries": [[', b'"entries": [[1, 0]],\n"entries": [[', 1)
+    yield data.replace(b"\n}\n", b',\n"entries": [[1, 0]]\n}\n')
+    yield _in_metadata(data, b'"entries": [[1, 2], [3, 4]]')
+    yield _in_metadata(data, b'"x": NaN')
+    yield _in_metadata(data, b'"x": -Infinity')
+    body = data.rindex(b'"entries": [[')
+    yield _in_metadata(data[:body] + b'"entries": 0\n}\n', b'"entries": [[1, 2]]')
+    yield _in_metadata(data, data[body : data.index(b"]]", body) + 2])
+    last = len(_pair_spans(data)) - 1
+    for index in (0, last):
+        for value in _ENTRY_VALUES:
+            yield _with_pair(data, index, b"[" + value + b", 0]")
+            yield _with_pair(data, index, b"[0.5, " + value + b"]")
+        for pair in _PAIRS:
+            yield _with_pair(data, index, pair)
+        yield _with_pair(data, index, b"[1\xc3\xa9, 0]")
+    yield _in_metadata(data, b'"\xc3\xa9": 1')
+    yield data.replace(b"\n", b" \xe9\n", 1)
+    for end in (len(data) // 2, len(data) - 3, data.rindex(b"]]") + 1, _pair_spans(data)[-1][0] + 3):
+        yield data[:end]
+
+
+def _outcome(load, path):
+    """What load gives for path: its error text, or every array it returned, as bytes."""
+    try:
+        loaded = load(path)
+    except MatrixFileError as exc:
+        return "error", str(exc)
+    if isinstance(loaded, MatrixFile):
+        return loaded.layout, loaded.entries.dtype, loaded.entries.shape, loaded.entries.tobytes()
+    if isinstance(loaded, DensityMatrix):
+        return loaded.dims, loaded.matrix.tobytes()
+    blocks = sorted(loaded.blocks.items(), key=lambda item: item[0].lambda1)
+    return type(loaded), loaded.k, loaded.dA, [(lam, x.dtype, x.shape, x.tobytes()) for lam, x in blocks]
+
+
+def _whole_text_doc(path):
+    """The document as every file was parsed before slices: json.loads of the
+    whole text, read in text mode."""
+    try:
+        return json.loads(path.read_text(encoding="ascii"))
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MatrixFileError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def test_sliced_loads_match_the_whole_text_parse(tmp_path, monkeypatch):
+    # the slices give bit-identical arrays, or the identical error, compared
+    # with json.loads of the whole text and the list conversion; small files
+    # are sliced too when a slice is 64 bytes
+    import symext.io as mio
+
+    read, slice_default = mio._read_json, mio._SLICE
+    path = tmp_path / "edited"
+    for source in _writer_files(tmp_path):
+        data = source.read_bytes()
+        large = len(data) > slice_default
+        # the slice path takes every writer file above one slice
+        doc = read(source)
+        blocks = doc["kind"] == "blocks"
+        held = [part["entries"] for part in doc["blocks"]] if blocks else [doc["entries"]]
+        assert all(isinstance(e, np.ndarray) for e in held) == large, source
+        loaders = (load_blocks,) if blocks else (load_matrix_file, load_extension)
+        for edited in _edits(data) if blocks or not large else (data,):
+            path.write_bytes(edited)
+            monkeypatch.setattr(mio, "_read_json", _whole_text_doc)
+            want = [_outcome(load, path) for load in loaders]
+            monkeypatch.setattr(mio, "_read_json", read)
+            for slice_bytes in (slice_default,) if large else (slice_default, 64):
+                monkeypatch.setattr(mio, "_SLICE", slice_bytes)
+                assert [_outcome(load, path) for load in loaders] == want, (source.name, slice_bytes, edited[:300])
+            monkeypatch.setattr(mio, "_SLICE", slice_default)
+
+
+def test_a_non_ascii_file_is_a_file_error(tmp_path):
+    path = tmp_path / "rho.state"
+    save_state(product_state(), path, metadata={"note": "x"})
+    path.write_bytes(path.read_bytes().replace(b'"x"', '"é"'.encode()))
+    with pytest.raises(MatrixFileError, match=f"^{re.escape(str(path))}: 'ascii' codec can't decode byte 0xc3"):
+        load_state(path)
+    code, report = run_command(["tilde", "--k", "2", "--in", str(path)])
+    assert code == 1 and f"error: {path}: 'ascii' codec can't decode byte 0xc3 in position " in report
 
 
 @pytest.mark.parametrize(
