@@ -101,7 +101,7 @@ def _cmd_check_qubit(args, lines, timings):
 def _cmd_check_bos2(args, lines, timings):
     rho = _load_bipartite(args.infile, expect_db=args.dB)
     t0 = time.perf_counter()
-    report = solve_bosonic_k2_generic(rho, args.dB)
+    report = solve_bosonic_k2_generic(rho)
     timings.append(("solve", time.perf_counter() - t0))
     lines += _solver_lines(report, rho)
     if report.certificate is not None and args.cert:

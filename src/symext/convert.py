@@ -42,14 +42,14 @@ class BosonicState(BlockState):
     one sector is the top one, [k, 0].
 
     The matrix is that block, on A tensor the k+1 weight slots (A index
-    major, weight ascending). It is checked as a BlockState block, but for
-    positivity, which `verify_extension` measures.
+    major, weight ascending). It is checked as every BlockState block is,
+    positivity included.
     """
 
     def __init__(self, dA: int, k: int, matrix):
         # the top sector is built before BlockState checks k
         k = block_k(k)
-        super().__init__(k, dA, {top_sector(k): matrix}, check_psd=False)
+        super().__init__(k, dA, {top_sector(k): matrix})
 
     @classmethod
     def _of_hermitian(cls, dA: int, k: int, matrix: np.ndarray) -> "BosonicState":

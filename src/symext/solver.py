@@ -209,12 +209,12 @@ def _compact_map(n: int, dim_out: int, p, q, i, j, coeff) -> _ConstraintMap:
 class _MapCache:
     """Constraint maps by key, least recently used first out, bounded in bytes.
 
-    The newest map always stays, so one map larger than the bound is built
-    once per solve rather than refused.
+    The bound is `_MAP_CACHE_BYTES`, read at each eviction. The newest map
+    always stays, so one map larger than the bound is built once per solve
+    rather than refused.
     """
 
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
+    def __init__(self):
         self._maps: OrderedDict = OrderedDict()
 
     def get(self, key, build) -> _ConstraintMap:
@@ -223,12 +223,12 @@ class _MapCache:
             self._maps.move_to_end(key)
             return cmap
         cmap = self._maps[key] = build()
-        while len(self._maps) > 1 and sum(m.nbytes for m in self._maps.values()) > self.max_bytes:
+        while len(self._maps) > 1 and sum(m.nbytes for m in self._maps.values()) > _MAP_CACHE_BYTES:
             self._maps.popitem(last=False)
         return cmap
 
 
-_MAPS = _MapCache(_MAP_CACHE_BYTES)
+_MAPS = _MapCache()
 
 
 def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
@@ -403,41 +403,40 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
 solve_bosonic = solve_symmetric
 
 
-def solve_bosonic_k2_generic(rho_ab: DensityMatrix, dB: int) -> SolverReport:
-    """Two-leg bosonic extendibility for any B dimension.
+def solve_bosonic_k2_generic(rho_ab: DensityMatrix) -> SolverReport:
+    """Two-leg bosonic extendibility for a bipartite rho_ab with any B dimension dB.
 
     The variable lives on A tensor the symmetric pair subspace; the affine set
     pins the (A, B1) marginal of its embedding. The certificate is the state
-    on that subspace, in the basis of `schur.sym_isometry(2, dB)`.
+    on that subspace, of layout (dA, dB (dB + 1) / 2), in the basis of the
+    columns of `schur.sym_isometry(2, dB)`: the pairs i <= j in
+    `itertools.combinations_with_replacement` order. Lifted by
+    np.kron(np.eye(dA), sym_isometry(2, dB)) it is a (dA, dB, dB) state
+    that `convert.verify_extension(..., k=2)` checks.
     """
-    dB = integer_size("dB", dB)
-    if len(rho_ab.dims) != 2 or rho_ab.dims[1] != dB:
-        raise ValueError(f"layout {rho_ab.dims} does not match a B dimension of {dB}")
-    dims = (rho_ab.dims[0], dB * (dB + 1) // 2)
+    if len(rho_ab.dims) != 2:
+        raise ValueError(f"layout {rho_ab.dims} is not bipartite")
+    dA, dB = rho_ab.dims
+    dims = (dA, dB * (dB + 1) // 2)
     return _solve_sym(rho_ab, 2, lambda pair: DensityMatrix(pair, dims, atol=1e-6, check_psd=False))
 
 
-def qutrit_counterexample(coeffs=(1.0, 2.0, 3.0)):
+def qutrit_counterexample():
     """Three-qutrit pure state antisymmetric over the two B systems.
 
-    Returns (pair_marginal, full_state, ket). The full state is a two-leg
-    swap-invariant extension of the marginal; with pairwise distinct
-    coefficients the marginal admits no bosonic two-leg extension, so the
-    symmetric/bosonic equivalence seen for qubit B sides stops at dB = 3.
+    Returns (pair_marginal, full_state, ket). The ket is
+    (|012> - |021>) + 2 (|120> - |102>) + 3 (|201> - |210>), normalised by
+    sqrt(28). The full state is a two-leg swap-invariant extension of the
+    marginal; with the pairwise distinct amplitudes 1, 2 and 3 the marginal
+    admits no bosonic two-leg extension, so the symmetric/bosonic
+    equivalence seen for qubit B sides stops at dB = 3.
     """
-    a, b, c = (float(x) for x in coeffs)
     ket = np.zeros(27)
-
-    def idx(x, y, z):
-        return 9 * x + 3 * y + z
-
-    ket[idx(0, 1, 2)] = a
-    ket[idx(0, 2, 1)] = -a
-    ket[idx(1, 2, 0)] = b
-    ket[idx(1, 0, 2)] = -b
-    ket[idx(2, 0, 1)] = c
-    ket[idx(2, 1, 0)] = -c
-    ket /= sqrt(2 * (a * a + b * b + c * c))
+    # |xyz> is entry 9 x + 3 y + z
+    for (x, y, z), amp in (((0, 1, 2), 1.0), ((1, 2, 0), 2.0), ((2, 0, 1), 3.0)):
+        ket[9 * x + 3 * y + z] = amp
+        ket[9 * x + 3 * z + y] = -amp
+    ket /= sqrt(28.0)
     full = DensityMatrix.from_ket(ket, (3, 3, 3))
     marginal = DensityMatrix(full.marginal((0, 1)), (3, 3), check_psd=False)
     return marginal, full, ket

@@ -316,7 +316,7 @@ def test_check_bos2_exit_codes(tmp_path):
 def test_check_bos2_refuses_an_oversized_map(tmp_path, monkeypatch):
     from symext import caps, solver
 
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache(solver._MAP_CACHE_BYTES))
+    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
     monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
     state = write_state(DensityMatrix(np.eye(16) / 16, (2, 8)), tmp_path / "big.state")
     code, report = run_command(["check-bos2", "--dB", "8", "--in", state])
@@ -885,6 +885,43 @@ def test_verify_names_a_non_finite_bosonic_entry(tmp_path):
     code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", str(rho_path)])
     assert code == 1
     assert f"error: {ext}: block for [3,0] entries must be finite" in report, report
+
+
+def test_every_extension_file_kind_has_one_load_rule(tmp_path):
+    # one extension written as each kind of file: an eigenvalue below -1e-6
+    # is refused at load, exit 1, whatever the kind; one between -1e-6 and
+    # the verify tol loads, and verify reports "psd: FAIL", exit 2
+    rho, witness = gen_random_extendible(3, 2, 7)
+    marginal = write_state(rho, tmp_path / "rho.state")
+    top = YoungDiagram(3, 0)
+    m = sym_to_bos(witness).matrix.copy()
+    m[0, 0] -= 0.05
+    m[-1, -1] += 0.05
+    w, v = np.linalg.eigh(m)
+    assert -1.3e-2 < w[0] < -1.2e-2
+    # the smallest eigenvalue moved to -1e-7, its weight onto the largest
+    slight = m - (w[0] + 1e-7) * (np.outer(v[:, 0], v[:, 0].conj()) - np.outer(v[:, -1], v[:, -1].conj()))
+
+    def files(x, name):
+        bs = BlockState._assembled(3, 2, {top: x})
+        bos, blocks = tmp_path / f"{name}.bos", tmp_path / f"{name}.blocks"
+        save_matrix_file(bos, x, [2, "sym(3)"], kind="bosonic")
+        save_blocks(bs, blocks)
+        return bos, blocks, blocks_to_global(bs, build_schur_basis(3))
+
+    bos, blocks, full = files(m, "negative")
+    assert np.linalg.eigvalsh(full.matrix)[0] < -1.2e-2
+    for ext in (bos, blocks, write_state(full, tmp_path / "negative.state")):
+        code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", marginal])
+        assert code == 1, report
+        assert re.search(r"^error: .*eigenvalue -1\.240e-02", report, re.M), report
+        code, report = run_command(["convert", "--k", "3", "--in", str(ext), "--out", str(tmp_path / "out.bos")])
+        assert code == 1 and "\nerror: " in report, report
+    for ext in files(slight, "slight")[:2]:
+        code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", marginal])
+        assert code == 2, report
+        low = re.search(r"^psd: FAIL \(min eigenvalue (\S+)\)$", report, re.M)
+        assert low and float(low.group(1)) == pytest.approx(-1e-7, rel=1e-6), report
 
 
 def test_verify_full_space_with_qutrit_legs(tmp_path):

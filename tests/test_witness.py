@@ -64,4 +64,4 @@ def test_singlet_witness(k):
 
 def test_qutrit_counterexample_witness():
     rho, _, _ = qutrit_counterexample()
-    assert_witness_excludes(solve_bosonic_k2_generic(rho, 3), rho, 2)
+    assert_witness_excludes(solve_bosonic_k2_generic(rho), rho, 2)

@@ -15,8 +15,9 @@ gen with a witness, check-sym with a certificate, convert of the
 certificate, the witness and the state, verify of the bosonic output and of
 the certificate, and tilde. Then the singlet's INFEASIBLE check-sym and
 convert, a k=4 full-space convert and verify, check-bos2 on the qutrit
-counterexample, and convert of a missing file and of a full-space file for
-the wrong k.
+counterexample (INFEASIBLE) and, with a certificate, on I/9 (dA = dB = 3)
+and on a planted two-copy marginal (dA = 2, dB = 4), both FEASIBLE, and
+convert of a missing file and of a full-space file for the wrong k.
 """
 
 import hashlib
@@ -34,11 +35,23 @@ from symext import (
     save_state,
 )
 from symext.cli import run_command
+from symext.schur import sym_isometry
 
 MARKER = "--- timings ---"
 
 
-def main() -> None:
+def _planted_pair_marginal(dA: int, dB: int, seed: int) -> DensityMatrix:
+    """The (A, B1) marginal of a random full-rank state on A tensor Sym^2(C^dB)."""
+    n = dA * dB * (dB + 1) // 2
+    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+    x = g @ g.conj().T
+    lift = np.kron(np.eye(dA), sym_isometry(2, dB))
+    full = DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
+    return DensityMatrix(full.marginal((0, 1)), (dA, dB))
+
+
+def grid_digest() -> str:
+    """The hex SHA-256 of the grid's reports and files."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
@@ -80,6 +93,13 @@ def main() -> None:
         qutrit = root / "qutrit.state"
         save_state(qutrit_counterexample()[0], qutrit)
         run("check-bos2", "--dB", 3, "--in", qutrit, "--cert", root / "qutrit.cert")
+        for name, rho in (
+            ("mixed", DensityMatrix(np.eye(9) / 9, (3, 3))),
+            ("planted", _planted_pair_marginal(2, 4, 0)),
+        ):
+            pair = root / f"{name}.pair"
+            save_state(rho, pair)
+            run("check-bos2", "--dB", rho.dims[1], "--in", pair, "--cert", root / f"{name}.pair.cert")
 
         run("convert", "--k", 2, "--in", root / "missing.state", "--out", root / "missing.bos")
         run("convert", "--k", 3, "--in", full, "--out", root / "wrong-k.bos")
@@ -87,7 +107,11 @@ def main() -> None:
         for path in sorted(root.iterdir()):
             digest.update(f"{path.name}\n".encode())
             digest.update(path.read_bytes())
-    print(digest.hexdigest())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    print(grid_digest())
 
 
 if __name__ == "__main__":
