@@ -15,7 +15,7 @@ import numpy as np
 
 from .caps import block_k, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
-from .schur import sector_tables
+from .schur import build_schur_basis, sector_tables
 from .young import YoungDiagram, hook_dim, list_diagrams
 
 PROFILE_ALL = "all"
@@ -123,21 +123,23 @@ def blocks_to_global(bs: BlockState, basis: MappingProxyType) -> DensityMatrix:
     return DensityMatrix(matrix, (dA,) + (2,) * bs.k, check_psd=False)
 
 
-def global_to_blocks(rho: DensityMatrix, basis: MappingProxyType) -> BlockState:
-    """Blocks of the permutation average of rho.
+def global_to_blocks(rho: DensityMatrix) -> BlockState:
+    """Blocks of the permutation average of rho, a state of A and k >= 1 qubits.
 
-    In the coupled basis the average keeps only terms diagonal in sector and
-    path, so it reduces to zeroing cross blocks and averaging over paths. For
-    an already invariant rho this is exact extraction.
+    k is read off the layout (dA, 2, ..., 2), and the sectors come from the
+    cached `schur.build_schur_basis(k)`. In the coupled basis the average
+    keeps only terms diagonal in sector and path, so it reduces to zeroing
+    cross blocks and averaging over paths. For an already invariant rho this
+    is exact extraction.
     """
-    k = next(iter(basis)).k
-    if rho.dims != (rho.dims[0],) + (2,) * k:
-        raise ValueError(f"layout {rho.dims} is not (A, qubit x {k})")
-    dA = rho.dims[0]
+    dA, *legs = rho.dims
+    k = len(legs)
+    if not legs or any(d != 2 for d in legs):
+        raise ValueError(f"layout {rho.dims} is not A and one or more qubits")
     n = 2**k
     r = rho.matrix.reshape(dA, n, dA, n)
     blocks = {}
-    for lam, sec in basis.items():
+    for lam, sec in build_schur_basis(k).items():
         d = sec.shape[1]
         nw = lam.num_weights
         m = np.einsum("xmw,axby,ymv->awbv", sec, r, sec, optimize=True) / d

@@ -29,7 +29,6 @@ from .blocks import (
 )
 from .convert import BosonicState, sym_to_bos, tilde_state, verify_extension
 from .linalg import DensityMatrix
-from .schur import build_schur_basis
 from .solver import (
     FEASIBLE,
     INFEASIBLE,
@@ -62,7 +61,7 @@ def _num(x: float) -> str:
 
 
 def _status_code(status: str) -> int:
-    return {FEASIBLE: 0, "PASS": 0, INFEASIBLE: 2, "FAIL": 2}.get(status, 3)
+    return {FEASIBLE: 0, INFEASIBLE: 2}.get(status, 3)
 
 
 def _solver_lines(report: SolverReport, rho: DensityMatrix) -> list[str]:
@@ -130,7 +129,7 @@ def _cmd_convert(args, lines, timings):
             return _status_code(report.status)
         state = report.certificate
     elif len(state.dims) == k + 1 and all(d == 2 for d in state.dims[1:]):
-        state = global_to_blocks(state, build_schur_basis(k))
+        state = global_to_blocks(state)
         lines.append("input: full-space extension")
     else:
         raise _UsageError(f"{path}: layout {list(state.dims)} is not convertible for k={k}")

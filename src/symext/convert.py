@@ -207,7 +207,7 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
     """
     k = integer_size("k", k)
     if not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and not negative, got {tol!r}")
+        raise ValueError(f"tol must be finite and not negative, got {float(tol)!r}")
     if isinstance(sigma, BlockState):
         return _verify_sectors(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
@@ -247,5 +247,5 @@ def tilde_state(rho_ab: DensityMatrix, k: int) -> TildeReport:
         matrix = (dB * mix + k * rho_ab.matrix) / (dB * dB + k)
     state = DensityMatrix(matrix, (dA, dB), check_psd=False)
     # the partial transpose of the Hermitian state.matrix is Hermitian
-    low = float(np.linalg.eigvalsh(partial_transpose(state.matrix, (dA, dB), 1))[0])
+    low = float(np.linalg.eigvalsh(partial_transpose(state.matrix, (dA, dB)))[0])
     return TildeReport(state, low >= -1e-10, low)

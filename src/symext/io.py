@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 from math import prod
 
@@ -66,16 +65,6 @@ def _entries_chunks(matrix: np.ndarray) -> Iterator[str]:
         parts = iter(row.tolist())
         yield (", " if r else "") + ", ".join(map("[%.17g, %.17g]".__mod__, zip(parts, parts)))
     yield "]"
-
-
-@dataclass
-class MatrixFile:
-    layout: list
-    entries: np.ndarray  # square complex matrix
-
-    def dims(self) -> tuple[int, ...]:
-        """Local dimensions, with sym(k) tags resolved to k+1 slots."""
-        return tuple(map(_slots, self.layout))
 
 
 def _slots(entry) -> int:
@@ -190,7 +179,7 @@ def _pairs(data: bytes, start: int, end: int) -> np.ndarray | None:
     return out.view(np.complex128).reshape(-1)
 
 
-def _matrix_file(path, doc) -> MatrixFile:
+def _matrix_file(path, doc) -> tuple[list, np.ndarray]:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: top level is not an object")
     _check_version(path, doc)
@@ -206,7 +195,7 @@ def _matrix_file(path, doc) -> MatrixFile:
     dim = prod(map(_slots, layout))
     if len(entries) != dim * dim:
         raise MatrixFileError(f"{path}: expected {dim * dim} entries for layout {layout}, found {len(entries)}")
-    return MatrixFile(layout, _complex_entries(path, entries).reshape(dim, dim))
+    return layout, _complex_entries(path, entries).reshape(dim, dim)
 
 
 def _complex_entries(where, entries: list | np.ndarray) -> np.ndarray:
@@ -237,7 +226,11 @@ def _complex_entries(where, entries: list | np.ndarray) -> np.ndarray:
     return flat
 
 
-def load_matrix_file(path) -> MatrixFile:
+def load_matrix_file(path) -> tuple[list, np.ndarray]:
+    """The layout of the matrix file at path, as written, and its square complex matrix.
+
+    A sym(k) tag of the layout counts k+1 slots in the matrix's dimension.
+    """
     return _matrix_file(path, _read_json(path))
 
 
@@ -245,17 +238,17 @@ def save_state(state: DensityMatrix, path, metadata: dict | None = None) -> None
     save_matrix_file(path, state.matrix, list(state.dims), kind="state", metadata=metadata)
 
 
-def _state(path, mf: MatrixFile) -> DensityMatrix:
-    if any(not isinstance(e, int) for e in mf.layout):
-        raise MatrixFileError(f"{path}: layout {mf.layout} is not a plain state layout")
+def _state(path, layout: list, matrix: np.ndarray) -> DensityMatrix:
+    if any(not isinstance(e, int) for e in layout):
+        raise MatrixFileError(f"{path}: layout {layout} is not a plain state layout")
     try:
-        return DensityMatrix(mf.entries, mf.dims())
+        return DensityMatrix(matrix, layout)
     except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 
 
 def load_state(path) -> DensityMatrix:
-    return _state(path, load_matrix_file(path))
+    return _state(path, *load_matrix_file(path))
 
 
 def save_bosonic(sigma: BosonicState, path, metadata: dict | None = None) -> None:
@@ -270,15 +263,15 @@ def load_extension(path) -> DensityMatrix | BlockState:
     doc = _read_json(path)
     if isinstance(doc, dict) and doc.get("kind") == "blocks":
         return _blocks(path, doc)
-    mf = _matrix_file(path, doc)
-    tags = [e for e in mf.layout if isinstance(e, str)]
+    layout, matrix = _matrix_file(path, doc)
+    tags = [e for e in layout if isinstance(e, str)]
     if not tags:
-        return _state(path, mf)
-    if len(mf.layout) != 2 or not isinstance(mf.layout[0], int) or tags != [mf.layout[1]]:
-        raise MatrixFileError(f"{path}: bosonic layout must be [dA, \"sym(k)\"], got {mf.layout}")
-    k = int(_SYM_TAG.match(mf.layout[1]).group(1))
+        return _state(path, layout, matrix)
+    if len(layout) != 2 or not isinstance(layout[0], int) or tags != [layout[1]]:
+        raise MatrixFileError(f"{path}: bosonic layout must be [dA, \"sym(k)\"], got {layout}")
+    k = int(_SYM_TAG.match(layout[1]).group(1))
     try:
-        return BosonicState(mf.layout[0], k, mf.entries)
+        return BosonicState(layout[0], k, matrix)
     except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 

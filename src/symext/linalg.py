@@ -3,7 +3,9 @@
 Operators are plain numpy arrays. A layout is a tuple of local dimensions,
 each a Python or numpy integer, not a bool or a float (`caps.integer_size`);
 subsystem 0 is the leftmost tensor factor and the most significant digit of
-a computational basis index.
+a computational basis index. `partial_transpose` transposes B, the second
+factor of a bipartite layout (dA, dB): the tilde screen of
+`convert.tilde_state` needs no other.
 """
 
 from __future__ import annotations
@@ -81,18 +83,11 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return r.reshape(dk, dk)
 
 
-def partial_transpose(m: np.ndarray, dims, sys: int) -> np.ndarray:
-    """Transpose one subsystem, sys, an integer index into the layout."""
+def partial_transpose(m: np.ndarray, dims) -> np.ndarray:
+    """Transpose B, the second subsystem of the bipartite layout dims = (dA, dB)."""
     m = np.asarray(m)
-    dims = tuple(integer_size("layout entry", d) for d in dims)
-    sys = integer_size("sys", sys)
-    n = len(dims)
-    if not 0 <= sys < n:
-        raise ValueError(f"subsystem {sys} outside layout of {n} subsystems")
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[sys], axes[n + sys] = axes[n + sys], axes[sys]
-    return t.transpose(axes).reshape(m.shape)
+    dA, dB = (integer_size("layout entry", d) for d in dims)
+    return m.reshape(dA, dB, dA, dB).transpose(0, 3, 2, 1).reshape(m.shape)
 
 
 def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
@@ -155,17 +150,13 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, ket, dims) -> "DensityMatrix":
         ket = np.asarray(ket, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(ket)
+        nrm = float(np.linalg.norm(ket))
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"ket norm {nrm!r} is not 1 within 1e-08")
         return cls(np.outer(ket, ket.conj()), dims, check_psd=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def marginal(self, keep) -> np.ndarray:
         return partial_trace(self.matrix, self.dims, keep)
 
     def __repr__(self):
-        return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
+        return f"DensityMatrix(dim={self.matrix.shape[0]}, dims={self.dims})"

@@ -176,7 +176,7 @@ def test_pair_state_converts_to_triplet():
     # xi (x) singlet written down directly
     minus = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
     for rho in (blocks_to_global(bs, basis), DensityMatrix.from_ket(np.kron(xi, minus), (2, 2, 2))):
-        again = blocks_to_global(sym_to_bos(global_to_blocks(rho, basis)), basis)
+        again = blocks_to_global(sym_to_bos(global_to_blocks(rho)), basis)
         assert np.linalg.norm(again.matrix - want) < 1e-12
 
 
@@ -296,7 +296,7 @@ def test_three_copy_golden_conversion():
     rho = DensityMatrix(np.einsum("xiyj,iwjv->xwyv", coeff, glue).reshape(16, 16), (2, 2, 2, 2))
 
     basis = build_schur_basis(3)
-    sigma = blocks_to_global(sym_to_bos(global_to_blocks(rho, basis)), basis)
+    sigma = blocks_to_global(sym_to_bos(global_to_blocks(rho)), basis)
     phi = np.column_stack([dicke(3, -0.5), dicke(3, 0.5)])
     proj = np.kron(np.eye(2), phi @ phi.conj().T)
     # the input lies wholly outside that span, so the conversion moved it
@@ -419,6 +419,9 @@ def test_verify_accepts_block_certificates():
     for tol in (-1e-8, float("inf"), float("nan"), -0.5):
         with pytest.raises(ValueError, match="^tol must be finite and not negative, got "):
             verify_extension(w2, rho2, 9, tol=tol)
+    # a numpy scalar is printed as the plain float it holds
+    with pytest.raises(ValueError, match=r"^tol must be finite and not negative, got -0\.5$"):
+        verify_extension(w2, rho2, 9, tol=np.float64(-0.5))
     assert verify_extension(w2, rho2, 9, tol=0.0).tol == 0.0
 
 

@@ -10,7 +10,6 @@ from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, blocks_to_global,
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
 from symext.io import (
-    MatrixFile,
     MatrixFileError,
     _entries_chunks,
     load_blocks,
@@ -55,7 +54,7 @@ def test_negative_zero_loads_as_positive_zero(tmp_path):
     m = np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
     save_matrix_file(path, m, [2])
     assert '"entries": [[0.5, 0], [-0, -0], [-0, 0], [0.5, 0]]' in path.read_text()
-    back = load_matrix_file(path).entries
+    _, back = load_matrix_file(path)
     assert np.array_equal(back, m)
     assert not np.signbit(back.view(np.float64)).any()
     assert np.signbit(m.view(np.float64)).sum() == 3
@@ -104,8 +103,8 @@ def test_loading_a_full_space_state_or_a_certificate_peaks_below_five_arrays(tmp
     _, witness = gen_random_extendible(8, 2, 0)
     path = tmp_path / "full.state"
     save_state(blocks_to_global(witness, build_schur_basis(8)), path)
-    peak, loaded = _load_peak(load_matrix_file, path)
-    assert peak < 5 * loaded.entries.nbytes == 5 * 16 * 512**2, peak / loaded.entries.nbytes
+    peak, (_, loaded) = _load_peak(load_matrix_file, path)
+    assert peak < 5 * loaded.nbytes == 5 * 16 * 512**2, peak / loaded.nbytes
     _, witness = gen_random_extendible(64, 2, 0)
     path = tmp_path / "w.blocks"
     save_blocks(witness, path)
@@ -175,9 +174,12 @@ def test_each_file_kind_is_written_byte_for_byte(tmp_path):
         assert path.read_bytes() == want.encode("ascii")
 
 
-def test_sym_tag_resolves_weight_slots():
-    mf = MatrixFile([2, "sym(3)"], np.eye(8))
-    assert mf.dims() == (2, 4)
+def test_sym_tag_resolves_weight_slots(tmp_path):
+    # sym(3) counts the 4 weight slots of 3 qubits, so the matrix is 8 x 8
+    path = tmp_path / "sigma.state"
+    save_matrix_file(path, np.eye(8) / 8, [2, "sym(3)"])
+    layout, matrix = load_matrix_file(path)
+    assert layout == [2, "sym(3)"] and np.array_equal(matrix, np.eye(8) / 8)
 
 
 def test_truncated_file_reports_position(tmp_path):
@@ -209,6 +211,14 @@ def test_malformed_files_rejected(tmp_path):
     save_bosonic(sym_to_bos(gen_random_extendible(2, 2, 0)[1]), bos_path)
     with pytest.raises(MatrixFileError, match="plain state layout"):
         load_state(bos_path)
+    # a sym(k) tag is the second and last layout entry of a bosonic file
+    save_matrix_file(bos_path, np.eye(6) / 6, ["sym(2)", 2])
+    with pytest.raises(MatrixFileError, match=re.escape("""bosonic layout must be [dA, "sym(k)"], got ['sym(2)', 2]""")):
+        load_extension(bos_path)
+    empty = tmp_path / "empty.state"
+    empty.write_text('{"format_version": 1, "layout": [], "entries": []}')
+    with pytest.raises(MatrixFileError, match="missing or empty layout"):
+        load_matrix_file(empty)
     with pytest.raises(MatrixFileError, match="not a blocks certificate"):
         load_blocks(path)
     # sizes must be JSON integers: true loads as a Python int, and int() would
@@ -541,6 +551,11 @@ def test_convert_reports_unreadable_inputs(tmp_path):
     code, report = run_command(["convert", "--k", "2", "--in", str(broken), "--out", out])
     assert code == 1
     assert "[2,0] is not a sector of 5 qubits" in report
+    # a certificate is converted only at the k it was made for
+    cert = tmp_path / "w3.blocks"
+    save_blocks(gen_random_extendible(3, 2, 0)[1], cert)
+    code, report = run_command(["convert", "--k", "4", "--in", str(cert), "--out", out])
+    assert code == 1 and f"error: {cert}: certificate is for k=3, not k=4\nstatus: ERROR" in report
     # a bosonic file is already converted, and is refused by name, not read as a state
     sigma = tmp_path / "sigma.bos"
     save_bosonic(sym_to_bos(gen_random_extendible(2, 2, 0)[1]), sigma)
@@ -575,7 +590,7 @@ def _loop_entries(entries):
 def test_fast_entry_parse_matches_the_loop(tmp_path, entries):
     path = tmp_path / "m.state"
     _write_entries(path, "[2]", json.dumps(entries))
-    got = load_matrix_file(path).entries.reshape(-1)
+    got = load_matrix_file(path)[1].reshape(-1)
     want = _loop_entries(entries)
     assert got.dtype == want.dtype
     # bit-identical, so the sign of every zero is kept too
@@ -687,8 +702,9 @@ def _outcome(load, path):
         loaded = load(path)
     except MatrixFileError as exc:
         return "error", str(exc)
-    if isinstance(loaded, MatrixFile):
-        return loaded.layout, loaded.entries.dtype, loaded.entries.shape, loaded.entries.tobytes()
+    if isinstance(loaded, tuple):
+        layout, matrix = loaded
+        return layout, matrix.dtype, matrix.shape, matrix.tobytes()
     if isinstance(loaded, DensityMatrix):
         return loaded.dims, loaded.matrix.tobytes()
     blocks = sorted(loaded.blocks.items(), key=lambda item: item[0].lambda1)
@@ -938,6 +954,10 @@ def test_verify_full_space_with_qutrit_legs(tmp_path):
     assert "layout: full-space\n" in head
     assert "invariance: pass" in head
     assert "status: PASS" in head
+    # legs of two dimensions are no extension of any pair marginal
+    mixed = write_state(DensityMatrix(np.eye(12) / 12, (2, 2, 3)), tmp_path / "mixed.state")
+    code, report = run_command(["verify", "--k", "2", "--ext", mixed, "--marginal", rho])
+    assert code == 1 and "error: extension legs in (2, 2, 3) are not all equal\n" in report
 
 
 def test_verify_reads_block_certificates(tmp_path):
@@ -965,6 +985,10 @@ def test_verify_reads_block_certificates(tmp_path):
     assert code == 2 and "marginal: FAIL" in report
     code, report = run_command(["verify", "--k", "4", "--ext", str(witness), "--marginal", str(rho)])
     assert code == 1 and "expected 4" in report
+    # a block certificate extends a qubit B side only
+    qutrit = write_state(DensityMatrix(np.eye(6) / 6, (2, 3)), tmp_path / "qutrit.state")
+    code, report = run_command(["verify", "--k", "3", "--ext", str(witness), "--marginal", qutrit])
+    assert code == 1 and "error: marginal layout (2, 3) does not match extension\n" in report
 
 
 def test_infeasible_report_prints_the_witness_and_writes_no_certificate(tmp_path):

@@ -74,16 +74,16 @@ def test_partial_trace_keeps_original_order():
 def test_partial_transpose_involution_and_trace():
     gen = np.random.default_rng(7)
     m = random_density(6, gen)
-    pt = partial_transpose(m, (2, 3), 1)
+    pt = partial_transpose(m, (2, 3))
     assert np.isclose(np.trace(pt), 1.0)
-    assert np.allclose(partial_transpose(pt, (2, 3), 1), m)
+    assert np.allclose(partial_transpose(pt, (2, 3)), m)
 
 
 def test_partial_transpose_flags_entanglement():
     s = np.zeros((4, 4))
     s[1, 1] = s[2, 2] = 0.5
     s[1, 2] = s[2, 1] = -0.5
-    assert np.linalg.eigvalsh(partial_transpose(s, (2, 2), 1))[0] == pytest.approx(-0.5)
+    assert np.linalg.eigvalsh(partial_transpose(s, (2, 2)))[0] == pytest.approx(-0.5)
 
 
 def _perm_compose(p, q):
@@ -124,8 +124,10 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5, 0, 0]), (2, 2))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4) / 4, (2, 3))  # dims mismatch
+    with pytest.raises(ValueError, match=r"^invalid layout \(\)$"):
+        DensityMatrix(np.eye(1), ())
     dm = DensityMatrix(np.eye(4) / 4, (2, 2))
-    assert dm.dim == 4
+    assert repr(dm) == "DensityMatrix(dim=4, dims=(2, 2))"
     with pytest.raises(ValueError):
         dm.matrix[0, 0] = 9  # frozen
 
@@ -138,7 +140,7 @@ def test_layout_entries_must_be_integers():
         for call in (
             lambda: DensityMatrix(m, dims),
             lambda: partial_trace(m, dims, (0,)),
-            lambda: partial_transpose(m, dims, 0),
+            lambda: partial_transpose(m, dims),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -146,19 +148,20 @@ def test_layout_entries_must_be_integers():
     dm = DensityMatrix(m, (np.int64(2), np.uint8(2)))
     assert dm.dims == (2, 2) and all(type(d) is int for d in dm.dims)
     assert np.array_equal(partial_trace(m, np.array([2, 2]), (0,)), np.eye(2) / 2)
-    assert np.array_equal(partial_transpose(m, (np.int32(2), 2), 1), m)
+    assert np.array_equal(partial_transpose(m, (np.int32(2), 2)), m)
 
 
 def test_subsystem_indices_must_be_integers():
-    # int() would read keep (1.9,) and (True,) as (1,), and sys=True as 1
+    # int() would read keep (1.9,) and (True,) as (1,)
     m = np.diag([0.1, 0.2, 0.3, 0.4])
     for bad in (1.9, True, 1.0, np.True_):
         with pytest.raises(ValueError, match=f"^keep index must be an integer, got {re.escape(repr(bad))}$"):
             partial_trace(m, (2, 2), (bad,))
-        with pytest.raises(ValueError, match=f"^sys must be an integer, got {re.escape(repr(bad))}$"):
-            partial_transpose(m, (2, 2), bad)
     assert np.array_equal(partial_trace(m, (2, 2), (np.int64(1),)), np.diag([0.1 + 0.3, 0.2 + 0.4]))
-    assert np.array_equal(partial_transpose(m, (2, 2), np.uint8(1)), m)
+    with pytest.raises(ValueError, match=r"^keep indices \[2\] outside layout of 2 subsystems$"):
+        partial_trace(m, (2, 2), (2,))
+    with pytest.raises(ValueError, match=r"^matrix shape \(4, 4\) does not match layout \(2, 3\)$"):
+        partial_trace(m, (2, 3), (0,))
 
 
 def _with_lowest_eigenvalue(low: float, n: int = 6, seed: int = 0) -> np.ndarray:
@@ -214,6 +217,9 @@ def test_density_matrix_from_ket_and_marginal():
     dm = DensityMatrix.from_ket(ket, (2, 2))
     assert np.allclose(dm.marginal([0]), np.eye(2) / 2)
     assert np.allclose(dm.marginal([1]), np.eye(2) / 2)
+    # the norm is printed as a plain float, not as numpy's repr of its scalar
+    with pytest.raises(ValueError, match=r"^ket norm 1\.4142135623730951 is not 1 within 1e-08$"):
+        DensityMatrix.from_ket([1, 1], (2,))
 
 
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 6))

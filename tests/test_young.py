@@ -61,6 +61,8 @@ def test_weights_ascending_and_indexable():
 
 
 def test_list_diagrams_structure():
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        list_diagrams(0)
     assert list_diagrams(1) == [YoungDiagram(1, 0)]
     assert list_diagrams(4) == [YoungDiagram(4, 0), YoungDiagram(3, 1), YoungDiagram(2, 2)]
     for k in range(1, 13):
