@@ -25,11 +25,12 @@ A file longer than one slice (64 KiB) is parsed without a Python list for
 every entry: each "entries": [[ array in the writer's spacing is cut out and
 parsed a slice of about 64 KiB at a time, cut between two pairs, into one
 float array, and the rest of the document is parsed whole. A slice is taken
-only when it holds nothing but [re, im] pairs of JSON numbers that fit in a
-float. Any other file, and every file of at most one slice, is parsed whole
-as before, and that path gives every error, so a file loads to the same
-arrays, or fails with the same message, either way. A file that is not ASCII
-is an error that names it.
+only when, without its number bytes (-+.0-9eE), it is "[, ]" a pair joined by
+", ", every "], [" is whole, and with brackets read as spaces it parses as
+one flat JSON list of numbers that fit in a float. Any other file, and every
+file of at most one slice, is parsed whole, and that path gives every
+error: a file loads to the same arrays, or fails with the same message,
+either way. A file that is not ASCII is an error naming it.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _check_version(path, doc: dict) -> None:
 # a file of more bytes than this has its entries parsed a slice of about this many bytes at a time
 _SLICE = 1 << 16
 _ENTRIES = b'"entries": [['
-# the bytes of a slice of [re, im] pairs of JSON numbers, as the writer spaces them
-_PAIR_BYTES = b"-+.0123456789eE,[] "
+# the bytes of a JSON number; without them a slice of the writer's pairs is "[, ]" a pair, joined by ", "
+_NUMBER_BYTES = b"-+.0123456789eE"
 
 
 def _read_json(path):
@@ -155,28 +156,27 @@ def _sliced_doc(data: bytes):
 
 
 def _pairs(data: bytes, start: int, end: int) -> np.ndarray | None:
-    """The pairs data[start:end] lists, parsed a slice at a time, as a flat
-    complex array, or None unless every item is a pair of JSON numbers that
-    fit in a float."""
-    out = np.empty((data.count(b"[", start, end), 2))
+    """The pairs data[start:end] lists, a slice at a time, as a flat complex
+    array, or None unless each slice is the writer's skeleton and its runs of
+    number bytes, brackets read as spaces, are one flat JSON list of floats."""
+    # one pair before the first "], [" and one after each; a run of number bytes beside a
+    # bracket outside a pair breaks a "], [", so the slices then hold more pairs than out
+    out = np.empty(2 * data.count(b"], [", start, end) + 2)
     n = 0
     while start < end:
         cut = data.find(b"], [", min(start + _SLICE, end), end) + 1 or end
         piece = data[start:cut]
-        # numpy would read true, false and "1.5" as numbers; no letter but e and E passes
-        if piece.translate(None, _PAIR_BYTES):
+        pairs = piece.count(b"[")
+        if piece.translate(None, _NUMBER_BYTES) != b"[, ]" + b", [, ]" * (pairs - 1):
             return None
+        # brackets read as spaces join no two runs, so each part between commas is one number
         try:
-            items = np.array(json.loads(b"[" + piece + b"]"), dtype=np.float64)
+            out[n : n + 2 * pairs] = json.loads(b"[" + piece.translate(bytes.maketrans(b"[]", b"  ")) + b"]")
         except (ValueError, OverflowError):
             return None
-        if items.shape[1:] != (2,):
-            return None
-        out[n : n + len(items)] = items
-        n += len(items)
+        n += 2 * pairs
         start = cut + 2
-    # every item is a pair of numbers, so each [ opened one of them
-    return out.view(np.complex128).reshape(-1)
+    return out.view(np.complex128)
 
 
 def _matrix_file(path, doc) -> tuple[list, np.ndarray]:

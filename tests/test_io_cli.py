@@ -659,8 +659,15 @@ _ENTRY_VALUES = [
     b"NaN", b"Infinity", b"-Infinity", b"true", b"false", b'"1.5"', b"null", b"[1, 2]", b"{}",
     b"1e999", b"-1e999", b"1e-400", b"01", b"1.", b".5", b"+1", b"-", b"1e5", b"1E-5",
     b"-0", b"-0.0", b"1" + b"0" * 400, b"18446744073709551617", b"9007199254740993",
+    # number bytes alone, which JSON refuses
+    b"1-2", b"1e", b"1e+", b"--1", b"1.5.5", b"-01", b"",
 ]
-_PAIRS = [b"[1, 2, 3]", b"[1]", b"[]", b"[[1, 2]]", b"[1, [2]]", b"[[1], [2]]", b"1", b"[1 2]", b"[1,2]"]
+_PAIRS = [
+    b"[1, 2, 3]", b"[1]", b"[]", b"[[1, 2]]", b"[1, [2]]", b"[[1], [2]]", b"1", b"[1 2]", b"[1,2]",
+    b"[ 1, 0]", b"[1 , 0]", b"[1,  0]", b"[1, 0 ]",
+    # a run of number bytes beside a space or outside the brackets, and beside an empty part
+    b"[1,2 3]", b"[1, 2]3", b"[1, 2],3", b"3[1, 2]", b"[1,2 ]", b"[1, ]3", b"3[, 1]", b"[1, 2],3 [, 4]",
+]
 
 
 def _edits(data):
@@ -683,7 +690,7 @@ def _edits(data):
     yield _in_metadata(data[:body] + b'"entries": 0\n}\n', b'"entries": [[1, 2]]')
     yield _in_metadata(data, data[body : data.index(b"]]", body) + 2])
     last = len(_pair_spans(data)) - 1
-    for index in (0, last):
+    for index in (0, last // 2, last):
         for value in _ENTRY_VALUES:
             yield _with_pair(data, index, b"[" + value + b", 0]")
             yield _with_pair(data, index, b"[0.5, " + value + b"]")
