@@ -41,9 +41,10 @@ class BlockState:
     integers (Python or numpy, not bools), k in 1..64 (`caps.block_k`).
 
     `_assembled` builds a state without any of these checks, from blocks that
-    are known to pass them. Only two callers use it: the solver, whose
-    certificate is the Hermitian part of a PSD block that the solve has
-    already checked (see `solver._certificate`), and
+    are known to pass them. Only two callers use it, both as
+    `BosonicState._assembled`: the solver, whose certificate is the
+    Hermitian part of a PSD top-sector block that the solve has already
+    checked (see `solver._certificate`), and
     `convert.BosonicState._of_hermitian`, which runs its own finiteness and
     trace checks. It never receives input from a file or a user.
     """

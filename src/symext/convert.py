@@ -7,7 +7,9 @@ P of its sector, times the sector's tableau count (the `scale` of
 weight slots span the symmetric subspace. The Schur product keeps every
 block PSD, the unit diagonal keeps the weighted trace, and the
 adjacent-weight entries of the rescaling matrix are exactly the ratio of
-marginal coefficients, so the (A, B1) marginal is unchanged.
+marginal coefficients, so the (A, B1) marginal is unchanged. A BosonicState,
+the qubit solver's certificate among them, is already the result and is
+returned as it is.
 
 Certificates, BlockStates and the BosonicStates among them, are verified in
 sector coordinates at every k. Gluing the blocks through the orthonormal
@@ -89,6 +91,9 @@ def _bosonic_sum(bs: BlockState) -> np.ndarray:
 def sym_to_bos(bs: BlockState) -> BosonicState:
     """Convert a block state into a bosonic extension with the same marginal.
 
+    A BosonicState is returned as it is: it is read-only, and its
+    constructor, `BosonicState._of_hermitian` or the solve that made it has
+    checked it. Any other block state, a top-only one included, is summed.
     Every block of a BlockState is an output of `linalg.hermitian_part`, whose
     (i, j) and (j, i) entries are conjugate up to the sign of a zero, and
     every sector scale is real and symmetric. So the sum of their Schur
@@ -96,6 +101,8 @@ def sym_to_bos(bs: BlockState) -> BosonicState:
     part (x + x^H) / 2 bit for bit, short of an overflow of x + x^H: the
     Hermitian check is not run again, while finiteness and the trace are.
     """
+    if isinstance(bs, BosonicState):
+        return bs
     return BosonicState._of_hermitian(bs.dA, bs.k, _bosonic_sum(bs))
 
 

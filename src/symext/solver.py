@@ -76,8 +76,8 @@ from typing import Any
 
 import numpy as np
 
-from .blocks import BlockState
 from .caps import block_k, check_dense_bytes, integer_size
+from .convert import BosonicState
 from .linalg import DensityMatrix
 from .young import top_sector
 
@@ -361,12 +361,13 @@ def _solve_sym(rho_ab: DensityMatrix, k: int, certify) -> SolverReport:
     return report
 
 
-def _certificate(k: int, dA: int, x: np.ndarray) -> BlockState:
-    """The top-sector BlockState of a FEASIBLE block x, assembled without a check.
+def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:
+    """The BosonicState of a FEASIBLE block x, assembled without a check.
 
-    Its block is h = (x + x^H) * 0.5, the expression `linalg.hermitian_part`
-    returns, made read-only; BlockState's checks hold by what the solve
-    established:
+    The block is the top sector's, so the certificate is already a bosonic
+    extension, and `convert.sym_to_bos` returns it as it is. Its block is
+    h = (x + x^H) * 0.5, the expression `linalg.hermitian_part` returns,
+    made read-only; BlockState's checks hold by what the solve established:
     - trace: the last row of the map is the trace, so |tr x - 1| is at most
       the residual, 1e-8; Re tr h equals Re tr x bit for bit, and the tableau
       count of [k, 0] is 1;
@@ -382,7 +383,7 @@ def _certificate(k: int, dA: int, x: np.ndarray) -> BlockState:
     """
     h = (x + x.conj().T) * 0.5
     h.flags.writeable = False
-    return BlockState._assembled(k, dA, {top_sector(k): h})
+    return BosonicState._assembled(k, dA, {top_sector(k): h})
 
 
 def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
@@ -390,7 +391,7 @@ def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
 
     For a qubit B side a k-leg permutation-invariant extension exists if and
     only if a bosonic one does, so this one problem decides both; it is bound
-    to both names, and the certificate holds the top sector alone.
+    to both names, and the certificate is a BosonicState.
     """
     k = integer_size("k", k)
     if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:

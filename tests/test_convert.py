@@ -27,12 +27,14 @@ from symext.convert import (
     tilde_state,
     verify_extension,
 )
+from symext.io import load_blocks, save_blocks
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
 from symext.schur import build_schur_basis, sector_tables, sym_isometry
 from symext.solver import qutrit_counterexample, solve_symmetric
 from symext.young import YoungDiagram, hook_dim, list_diagrams
 
 from test_blocks import random_block_state
+from test_solver import _pure_products, _werner
 
 
 def test_bosonic_state_validation():
@@ -160,6 +162,45 @@ def test_conversion_sum_is_its_own_hermitian_part(k):
                 # atol 0: the deviation from Hermitian is exactly 0
                 assert hermitian_part(m, 0.0, "", "").tobytes() == m.tobytes(), (dA, profile)
                 assert sym_to_bos(state).matrix.tobytes() == m.tobytes()
+
+
+def _solver_certificates():
+    """(rho, k, report, cholesky) of FEASIBLE solves on both paths of the
+    solver; cholesky says which path the solve must take."""
+    # decided at iteration 1 on the Cholesky path: planted states and the
+    # feasible Werner grid
+    for k in (1, 2, 3, 8, 64):
+        for dA in (1, 2, 3, 4):
+            rho, _ = gen_random_extendible(k, dA, seed=k + dA)
+            yield rho, k, solve_symmetric(rho, k), True
+    for k in range(2, 17):
+        for off in (-0.05, -0.005, -0.002):
+            rho = _werner((k + 2) / (3 * k) + off)
+            yield rho, k, solve_symmetric(rho, k), True
+    # pure products need DR steps: the certificate is an eigenvalue clip
+    states = _pure_products()
+    real = np.kron([np.cos(0.3), np.sin(0.3)], [np.cos(0.6), np.sin(0.6)])
+    for rho in [states[3, i] for i in range(5)] + [DensityMatrix.from_ket(real, (2, 2))]:
+        yield rho, 3, solve_symmetric(rho, 3), False
+
+
+def test_a_solver_certificate_is_its_own_conversion(tmp_path):
+    # the top-sector certificate is already bosonic: sym_to_bos returns it,
+    # and its bytes are those of the bosonic sum, with no -0 to clear
+    for n, (rho, k, report, cholesky) in enumerate(_solver_certificates()):
+        cert = report.certificate
+        assert (report.iterations == 1) is cholesky, (k, n)
+        assert type(cert) is BosonicState and sym_to_bos(cert) is cert, (k, n)
+        summed = _bosonic_sum(cert).tobytes()
+        assert cert.matrix.tobytes() == summed, (k, n)
+        assert verify_extension(cert, rho, k, tol=1e-7).bosonic_ok, (k, n)
+        # read back from a blocks file it is a plain BlockState, summed anew
+        save_blocks(cert, tmp_path / "cert.blocks")
+        loaded = load_blocks(tmp_path / "cert.blocks")
+        assert type(loaded) is BlockState
+        bos = sym_to_bos(loaded)
+        assert type(bos) is BosonicState and not bos.matrix.flags.writeable
+        assert bos.matrix.tobytes() == summed, (k, n)
 
 
 def test_pair_state_converts_to_triplet():

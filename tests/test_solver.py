@@ -6,7 +6,7 @@ import pytest
 from conftest import product_state, random_two_qubit_states, singlet_state
 from symext import caps, solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
-from symext.convert import sym_to_bos, verify_extension
+from symext.convert import BosonicState, sym_to_bos, verify_extension
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
 from symext.solver import (
     FEASIBLE,
@@ -427,15 +427,16 @@ def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
 
 
 def _assert_certificate_passes_the_checks_it_skips(report, k):
-    # the checked constructor accepts the certificate and keeps its block bit
+    # the checked constructors accept the certificate and keep its block bit
     # for bit; the block is read-only and its trace within the residual bound
     assert report.status == FEASIBLE
     cert = report.certificate
-    assert type(cert) is BlockState
+    assert type(cert) is BosonicState
     ((lam, block),) = cert.blocks.items()
     assert lam == YoungDiagram(k, 0) and not block.flags.writeable
     checked = BlockState(k, cert.dA, cert.blocks, check_psd=False)
     assert checked.blocks[lam].tobytes() == block.tobytes()
+    assert BosonicState(cert.dA, k, block).matrix.tobytes() == block.tobytes()
     assert abs(cert.weighted_trace - 1.0) <= 1e-8 + 64 * np.finfo(float).eps
 
 

@@ -8,7 +8,10 @@ and compare the printed digest with the one from another checkout. The
 digest covers, for every call in order, its exit code and its report above
 the "--- timings ---" marker, with the temporary directory masked; then the
 name and bytes of every file the grid wrote, inputs included. Two checkouts
-print the same digest exactly when they agree on all of it.
+print the same digest exactly when they agree on all of it and run with the
+same BLAS thread count, so a second line prints the thread variables
+(`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`), each as its
+value or `unset`.
 
 The grid: for k in {2, 3, 5, 8}, both profiles and seeds 0-2 (dA = seed + 1),
 gen with a witness, check-sym with a certificate, convert of the
@@ -21,6 +24,7 @@ convert of a missing file and of a full-space file for the wrong k.
 """
 
 import hashlib
+import os
 import pathlib
 import tempfile
 
@@ -38,6 +42,7 @@ from symext.cli import run_command
 from symext.schur import sym_isometry
 
 MARKER = "--- timings ---"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _planted_pair_marginal(dA: int, dB: int, seed: int) -> DensityMatrix:
@@ -112,6 +117,7 @@ def grid_digest() -> str:
 
 def main() -> None:
     print(grid_digest())
+    print(" ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES))
 
 
 if __name__ == "__main__":
