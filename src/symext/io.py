@@ -182,6 +182,8 @@ def _pairs(data: bytes, start: int, end: int) -> np.ndarray | None:
 def _matrix_file(path, doc) -> tuple[list, np.ndarray]:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: top level is not an object")
+    if doc.get("kind") == "blocks":
+        raise MatrixFileError(f"{path}: a blocks certificate, not a matrix file")
     _check_version(path, doc)
     layout = doc.get("layout")
     if not isinstance(layout, list) or not layout:

@@ -17,8 +17,11 @@ residual on it certifies feasibility outright. Before the first reflection,
 the least-norm point of the affine set is tried as it stands: if a Cholesky
 factorization of it succeeds it is positive definite, hence its own cone
 shadow, and a small residual on it decides FEASIBLE at iteration 1 without
-an eigendecomposition. The test runs once, not inside the loop, where a
-failed factorization would only add to the cost of the eigh that follows.
+an eigendecomposition. That residual is read off the least-norm vector
+A^T (A A^T)^+ b itself, which the block's touched entries equal but for a
+-0 turned into +0, so its norm is the block's. The test runs once, not
+inside the loop, where a failed factorization would only add to the cost of
+the eigh that follows.
 Either way the FEASIBLE block is PSD by construction, with a residual,
 trace row included, of at most 1e-8 and finite entries. So the certificate,
 the block's Hermitian part (x + x^H) / 2, is assembled with no check at all
@@ -51,19 +54,24 @@ set's linear map A is a real matrix over its flat entries p n + q: the rows
 are the marginal's entries i dim_out + j, then the trace. A takes X^H to
 A(X)^H, so the affine projection keeps a Hermitian matrix Hermitian, and the
 real part of the entrywise inner product is the Frobenius inner product of
-Hermitian matrices; b^T y above stands for Re <b, y>. The map depends only
-on the shape (k, dA, dB) of the problem, not on the state. It is built in
-closed form in the occupation basis |n> of Sym^k(C^dB): tracing out B2..Bk
-takes |n><m| to sqrt(n_i m_j) / k times |i><j| when m = n - e_i + e_j, and
-to zero otherwise. The map keeps only the columns of the entries it touches
-and is cached, read-only, with its Gram pseudo-inverse under the key
-(k, dA, dB); only the target vector is built per state, and the affine
-projection works on the touched entries alone. At the block cap (k = 64,
-dA = 4, dB = 2) the map takes 1.6 MB. The cache evicts the least recently
-used maps once they hold more than 64 MB together. Pair maps grow about as
-dB^5 (4.3 MiB at dA = 2, dB = 8; 133 MiB at dB = 16), so a map whose dense
-array would exceed `caps.DENSE_BYTES_LIMIT` (1 GiB) is refused with a
-ValueError before it is allocated (at dA = 2, from dB = 25 on).
+Hermitian matrices; b^T y above stands for Re <b, y>. Being real, A acts on
+the real and imaginary parts alike, so each product with it is one BLAS call
+on the (rows, 2) float pair view of a complex vector (`_real_times`): b is
+viewed once per solve, and a complex view is taken only where complex
+numbers are needed, to gather or scatter the block's entries, for the Farkas
+vector and its tests. The map depends only on the shape (k, dA, dB) of the
+problem, not on the state. It is built in closed form in the occupation
+basis |n> of Sym^k(C^dB): tracing out B2..Bk takes |n><m| to sqrt(n_i m_j) /
+k times |i><j| when m = n - e_i + e_j, and to zero otherwise. The map keeps
+only the columns of the entries it touches and is cached, read-only, with
+its Gram pseudo-inverse under the key (k, dA, dB); only the target vector is
+built per state, and the affine projection works on the touched entries
+alone. At the block cap (k = 64, dA = 4, dB = 2) the map takes 1.6 MB. The
+cache evicts the least recently used maps once they hold more than 64 MB
+together. Pair maps grow about as dB^5 (4.3 MiB at dA = 2, dB = 8; 133 MiB
+at dB = 16), so a map whose dense array would exceed
+`caps.DENSE_BYTES_LIMIT` (1 GiB) is refused with a ValueError before it is
+allocated (at dA = 2, from dB = 25 on).
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ UNDECIDED = "UNDECIDED"
 # every multiple of this period.
 _WITNESS_PERIOD = 32
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # A block whose constraint residual is at most _TOL_FEASIBLE is FEASIBLE; a run
 # of _MAX_ITER iterations with no certificate either way is UNDECIDED.
@@ -143,14 +151,32 @@ _MAP_CACHE_BYTES = 64 * 2**20
 
 
 def _norm(z: np.ndarray) -> float:
-    """Euclidean norm of a complex vector, by the formula of np.linalg.norm and bit for bit equal to it."""
-    re, im = z.real, z.imag
+    """Euclidean norm of a complex vector given as its (rows, 2) float pairs, by
+    the formula of np.linalg.norm on the complex vector and bit for bit equal
+    to it."""
+    re, im = z[:, 0], z[:, 1]
     return sqrt(re.dot(re) + im.dot(im))
 
 
+def _pair_view(z: np.ndarray) -> np.ndarray:
+    """The (rows, 2) float pairs of a C-contiguous complex array, as a view."""
+    return z.view(np.float64).reshape(-1, 2)
+
+
+def _complex_view(z: np.ndarray) -> np.ndarray:
+    """The complex vector of (rows, 2) float pairs, as a view."""
+    return z.view(np.complex128).ravel()
+
+
 def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real matrix a and a complex vector z, without a complex copy of a."""
-    return (a @ z.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1)
+    """a z for a real matrix a and a complex vector z, both vectors as their
+    (rows, 2) float pairs: one BLAS matrix product, with no complex copy of a.
+
+    It is a @ z bit for bit; ndarray.dot reaches the same product with less
+    dispatch than the @ operator. Every product of the solver with its map
+    goes through here.
+    """
+    return a.dot(z)
 
 
 def _cone_project(x: np.ndarray) -> np.ndarray:
@@ -234,61 +260,70 @@ _MAPS = _MapCache()
 def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
     """The Farkas vector y' made of a multiplier vector y, or None.
 
-    y' has a Hermitian marginal part, a real trace entry and A^T y' PSD, with
-    a margin for the rounding of the eigvalsh; it is returned when
+    y is given as its (rows, 2) float pairs and is overwritten; y' is
+    complex. It has a Hermitian marginal part, a real trace entry and A^T y'
+    PSD, with a margin for the rounding of the eigvalsh; it is returned when
     b^T y' < 0 beyond the rounding of the dot product, scaled to
     ||A^T y'|| = 1, so -b^T y' bounds the distance between the two sets from
     below. The trace row is last, and its A^T is the identity.
     """
     n = cmap.n
-    y = y.astype(complex)
+    yc = _complex_view(y)
     # the vector tested is the one reported: eigvalsh reads only the lower
     # triangle of A^T y, so y's marginal part must be Hermitian, its trace real
-    m = isqrt(len(y) - 1)
-    marginal = y[:-1].reshape(m, m)
+    m = isqrt(len(yc) - 1)
+    marginal = yc[:-1].reshape(m, m)
     marginal[...] = (marginal + marginal.conj().T) / 2
-    y[-1] = y[-1].real
+    y[-1, 1] = 0.0
     z = np.zeros(n * n, dtype=complex)
-    z[cmap.cols] = _real_times(cmap.amap.T, y)
+    z[cmap.cols] = _complex_view(_real_times(cmap.amap.T, y))
     w = np.linalg.eigvalsh(z.reshape(n, n))
-    shift = 8 * n * _EPS * max(abs(w[0]), abs(w[-1])) - w[0]
-    y[-1] += shift
-    value = float(np.vdot(b, y).real)
-    if value >= -2 * len(b) * _EPS * float(np.abs(b) @ np.abs(y)):
+    lo, hi = float(w[0]), float(w[-1])
+    shift = 8 * n * _EPS * max(abs(lo), abs(hi)) - lo
+    y[-1, 0] += shift
+    value = float(np.vdot(b, yc).real)
+    if value >= -2 * len(b) * _EPS * float(np.abs(b) @ np.abs(yc)):
         return None
     z[:: n + 1] += shift
-    return y / _norm(z)
+    return yc / _norm(_pair_view(z))
 
 
 def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     """Returns (status, residual, gap_estimate, iterations, x).
 
     x is the feasible block on FEASIBLE, the scaled Farkas vector on
-    INFEASIBLE and None on UNDECIDED.
+    INFEASIBLE and None on UNDECIDED. Every product with the map runs on the
+    (rows, 2) float pairs of a complex vector (`_real_times`); the block's
+    touched entries are gathered and scattered as complex numbers. The
+    pre-check reads its residual off the least-norm vector v it scatters
+    into the zero block: the block's touched entries are 0 + v, which is v
+    but for a -0 turned into +0, so the two residuals have the same norm.
     """
     n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
     at = amap.T
-
-    def residual(y: np.ndarray) -> np.ndarray:
-        return _real_times(amap, y.reshape(-1)[cols]) - b
-
-    def affine_project(z: np.ndarray) -> np.ndarray:
-        # in place; entries outside cols are not constrained
-        z.reshape(-1)[cols] -= _real_times(at, _real_times(gram_pinv, residual(z)))
-        return z
-
+    b2 = _pair_view(b)
     # the least-norm point A^T (A A^T)^+ b, which is affine_project(0): A 0 - b
     # is exactly -b, and adding to zeros keeps the +0 that subtracting gives
+    v = _real_times(at, _real_times(gram_pinv, b2))
     x = np.zeros((n, n), dtype=complex)
-    x.reshape(-1)[cols] += _real_times(at, _real_times(gram_pinv, b))
+    x.reshape(-1)[cols] += _complex_view(v)
     try:
         np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         pass
     else:
-        res = _norm(residual(x))
+        res = _norm(_real_times(amap, v) - b2)
         if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, 1, x
+
+    def residual(y: np.ndarray) -> np.ndarray:
+        return _real_times(amap, _pair_view(y.reshape(-1)[cols])) - b2
+
+    def affine_project(z: np.ndarray) -> np.ndarray:
+        # in place; entries outside cols are not constrained
+        z.reshape(-1)[cols] -= _complex_view(_real_times(at, _real_times(gram_pinv, residual(z))))
+        return z
+
     best_res = np.inf
     for it in range(1, _MAX_ITER + 1):
         y = _cone_project(x)
@@ -304,7 +339,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
                 return INFEASIBLE, res, -float(np.vdot(b, farkas).real), it, farkas
         x, prev = x + affine_project(2.0 * y - x) - y, x
     # the length of the last step, measured only here, where it is reported
-    return UNDECIDED, best_res, _norm((x - prev).reshape(-1)), _MAX_ITER, None
+    return UNDECIDED, best_res, _norm(_pair_view(x - prev)), _MAX_ITER, None
 
 
 def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
@@ -367,7 +402,8 @@ def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:
     The block is the top sector's, so the certificate is already a bosonic
     extension, and `convert.sym_to_bos` returns it as it is. Its block is
     h = (x + x^H) * 0.5, the expression `linalg.hermitian_part` returns,
-    made read-only; BlockState's checks hold by what the solve established:
+    halved in place and made read-only; BlockState's checks hold by what the
+    solve established:
     - trace: the last row of the map is the trace, so |tr x - 1| is at most
       the residual, 1e-8; Re tr h equals Re tr x bit for bit, and the tableau
       count of [k, 0] is 1;
@@ -381,7 +417,8 @@ def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:
     - positivity: x passed a Cholesky factorization or is an eigenvalue
       clip, and the sector and shape are those of the solver's own map.
     """
-    h = (x + x.conj().T) * 0.5
+    h = x + x.conj().T
+    h *= 0.5
     h.flags.writeable = False
     return BosonicState._assembled(k, dA, {top_sector(k): h})
 

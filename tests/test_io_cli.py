@@ -219,6 +219,14 @@ def test_malformed_files_rejected(tmp_path):
     empty.write_text('{"format_version": 1, "layout": [], "entries": []}')
     with pytest.raises(MatrixFileError, match="missing or empty layout"):
         load_matrix_file(empty)
+    # a blocks certificate where a state is expected is named as such
+    blocks = tmp_path / "w.blocks"
+    save_blocks(gen_random_extendible(2, 2, 0)[1], blocks)
+    with pytest.raises(MatrixFileError, match="a blocks certificate, not a matrix file"):
+        load_matrix_file(blocks)
+    for argv in (["check-sym", "--k", "2", "--in"], ["tilde", "--k", "2", "--in"]):
+        code, report = run_command(argv + [str(blocks)])
+        assert code == 1 and "a blocks certificate, not a matrix file" in report, report
     with pytest.raises(MatrixFileError, match="not a blocks certificate"):
         load_blocks(path)
     # sizes must be JSON integers: true loads as a Python int, and int() would

@@ -271,9 +271,18 @@ def test_cone_project_idempotent_and_optimal(rng):
 
 
 def test_real_times_is_the_matrix_product(rng):
+    # a complex vector goes in and comes out as its (rows, 2) float pairs: the
+    # product is a @ z2 bit for bit, and read as complex it is a @ z
     a = rng.normal(size=(4, 7))
     z = rng.normal(size=7) + 1j * rng.normal(size=7)
-    assert np.allclose(solver._real_times(a, z), a @ z, rtol=0, atol=1e-14)
+    z2 = solver._pair_view(z)
+    assert z2.shape == (7, 2) and np.shares_memory(z2, z)
+    assert np.array_equal(z2[:, 0], z.real) and np.array_equal(z2[:, 1], z.imag)
+    product = solver._real_times(a, z2)
+    assert product.shape == (4, 2) and product.dtype == np.float64
+    assert product.tobytes() == (a @ z2).tobytes()
+    assert np.allclose(solver._complex_view(product), a @ z, rtol=0, atol=1e-14)
+    assert solver._norm(z2) == np.linalg.norm(z)
 
 
 def _hermitian_basis(n):
@@ -405,10 +414,18 @@ def _count_hermitian_parts(monkeypatch) -> list:
     return calls
 
 
+def _count_map_products(monkeypatch) -> list:
+    products = []
+    real_times = solver._real_times
+    monkeypatch.setattr(solver, "_real_times", lambda a, z: products.append(a.shape) or real_times(a, z))
+    return products
+
+
 def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
     # the least-norm point passes its one Cholesky test, the certificate is
     # PSD by construction and assembled without a check, and the conversion
-    # reads cached scales and checks no Hermitian part
+    # reads cached scales and checks no Hermitian part; three map products:
+    # two for the least-norm point and one for its residual
     k = 10
     for profile in ("all", PROFILE_EXCLUDE_BOSONIC):
         rho, _ = gen_random_extendible(k, 2, seed=3, profile=profile)
@@ -416,12 +433,14 @@ def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
         sym_to_bos(solve_symmetric(rho, k).certificate)
         calls = _count_factorizations(monkeypatch)
         hermitian = _count_hermitian_parts(monkeypatch)
+        products = _count_map_products(monkeypatch)
         report = solve_symmetric(rho, k)
         assert len(hermitian) == 0, profile
         bos = sym_to_bos(report.certificate)
         assert len(hermitian) == 0, profile
         assert (report.status, report.iterations) == (FEASIBLE, 1)
         assert calls == {"cholesky": 1}, profile
+        assert len(products) == 3, profile
         monkeypatch.undo()
         assert verify_extension(bos, rho, k, tol=1e-7).bosonic_ok
 
@@ -466,9 +485,7 @@ def test_an_infeasible_instance_still_runs_the_loop_and_the_witness(monkeypatch)
     rho = _werner((k + 2) / (3 * k) + 0.05)
     solve_symmetric(rho, k)
     calls = _count_factorizations(monkeypatch)
-    products = []
-    real_times = solver._real_times
-    monkeypatch.setattr(solver, "_real_times", lambda a, z: products.append(a.shape) or real_times(a, z))
+    products = _count_map_products(monkeypatch)
     report = solve_symmetric(rho, k)
     assert (report.status, report.iterations) == (INFEASIBLE, 1)
     assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 1}

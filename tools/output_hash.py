@@ -13,13 +13,17 @@ same BLAS thread count, so a second line prints the thread variables
 (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`), each as its
 value or `unset`.
 
-The grid: for k in {2, 3, 5, 8}, both profiles and seeds 0-2 (dA = seed + 1),
-gen with a witness, check-sym with a certificate, convert of the
-certificate, the witness and the state, verify of the bosonic output and of
-the certificate, and tilde. Then the singlet's INFEASIBLE check-sym and
-convert, a k=4 full-space convert and verify, check-bos2 on the qutrit
+The grid: for k in {2, 3, 5, 8}, both profiles and seeds 0-2
+(dA = seed + 1), gen with a witness, check-sym with a certificate, convert
+of the certificate, the witness and the state, verify of the bosonic output
+and of the certificate, and tilde; each of these solves ends at DR
+iteration 1. Then the singlet's INFEASIBLE check-sym and convert; check-sym
+at k=3 on the two states of `_drawn_states`, a pure product that is
+FEASIBLE after DR steps (its certificate an eigenvalue clip, which is then
+converted and verified) and a rank-2 mixture that is INFEASIBLE after DR
+steps; a k=4 full-space convert and verify; check-bos2 on the qutrit
 counterexample (INFEASIBLE) and, with a certificate, on I/9 (dA = dB = 3)
-and on a planted two-copy marginal (dA = 2, dB = 4), both FEASIBLE, and
+and on a planted two-copy marginal (dA = 2, dB = 4), both FEASIBLE; and
 convert of a missing file and of a full-space file for the wrong k.
 """
 
@@ -55,6 +59,19 @@ def _planted_pair_marginal(dA: int, dB: int, seed: int) -> DensityMatrix:
     return DensityMatrix(full.marginal((0, 1)), (dA, dB))
 
 
+def _drawn_states() -> tuple[DensityMatrix, DensityMatrix]:
+    """A pure product |a><a| x |b><b| and a rank-2 mixture p m + (1 - p) I/4,
+    from one default_rng(0) stream: a, b and the 4 x 2 factor g of
+    m = g g^H / tr are complex Gaussian, and p is uniform in [0.3, 1)."""
+    gen = np.random.default_rng(0)
+    a, b = (gen.standard_normal(2) + 1j * gen.standard_normal(2) for _ in range(2))
+    product = DensityMatrix.from_ket(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)), (2, 2))
+    g = gen.standard_normal((4, 2)) + 1j * gen.standard_normal((4, 2))
+    m = g @ g.conj().T
+    p = gen.uniform(0.3, 1)
+    return product, DensityMatrix(p * m / m.trace().real + (1 - p) * np.eye(4) / 4, (2, 2))
+
+
 def grid_digest() -> str:
     """The hex SHA-256 of the grid's reports and files."""
     digest = hashlib.sha256()
@@ -87,6 +104,12 @@ def grid_digest() -> str:
         save_state(DensityMatrix.from_ket(ket, (2, 2)), singlet)
         run("check-sym", "--k", 3, "--in", singlet, "--cert", root / "singlet.cert")
         run("convert", "--k", 3, "--in", singlet, "--out", root / "singlet.bos")
+
+        for name, rho in zip(("product", "mixture"), _drawn_states()):
+            save_state(rho, root / f"{name}.state")
+            run("check-sym", "--k", 3, "--in", root / f"{name}.state", "--cert", root / f"{name}.cert")
+        run("convert", "--k", 3, "--in", root / "product.cert", "--out", root / "product.bos")
+        run("verify", "--k", 3, "--ext", root / "product.cert", "--marginal", root / "product.state")
 
         full, marginal = root / "full4.state", root / "full4.marginal"
         rho, witness = gen_random_extendible(4, 2, 0)
