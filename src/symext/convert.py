@@ -34,7 +34,7 @@ import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
 from .caps import block_k, integer_size
-from .linalg import DensityMatrix, partial_transpose
+from .linalg import DensityMatrix, eigvalsh, partial_transpose
 from .schur import sector_tables, sym_isometry
 from .young import hook_dim, top_sector
 
@@ -174,7 +174,7 @@ def _verify_full(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float
         raise ValueError(f"extension legs in {dims} are not all equal")
     if rho_ab.dims != (dims[0], d):
         raise ValueError(f"marginal layout {rho_ab.dims} does not match extension {dims}")
-    low = float(np.linalg.eigvalsh(sigma.matrix)[0])
+    low = float(eigvalsh(sigma.matrix)[0])
     trace_dev = abs(float(sigma.matrix.trace().real) - 1.0)
     marg_dev = max(
         float(np.linalg.norm(sigma.marginal((0, i)) - rho_ab.matrix)) for i in range(1, k + 1)
@@ -195,7 +195,7 @@ def _verify_sectors(sigma: BlockState, rho_ab: DensityMatrix, k: int, tol: float
     if rho_ab.dims != (sigma.dA, 2):
         raise ValueError(f"marginal layout {rho_ab.dims} does not match extension")
     items = sigma.blocks.items()
-    low = min((float(np.linalg.eigvalsh(x)[0]) for _, x in items), default=0.0)
+    low = min((float(eigvalsh(x)[0]) for _, x in items), default=0.0)
     weights = [(lam, hook_dim(lam) * float(x.trace().real)) for lam, x in items]
     trace_dev = abs(sum(w for _, w in weights) - 1.0)
     marg = raw_marginal_from_blocks(sigma.dA, items)
@@ -254,5 +254,5 @@ def tilde_state(rho_ab: DensityMatrix, k: int) -> TildeReport:
         matrix = (dB * mix + k * rho_ab.matrix) / (dB * dB + k)
     state = DensityMatrix(matrix, (dA, dB), check_psd=False)
     # the partial transpose of the Hermitian state.matrix is Hermitian
-    low = float(np.linalg.eigvalsh(partial_transpose(state.matrix, (dA, dB)))[0])
+    low = float(eigvalsh(partial_transpose(state.matrix, (dA, dB)))[0])
     return TildeReport(state, low >= -1e-10, low)

@@ -6,6 +6,24 @@ subsystem 0 is the leftmost tensor factor and the most significant digit of
 a computational basis index. `partial_transpose` transposes B, the second
 factor of a bipartite layout (dA, dB): the tilde screen of
 `convert.tilde_state` needs no other.
+
+Every Hermitian factorization of the package goes through one seam here:
+`is_positive_definite`, `eigh` and `eigvalsh`. Each calls the LAPACK gufunc
+that `numpy.linalg` itself calls, `numpy.linalg._umath_linalg.cholesky_lo`,
+`eigh_lo` or `eigvalsh_lo` with the complex signature `D->D`, `D->dD` or
+`D->d`, so every output equals numpy's bit for bit; it skips only the
+wrapper's type resolution and shape checks, which a square complex input
+does not need. On a 10 x 10 complex PD block the wrapper costs more than
+the factorization: `np.linalg.cholesky` took 5.4 us, `is_positive_definite`
+3.6 us and the bare gufunc 1.9 us (timeit medians, one process, one BLAS
+thread, 2-core Xeon); `eigvalsh` took 10.5 us against 12.2 us. Each call
+runs under numpy's own error state for these gufuncs: `invalid="call"` with
+a raiser of `LinAlgError`, and `over`, `divide` and `under` ignored. So a
+failed factorization raises as it does in numpy (where
+`is_positive_definite` answers False instead), and a user's `np.seterr`
+changes nothing. The gufuncs and `np.errstate(call=...)` exist in every
+numpy from 1.24, the floor in pyproject.toml; there is no fallback, so a
+numpy that renames them fails at import.
 """
 
 from __future__ import annotations
@@ -13,10 +31,49 @@ from __future__ import annotations
 from math import inf, isfinite, isnan, prod, sqrt
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .caps import integer_size
 
 _EPS = np.finfo(float).eps
+
+# numpy.linalg's error state around its LAPACK gufuncs: a failed
+# factorization sets the invalid flag, which calls the raiser
+_LAPACK_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _not_positive_definite(err, flag):
+    raise LinAlgError("Matrix is not positive definite")
+
+
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def is_positive_definite(h: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the square complex h succeeds.
+
+    It reads the lower triangle alone, as np.linalg.cholesky does, and is
+    False exactly where np.linalg.cholesky raises LinAlgError.
+    """
+    try:
+        with np.errstate(call=_not_positive_definite, **_LAPACK_FLAGS):
+            _umath_linalg.cholesky_lo(h, signature="D->D")
+    except LinAlgError:
+        return False
+    return True
+
+
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) of np.linalg.eigh(h) for a square complex h, bit for bit."""
+    with np.errstate(call=_no_convergence, **_LAPACK_FLAGS):
+        return _umath_linalg.eigh_lo(h, signature="D->dD")
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(h) for a square complex h, bit for bit."""
+    with np.errstate(call=_no_convergence, **_LAPACK_FLAGS):
+        return _umath_linalg.eigvalsh_lo(h, signature="D->d")
 
 
 def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: str) -> np.ndarray:
@@ -105,12 +162,9 @@ def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
     if atol / 2 > (n + 1) * n * _EPS * sqrt(np.vdot(h, h).real):
         shifted = h.copy()
         shifted.flat[:: n + 1] += atol / 2
-        try:
-            np.linalg.cholesky(shifted)
+        if is_positive_definite(shifted):
             return None
-        except np.linalg.LinAlgError:
-            pass
-    low = float(np.linalg.eigvalsh(h)[0])
+    low = float(eigvalsh(h)[0])
     return low if low < -atol else None
 
 

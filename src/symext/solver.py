@@ -15,13 +15,17 @@ pseudo-inverse for the affine part) and the governing iterate advances by
 reflections. The cone shadow is PSD by construction, so a small constraint
 residual on it certifies feasibility outright. Before the first reflection,
 the least-norm point of the affine set is tried as it stands: if a Cholesky
-factorization of it succeeds it is positive definite, hence its own cone
-shadow, and a small residual on it decides FEASIBLE at iteration 1 without
-an eigendecomposition. That residual is read off the least-norm vector
-A^T (A A^T)^+ b itself, which the block's touched entries equal but for a
--0 turned into +0, so its norm is the block's. The test runs once, not
-inside the loop, where a failed factorization would only add to the cost of
-the eigh that follows.
+factorization of it succeeds (`linalg.is_positive_definite`) it is positive
+definite, hence its own cone shadow, and a small residual on it decides
+FEASIBLE at iteration 1 without an eigendecomposition. That residual is
+read off the least-norm vector A^T (A A^T)^+ b itself, which the block's
+touched entries equal but for a -0 turned into +0, so its norm is the
+block's. The test runs once, not inside the loop, where a failed
+factorization would only add to the cost of the eigh that follows. Every
+factorization here, that test, the clip's `linalg.eigh` and the Farkas
+test's `linalg.eigvalsh`, goes through the seam in `linalg`, which calls
+numpy's LAPACK gufuncs without the `numpy.linalg` wrapper and gives its
+results bit for bit.
 Either way the FEASIBLE block is PSD by construction, with a residual,
 trace row included, of at most 1e-8 and finite entries. So the certificate,
 the block's Hermitian part (x + x^H) / 2, is assembled with no check at all
@@ -43,11 +47,12 @@ product, no PSD block X can satisfy A X = b, since that would give
 b^T y' = <A^T y', X> >= 0. Read as operators, y' is a Farkas witness
 (W, c): W Hermitian on A tensor B, tensored with the identity on the other
 legs and compressed to the block's space, plus c I, is PSD, while
-tr(W rho) + c < 0. The test costs one eigvalsh and runs at iterations
-1, 2, 4, ..., 32 and then at every 32nd; on INFEASIBLE, gap_estimate is the
-certified lower bound -b^T y' / ||A^T y'|| on the distance between the two
-sets, and the witness is scaled to ||A^T y'|| = 1. A run that reaches
-`_MAX_ITER` (20,000) iterations with neither certificate is UNDECIDED.
+tr(W rho) + c < 0. The test costs one `linalg.eigvalsh` and runs at
+iterations 1, 2, 4, ..., 32 and then at every 32nd; on INFEASIBLE,
+gap_estimate is the certified lower bound -b^T y' / ||A^T y'|| on the
+distance between the two sets, and the witness is scaled to
+||A^T y'|| = 1. A run that reaches `_MAX_ITER` (20,000) iterations with
+neither certificate is UNDECIDED.
 
 The iterate is the block itself, an n x n complex matrix, and the affine
 set's linear map A is a real matrix over its flat entries p n + q: the rows
@@ -86,7 +91,7 @@ import numpy as np
 
 from .caps import block_k, check_dense_bytes, integer_size
 from .convert import BosonicState
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, eigh, eigvalsh, is_positive_definite
 from .young import top_sector
 
 FEASIBLE = "FEASIBLE"
@@ -181,7 +186,7 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _cone_project(x: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix to a Hermitian x in the Frobenius norm (eigenvalue clip)."""
-    w, u = np.linalg.eigh(x)
+    w, u = eigh(x)
     np.maximum(w, 0.0, out=w)
     return (u * w) @ u.conj().T
 
@@ -277,7 +282,7 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
     y[-1, 1] = 0.0
     z = np.zeros(n * n, dtype=complex)
     z[cmap.cols] = _complex_view(_real_times(cmap.amap.T, y))
-    w = np.linalg.eigvalsh(z.reshape(n, n))
+    w = eigvalsh(z.reshape(n, n))
     lo, hi = float(w[0]), float(w[-1])
     shift = 8 * n * _EPS * max(abs(lo), abs(hi)) - lo
     y[-1, 0] += shift
@@ -307,11 +312,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     v = _real_times(at, _real_times(gram_pinv, b2))
     x = np.zeros((n, n), dtype=complex)
     x.reshape(-1)[cols] += _complex_view(v)
-    try:
-        np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        pass
-    else:
+    if is_positive_definite(x):
         res = _norm(_real_times(amap, v) - b2)
         if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, 1, x

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacent_transposition, naive_partial_trace, permutation_operator, random_density
+from symext import solver
 from symext.linalg import (
     DensityMatrix,
     eigenvalue_below,
+    eigh,
+    eigvalsh,
     hermitian_part,
+    is_positive_definite,
     partial_trace,
     partial_transpose,
 )
@@ -197,6 +202,99 @@ def test_eigenvalue_below_on_rank_one_and_at_zero_tolerance():
     for h in (rank_one, _with_lowest_eigenvalue(0.0), _with_lowest_eigenvalue(-1e-12), _with_lowest_eigenvalue(1e-3)):
         assert eigenvalue_below(h, 0.0) == _eigvalsh_rule(h, 0.0)
     assert eigenvalue_below(_with_lowest_eigenvalue(-1e-12), 0.0) is not None
+
+
+def _random_hermitian(n: int, gen) -> np.ndarray:
+    g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
+def _werner_least_norm_blocks():
+    # the least-norm point A^T (A A^T)^+ b of the qubit solver's affine set,
+    # the block its Cholesky pre-check tests, on Werner states about the
+    # threshold (k + 2) / (3k)
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    for k in range(2, 6):
+        cmap = solver._MAPS.get((k, 2, 2), lambda: solver._sym_map(k, 2, 2))
+        for off in (-0.05, -0.005, 0.005, 0.05):
+            p = (k + 2) / (3 * k) + off
+            b = np.append((p * np.outer(psi, psi) + (1 - p) * np.eye(4) / 4).reshape(-1), 1.0)
+            x = np.zeros((cmap.n, cmap.n), dtype=complex)
+            x.reshape(-1)[cmap.cols] = cmap.amap.T @ (cmap.gram_pinv @ b)
+            yield x
+
+
+def _seam_inputs():
+    gen = np.random.default_rng(11)
+    for n in range(1, 17):
+        for _ in range(3):
+            yield _random_hermitian(n, gen)
+    yield from _werner_least_norm_blocks()
+
+
+def test_the_seam_gives_numpy_linalg_bytes():
+    for h in _seam_inputs():
+        w, u = eigh(h)
+        ref_w, ref_u = np.linalg.eigh(h)
+        assert (w.dtype, u.dtype) == (ref_w.dtype, ref_u.dtype)
+        assert w.tobytes() == ref_w.tobytes() and u.tobytes() == ref_u.tobytes()
+        ref = np.linalg.eigvalsh(h)
+        assert eigvalsh(h).dtype == ref.dtype and eigvalsh(h).tobytes() == ref.tobytes()
+
+
+def _cholesky_succeeds(h: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _definiteness_cases():
+    gen = np.random.default_rng(12)
+    for n in (1, 2, 5, 9):
+        g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        yield "definite", g @ g.conj().T
+        if n > 1:
+            v = g[:, :1]
+            yield "singular", v @ v.conj().T
+        yield "indefinite", _random_hermitian(n, gen) - 3 * np.eye(n)
+    # NaN and inf entries above, on and below the diagonal: the factorization
+    # reads the lower triangle, so numpy accepts a NaN above it
+    for bad in (np.nan, complex(0, np.nan), np.inf):
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            h = np.eye(3, dtype=complex)
+            h[i, j] = bad
+            yield "non-finite", h
+
+
+def test_is_positive_definite_is_numpy_cholesky_success():
+    seen = set()
+    for kind, h in _definiteness_cases():
+        ok = _cholesky_succeeds(h)
+        assert is_positive_definite(h) is ok, (kind, h)
+        seen.add((kind, ok))
+    assert {("definite", True), ("singular", False), ("indefinite", False), ("non-finite", True)} <= seen
+
+
+def test_a_failed_factorization_is_silent_under_any_error_state():
+    h = np.diag([1.0, -1.0, 2.0]).astype(complex)
+    nan_diagonal = np.diag([1.0, np.nan, 1.0]).astype(complex)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_positive_definite(h) is False
+        with np.errstate(all="raise"):
+            assert is_positive_definite(h) is False
+            assert is_positive_definite(np.eye(3, dtype=complex)) is True
+            assert eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        # eigvalsh fails as numpy's does, with numpy's message
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            np.linalg.eigvalsh(nan_diagonal)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            eigvalsh(nan_diagonal)
+    # the error state is restored after a failure
+    assert np.geterr() == before
 
 
 def test_density_matrix_psd_tolerance_and_message():

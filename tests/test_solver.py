@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import product_state, random_two_qubit_states, singlet_state
-from symext import caps, solver
+from symext import caps, linalg, solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import BosonicState, sym_to_bos, verify_extension
 from symext.linalg import DensityMatrix, hermitian_part, partial_trace
@@ -395,15 +395,23 @@ def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
 
 
 def _count_factorizations(monkeypatch) -> dict:
+    # the seam's functions by the names symext.solver and symext.linalg bind,
+    # counted as "cholesky", "eigh" and "eigvalsh"; a call of numpy.linalg's
+    # own wrapper counts as "np.linalg.<name>", so an exact dict rules it out
     calls = {}
-    for name in ("eigh", "eigvalsh", "cholesky"):
-        real = getattr(np.linalg, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args, **kwargs)
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        return counted
+
+    for key, name in (("cholesky", "is_positive_definite"), ("eigh", "eigh"), ("eigvalsh", "eigvalsh")):
+        real = getattr(linalg, name)
+        for module in (solver, linalg):
+            monkeypatch.setattr(module, name, counting(key, real))
+        monkeypatch.setattr(np.linalg, key, counting(f"np.linalg.{key}", getattr(np.linalg, key)))
     return calls
 
 
@@ -480,16 +488,18 @@ def test_a_certificate_passes_every_check_it_skips():
 def test_an_infeasible_instance_still_runs_the_loop_and_the_witness(monkeypatch):
     # certified at iteration 1 with five map products and no step: two for the
     # least-norm point, which fails its Cholesky test, one for the residual r of
-    # its cone shadow, one for the witness G r and one for A^T of it
-    k = 4
-    rho = _werner((k + 2) / (3 * k) + 0.05)
-    solve_symmetric(rho, k)
-    calls = _count_factorizations(monkeypatch)
-    products = _count_map_products(monkeypatch)
-    report = solve_symmetric(rho, k)
-    assert (report.status, report.iterations) == (INFEASIBLE, 1)
-    assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 1}
-    assert len(products) == 5
+    # its cone shadow, one for the witness G r and one for A^T of it; k = 3 is
+    # the werner workload's INFEASIBLE path
+    for k in (3, 4):
+        rho = _werner((k + 2) / (3 * k) + 0.05)
+        solve_symmetric(rho, k)
+        calls = _count_factorizations(monkeypatch)
+        products = _count_map_products(monkeypatch)
+        report = solve_symmetric(rho, k)
+        assert (report.status, report.iterations) == (INFEASIBLE, 1), k
+        assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 1}, k
+        assert len(products) == 5, k
+        monkeypatch.undo()
 
 
 def _werner_singlet_and_qutrit():

@@ -7,9 +7,12 @@ Run with the package to test on the path, for example
 and compare the printed digest with the one from another checkout. The
 digest covers, for every call in order, its exit code and its report above
 the "--- timings ---" marker, with the temporary directory masked; then the
-name and bytes of every file the grid wrote, inputs included. Two checkouts
-print the same digest exactly when they agree on all of it and run with the
-same BLAS thread count, so a second line prints the thread variables
+name and bytes of every file the grid wrote, inputs included; last, for
+each INFEASIBLE qubit state of the grid, the witness (W, c) that
+`solve_symmetric` returns, as the bytes of W and the repr of c, which the
+report shows only through tr(W rho) + c to 7 digits. Two checkouts print
+the same digest exactly when they agree on all of it and run with the same
+BLAS thread count, so a second line prints the thread variables
 (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`), each as its
 value or `unset`.
 
@@ -21,10 +24,14 @@ iteration 1. Then the singlet's INFEASIBLE check-sym and convert; check-sym
 at k=3 on the two states of `_drawn_states`, a pure product that is
 FEASIBLE after DR steps (its certificate an eigenvalue clip, which is then
 converted and verified) and a rank-2 mixture that is INFEASIBLE after DR
-steps; a k=4 full-space convert and verify; check-bos2 on the qutrit
-counterexample (INFEASIBLE) and, with a certificate, on I/9 (dA = dB = 3)
-and on a planted two-copy marginal (dA = 2, dB = 4), both FEASIBLE; and
-convert of a missing file and of a full-space file for the wrong k.
+steps; check-sym at k=3 on the Werner state at p = 5/9 + 0.05, above the
+threshold (k + 2) / (3k) and INFEASIBLE at DR iteration 1, the path of the
+werner benchmark workload; a k=4 full-space convert and verify; check-bos2
+on the qutrit counterexample (INFEASIBLE) and, with a certificate, on I/9
+(dA = dB = 3) and on a planted two-copy marginal (dA = 2, dB = 4), both
+FEASIBLE; and convert of a missing file and of a full-space file for the
+wrong k. The witnesses hashed last are those of the singlet, the mixture
+and the Werner state.
 """
 
 import hashlib
@@ -41,6 +48,7 @@ from symext import (
     gen_random_extendible,
     qutrit_counterexample,
     save_state,
+    solve_symmetric,
 )
 from symext.cli import run_command
 from symext.schur import sym_isometry
@@ -72,6 +80,12 @@ def _drawn_states() -> tuple[DensityMatrix, DensityMatrix]:
     return product, DensityMatrix(p * m / m.trace().real + (1 - p) * np.eye(4) / 4, (2, 2))
 
 
+def _werner(p: float) -> DensityMatrix:
+    """p |psi-><psi-| + (1 - p) I/4 on two qubits."""
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    return DensityMatrix(p * np.outer(psi, psi) + (1 - p) * np.eye(4) / 4, (2, 2))
+
+
 def grid_digest() -> str:
     """The hex SHA-256 of the grid's reports and files."""
     digest = hashlib.sha256()
@@ -101,11 +115,14 @@ def grid_digest() -> str:
 
         singlet = root / "singlet.state"
         ket = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        save_state(DensityMatrix.from_ket(ket, (2, 2)), singlet)
+        singlet_rho = DensityMatrix.from_ket(ket, (2, 2))
+        save_state(singlet_rho, singlet)
         run("check-sym", "--k", 3, "--in", singlet, "--cert", root / "singlet.cert")
         run("convert", "--k", 3, "--in", singlet, "--out", root / "singlet.bos")
 
-        for name, rho in zip(("product", "mixture"), _drawn_states()):
+        product_rho, mixture_rho = _drawn_states()
+        werner_rho = _werner(5 / 9 + 0.05)
+        for name, rho in (("product", product_rho), ("mixture", mixture_rho), ("werner", werner_rho)):
             save_state(rho, root / f"{name}.state")
             run("check-sym", "--k", 3, "--in", root / f"{name}.state", "--cert", root / f"{name}.cert")
         run("convert", "--k", 3, "--in", root / "product.cert", "--out", root / "product.bos")
@@ -135,6 +152,13 @@ def grid_digest() -> str:
         for path in sorted(root.iterdir()):
             digest.update(f"{path.name}\n".encode())
             digest.update(path.read_bytes())
+
+    for name, rho in (("singlet", singlet_rho), ("mixture", mixture_rho), ("werner", werner_rho)):
+        report = solve_symmetric(rho, 3)
+        digest.update(f"{name}\n{report.status}\n".encode())
+        if report.witness is not None:
+            digest.update(report.witness.w.tobytes())
+            digest.update(f"{report.witness.c!r}\n".encode())
     return digest.hexdigest()
 
 
