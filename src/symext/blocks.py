@@ -40,13 +40,9 @@ class BlockState:
     `gen_random_extendible`, which are PSD by construction. k and dA must be
     integers (Python or numpy, not bools), k in 1..64 (`caps.block_k`).
 
-    `_assembled` builds a state without any of these checks, from blocks that
-    are known to pass them. Only two callers use it, both as
-    `BosonicState._assembled`: the solver, whose certificate is the
-    Hermitian part of a PSD top-sector block that the solve has already
-    checked (see `solver._certificate`), and
-    `convert.BosonicState._of_hermitian`, which runs its own finiteness and
-    trace checks. It never receives input from a file or a user.
+    `_assembled` builds a state without any of these checks. Its one
+    caller is `solver._certificate`, whose block the solve has already
+    checked; every state from a file or a conversion goes through __init__.
     """
 
     def __init__(self, k: int, dA: int, blocks, *, check_psd: bool = True):
@@ -73,25 +69,17 @@ class BlockState:
             x.flags.writeable = False
             clean[lam] = x
         self.blocks = clean
-        self._check_trace()
-
-    @classmethod
-    def _assembled(cls, k: int, dA: int, blocks: dict) -> "BlockState":
-        """The state of blocks, built without any check of __init__.
-
-        The caller answers for every check: each block read-only, finite and
-        its own Hermitian part bit for bit, with a sector and shape that fit k
-        and dA, and a weighted trace of 1, tested on the result where the
-        caller cannot vouch for it.
-        """
-        state = cls.__new__(cls)
-        state.k, state.dA, state.blocks = k, dA, blocks
-        return state
-
-    def _check_trace(self) -> None:
         total = self.weighted_trace
         if abs(total - 1.0) > _ATOL:
             raise ValueError(f"weighted block trace {total!r} is not 1 within {_ATOL:g}")
+
+    @classmethod
+    def _assembled(cls, k: int, dA: int, blocks: dict) -> "BlockState":
+        """The state of blocks, built without any check of __init__; the
+        caller answers for every one of them (see `solver._certificate`)."""
+        state = cls.__new__(cls)
+        state.k, state.dA, state.blocks = k, dA, blocks
+        return state
 
     @property
     def weighted_trace(self) -> float:

@@ -264,6 +264,9 @@ def run_command(argv) -> tuple[int, str]:
         args = build_parser().parse_args(list(argv))
         code = args.func(args, lines, timings)
     except (_UsageError, mio.MatrixFileError, OSError, ValueError) as exc:
+        # a failure after a verdict, such as a file that cannot be written,
+        # makes ERROR the report's only status
+        lines = [line for line in lines if not line.startswith("status: ")]
         lines.append(f"error: {exc}")
         lines.append("status: ERROR")
         code = 1

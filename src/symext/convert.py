@@ -7,9 +7,9 @@ P of its sector, times the sector's tableau count (the `scale` of
 weight slots span the symmetric subspace. The Schur product keeps every
 block PSD, the unit diagonal keeps the weighted trace, and the
 adjacent-weight entries of the rescaling matrix are exactly the ratio of
-marginal coefficients, so the (A, B1) marginal is unchanged. A BosonicState,
-the qubit solver's certificate among them, is already the result and is
-returned as it is.
+marginal coefficients, so the (A, B1) marginal is unchanged. The sum is
+checked as every BosonicState is; a BosonicState, the qubit solver's
+certificate among them, is already the result and is returned as it is.
 
 Certificates, BlockStates and the BosonicStates among them, are verified in
 sector coordinates at every k. Gluing the blocks through the orthonormal
@@ -53,23 +53,6 @@ class BosonicState(BlockState):
         k = block_k(k)
         super().__init__(k, dA, {top_sector(k): matrix})
 
-    @classmethod
-    def _of_hermitian(cls, dA: int, k: int, matrix: np.ndarray) -> "BosonicState":
-        """The state of a matrix of the right shape that no one else holds.
-
-        The matrix must equal its Hermitian part bit for bit; only its
-        finiteness, before `BlockState._assembled` builds the state, and its
-        trace, within BlockState's 1e-6, after, are checked.
-        """
-        top = top_sector(k)
-        # the squared norm is finite unless an entry is not, or it overflows
-        if not isfinite(np.vdot(matrix, matrix).real) and not np.isfinite(matrix).all():
-            raise ValueError(f"block for {top} entries must be finite")
-        matrix.flags.writeable = False
-        state = cls._assembled(k, dA, {top: matrix})
-        state._check_trace()
-        return state
-
     @property
     def matrix(self) -> np.ndarray:
         return self.blocks[top_sector(self.k)]
@@ -92,18 +75,13 @@ def sym_to_bos(bs: BlockState) -> BosonicState:
     """Convert a block state into a bosonic extension with the same marginal.
 
     A BosonicState is returned as it is: it is read-only, and its
-    constructor, `BosonicState._of_hermitian` or the solve that made it has
-    checked it. Any other block state, a top-only one included, is summed.
-    Every block of a BlockState is an output of `linalg.hermitian_part`, whose
-    (i, j) and (j, i) entries are conjugate up to the sign of a zero, and
-    every sector scale is real and symmetric. So the sum of their Schur
-    products, accumulated onto +0 and hence free of -0, equals its Hermitian
-    part (x + x^H) / 2 bit for bit, short of an overflow of x + x^H: the
-    Hermitian check is not run again, while finiteness and the trace are.
+    constructor or the solve that made it has checked it. Any other block
+    state, a top-only one included, is summed, and the sum goes through the
+    BosonicState constructor's checks.
     """
     if isinstance(bs, BosonicState):
         return bs
-    return BosonicState._of_hermitian(bs.dA, bs.k, _bosonic_sum(bs))
+    return BosonicState(bs.dA, bs.k, _bosonic_sum(bs))
 
 
 @dataclass(frozen=True)
@@ -196,11 +174,10 @@ def _verify_sectors(sigma: BlockState, rho_ab: DensityMatrix, k: int, tol: float
         raise ValueError(f"marginal layout {rho_ab.dims} does not match extension")
     items = sigma.blocks.items()
     low = min((float(eigvalsh(x)[0]) for _, x in items), default=0.0)
-    weights = [(lam, hook_dim(lam) * float(x.trace().real)) for lam, x in items]
-    trace_dev = abs(sum(w for _, w in weights) - 1.0)
+    trace_dev = abs(sigma.weighted_trace - 1.0)
     marg = raw_marginal_from_blocks(sigma.dA, items)
     marg_dev = float(np.linalg.norm(marg - rho_ab.matrix))
-    outside = sum(w for lam, w in weights if lam.lambda2)
+    outside = sum(hook_dim(lam) * float(x.trace().real) for lam, x in items if lam.lambda2)
     return ExtensionReport(tol, low, trace_dev, marg_dev, 0.0, max(outside, 0.0), by_construction=True)
 
 

@@ -30,7 +30,7 @@ Either way the FEASIBLE block is PSD by construction, with a residual,
 trace row included, of at most 1e-8 and finite entries. So the certificate,
 the block's Hermitian part (x + x^H) / 2, is assembled with no check at all
 (`_certificate` gives the reason each check holds); the checked constructor
-stays for every block that comes from a file or a user.
+stays for every block that comes from a file, a user or a conversion.
 
 Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the

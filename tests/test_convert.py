@@ -96,10 +96,25 @@ def test_conversion_keeps_the_trace_and_finiteness_checks():
     overflow = BlockState(4, 1, {YoungDiagram(3, 1): x}, check_psd=False)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^block for \[4,0\] entries must be finite$"):
         sym_to_bos(overflow)
-    # entries too large for a finite squared norm but finite are kept
+    # entries too large for a finite squared norm but finite reach the
+    # positivity check, which refuses this matrix: it is not a state
     top = np.diag([1e200, -1e200, 1.0, 0.0, 0.0]).astype(complex)
-    bos = sym_to_bos(BlockState(4, 1, {YoungDiagram(4, 0): top}, check_psd=False))
-    assert np.array_equal(bos.matrix, top)
+    unchecked = BlockState(4, 1, {YoungDiagram(4, 0): top}, check_psd=False)
+    with pytest.raises(ValueError, match=r"^block for \[4,0\] has eigenvalue -1\.000e\+200$"):
+        sym_to_bos(unchecked)
+
+
+def test_conversion_refuses_a_block_state_that_is_not_psd():
+    # check_psd=False lets a block with a negative eigenvalue in; the
+    # converted sum is checked as every BosonicState is, and refused. Sector
+    # [3,1] scales its diagonal by its tableau count 3.
+    for lam, x, low in (
+        (YoungDiagram(2, 0), np.diag([1.5, -0.5, 0.0]), "-5.000e-01"),
+        (YoungDiagram(3, 1), np.diag([0.5, -0.5, 1 / 3]), "-1.500e\\+00"),
+    ):
+        bs = BlockState(lam.k, 1, {lam: x}, check_psd=False)
+        with pytest.raises(ValueError, match=rf"^block for \[{lam.k},0\] has eigenvalue {low}$"):
+            sym_to_bos(bs)
 
 
 def test_constructors_hold_finite_entries_where_the_hermitian_sum_overflows():
@@ -148,9 +163,11 @@ def test_a_deviation_whose_square_overflows_is_reported_finite():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 10, 16, 32, 64])
 def test_conversion_sum_is_its_own_hermitian_part(k):
-    # sym_to_bos skips the Hermitian check: its sum of Schur products of
-    # Hermitian blocks with real symmetric scales must equal its Hermitian
-    # part bit for bit, planted witnesses and solver certificates alike
+    # sym_to_bos builds the sum through the checked BosonicState
+    # constructor, which holds the Hermitian part: the sum of Schur products
+    # of Hermitian blocks with real symmetric scales must equal its Hermitian
+    # part bit for bit, so the constructor keeps the sum's bytes, planted
+    # witnesses and solver certificates alike
     for lam in list_diagrams(k):
         *_, scale = sector_tables(lam)
         assert np.array_equal(scale, scale.T), lam

@@ -331,6 +331,29 @@ def test_check_bos2_exit_codes(tmp_path):
     assert "status: ERROR" in report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sym", "--k", "2", "--cert"],
+        ["check-bos", "--k", "2", "--cert"],
+        ["check-bos2", "--dB", "2", "--cert"],
+        ["convert", "--k", "2", "--out"],
+    ],
+)
+def test_a_run_whose_output_cannot_be_written_has_one_status(tmp_path, argv):
+    # the solve is FEASIBLE, but the file it would write sits in a missing
+    # directory: the report's one status line is ERROR
+    good = write_state(product_state(), tmp_path / "good.state")
+    out = tmp_path / "missing" / "out.state"
+    code, report = run_command(argv + [str(out), "--in", good])
+    head = above_marker(report).splitlines()
+    assert code == 1
+    assert [ln for ln in head if ln.startswith("status: ")] == ["status: ERROR"]
+    assert head[-2].startswith("error: ") and str(out) in head[-2]
+    assert head[-1] == "status: ERROR"
+    assert not out.parent.exists()
+
+
 def test_check_bos2_refuses_an_oversized_map(tmp_path, monkeypatch):
     from symext import caps, solver
 

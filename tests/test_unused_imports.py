@@ -5,7 +5,10 @@ or class that only tests call.
 For imports, `__init__.py` is skipped, since its imports are the package's
 re-exports, and so are `from __future__` imports. A private name is a
 module-level function, class or assigned name with one leading underscore;
-tests may read it too, but the module itself must use it. A public
+tests may read it too, but the module itself must use it. A private method,
+a `def` with one leading underscore in the body of a module-level class,
+must be read somewhere in the package outside its own definition; tests may
+read it too. A public
 module-level function or class must be read somewhere in the package outside
 its own definition, `__init__.py` not counted, or be named in the benchmark
 (`bench/*.py`) as a name, an attribute or a string: the benchmark's span
@@ -100,6 +103,25 @@ def public_names_only_tests_use(package: dict[str, str], bench: list[str]) -> li
     return unused
 
 
+def unused_private_methods(package: dict[str, str]) -> list[str]:
+    """Private methods of the module-level classes of package (file name to
+    source) that no part of it reads outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if not node.name.startswith("_") or node.name.startswith("__"):
+                    continue
+                if not any(node.name in _references(other, skip=node) for other in trees.values()):
+                    unused.append(f"{module} line {node.lineno}: {cls.name}.{node.name}")
+    return unused
+
+
 def readme_exports(readme: str) -> list[str]:
     """The names in the README's sentence "The package exports N names: ...",
     after checking that N is their count."""
@@ -154,6 +176,28 @@ def test_the_check_finds_a_public_name_only_tests_use():
     bench = ['TARGETS = (("symext.a", "traced"),)\n']
     # a call from its own body, or an import in __init__.py, is not a use
     assert public_names_only_tests_use(package, bench) == ["a.py line 1: helper"]
+
+
+def test_the_check_finds_an_unused_private_method():
+    package = {
+        "a.py": (
+            "class Box:\n"
+            "    def __init__(self):\n        self._fill()\n"
+            "    def _fill(self):\n        pass\n"
+            "    @classmethod\n    def _made(cls):\n        return cls.__new__(cls)\n"
+            "    def _again(self):\n        return self._again()\n"
+            "    def _left(self):\n        pass\n"
+            "def _helper():\n    pass\n"
+        ),
+        "b.py": "from .a import Box\nVALUE = Box._made()\n",
+    }
+    # a call from its own body is not a use; a read from another module is
+    assert unused_private_methods(package) == ["a.py line 9: Box._again", "a.py line 11: Box._left"]
+
+
+def test_no_private_method_is_left_unread():
+    package = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unused_private_methods(package) == []
 
 
 def test_no_public_name_is_used_by_tests_alone():
