@@ -13,17 +13,25 @@ that `numpy.linalg` itself calls, `numpy.linalg._umath_linalg.cholesky_lo`,
 `eigh_lo` or `eigvalsh_lo` with the complex signature `D->D`, `D->dD` or
 `D->d`, so every output equals numpy's bit for bit; it skips only the
 wrapper's type resolution and shape checks, which a square complex input
-does not need. On a 10 x 10 complex PD block the wrapper costs more than
-the factorization: `np.linalg.cholesky` took 5.4 us, `is_positive_definite`
-3.6 us and the bare gufunc 1.9 us (timeit medians, one process, one BLAS
-thread, 2-core Xeon); `eigvalsh` took 10.5 us against 12.2 us. Each call
-runs under numpy's own error state for these gufuncs: `invalid="call"` with
-a raiser of `LinAlgError`, and `over`, `divide` and `under` ignored. So a
-failed factorization raises as it does in numpy (where
-`is_positive_definite` answers False instead), and a user's `np.seterr`
-changes nothing. The gufuncs and `np.errstate(call=...)` exist in every
-numpy from 1.24, the floor in pyproject.toml; there is no fallback, so a
-numpy that renames them fails at import.
+does not need. Each call runs under numpy's own error state for these
+gufuncs: `invalid="call"` with a raiser of `LinAlgError`, and `over`,
+`divide` and `under` ignored. So a failed factorization raises as it does in
+numpy (where `is_positive_definite` answers False instead), and a user's
+`np.seterr` changes nothing. The two error states, one per raiser, are built
+once at import with `numpy._core.umath._make_extobj`; a call sets numpy's
+`_extobj_contextvar` to one and resets the token in a `finally` block, which
+is what `np.errstate` does, less the building of a new state and a context
+manager on every call. An error state also holds the ufunc buffer size, so
+the prebuilt ones keep the `np.getbufsize()` of import time; these gufuncs
+do not buffer, and the caller's buffer size is back once a call returns.
+On a 10 x 10 complex PD block `np.linalg.cholesky` took 4.7 us, the bare
+gufunc 1.8 us, and `is_positive_definite` 3.4 us under a fresh
+`np.errstate` against 2.3 us with a prebuilt state; `eigvalsh` took 9.3 us
+against 7.9 us, and `eigh` 16.8 us against 15.3 us, both within 0.4 us of
+their gufuncs (timeit medians, one process, one BLAS thread, 2-core Xeon).
+`_make_extobj` and `_extobj_contextvar` are the names `np.errstate` is
+built on since numpy 2.0, the floor in pyproject.toml; there is no
+fallback, so a numpy that renames them or the gufuncs fails at import.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 from math import inf, isfinite, isnan, prod, sqrt
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .caps import integer_size
@@ -50,30 +59,43 @@ def _no_convergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
+# the error states np.errstate would build on each call, built once
+_CHOLESKY_STATE = _make_extobj(call=_not_positive_definite, **_LAPACK_FLAGS)
+_EIGEN_STATE = _make_extobj(call=_no_convergence, **_LAPACK_FLAGS)
+
+
 def is_positive_definite(h: np.ndarray) -> bool:
     """Whether a Cholesky factorization of the square complex h succeeds.
 
     It reads the lower triangle alone, as np.linalg.cholesky does, and is
     False exactly where np.linalg.cholesky raises LinAlgError.
     """
+    token = _extobj_contextvar.set(_CHOLESKY_STATE)
     try:
-        with np.errstate(call=_not_positive_definite, **_LAPACK_FLAGS):
-            _umath_linalg.cholesky_lo(h, signature="D->D")
+        _umath_linalg.cholesky_lo(h, signature="D->D")
     except LinAlgError:
         return False
+    finally:
+        _extobj_contextvar.reset(token)
     return True
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) of np.linalg.eigh(h) for a square complex h, bit for bit."""
-    with np.errstate(call=_no_convergence, **_LAPACK_FLAGS):
+    token = _extobj_contextvar.set(_EIGEN_STATE)
+    try:
         return _umath_linalg.eigh_lo(h, signature="D->dD")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(h) for a square complex h, bit for bit."""
-    with np.errstate(call=_no_convergence, **_LAPACK_FLAGS):
+    token = _extobj_contextvar.set(_EIGEN_STATE)
+    try:
         return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: str) -> np.ndarray:

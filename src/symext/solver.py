@@ -84,7 +84,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import isqrt, sqrt
+from math import sqrt
 from typing import Any
 
 import numpy as np
@@ -197,14 +197,17 @@ class _ConstraintMap:
 
     The variable is one n x n Hermitian block, read as its flat entries
     p * n + q. The map is real: its rows are the entries i * dim_out + j of
-    the pinned marginal, then the trace; `amap` holds the columns of the
-    entries `cols` (ascending), and every other column of the full map is
-    zero. All arrays are read-only.
+    the dim_out x dim_out pinned marginal, then the trace; `amap` holds the
+    columns of the entries `cols` (ascending), and every other column of the
+    full map is zero. `at` is the view amap.T, and dim_out the marginal's
+    side, so that a solve takes neither afresh. All arrays are read-only.
     """
 
     n: int
+    dim_out: int
     cols: np.ndarray
     amap: np.ndarray
+    at: np.ndarray
     gram_pinv: np.ndarray
 
     @property
@@ -234,7 +237,7 @@ def _compact_map(n: int, dim_out: int, p, q, i, j, coeff) -> _ConstraintMap:
     gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
     for a in (touched, amap, gram_pinv):
         a.flags.writeable = False
-    return _ConstraintMap(n, touched, amap, gram_pinv)
+    return _ConstraintMap(n, dim_out, touched, amap, amap.T, gram_pinv)
 
 
 class _MapCache:
@@ -270,18 +273,20 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
     PSD, with a margin for the rounding of the eigvalsh; it is returned when
     b^T y' < 0 beyond the rounding of the dot product, scaled to
     ||A^T y'|| = 1, so -b^T y' bounds the distance between the two sets from
-    below. The trace row is last, and its A^T is the identity.
+    below. The trace row is last, and its A^T is the identity. The marginal
+    part is made Hermitian in place, m += m^H then m *= 0.5: m^H is a copy,
+    so these are the bits of (m + m^H) / 2.
     """
-    n = cmap.n
+    n, d = cmap.n, cmap.dim_out
     yc = _complex_view(y)
     # the vector tested is the one reported: eigvalsh reads only the lower
     # triangle of A^T y, so y's marginal part must be Hermitian, its trace real
-    m = isqrt(len(yc) - 1)
-    marginal = yc[:-1].reshape(m, m)
-    marginal[...] = (marginal + marginal.conj().T) / 2
+    marginal = yc[:-1].reshape(d, d)
+    marginal += marginal.conj().T
+    marginal *= 0.5
     y[-1, 1] = 0.0
     z = np.zeros(n * n, dtype=complex)
-    z[cmap.cols] = _complex_view(_real_times(cmap.amap.T, y))
+    z[cmap.cols] = _complex_view(_real_times(cmap.at, y))
     w = eigvalsh(z.reshape(n, n))
     lo, hi = float(w[0]), float(w[-1])
     shift = 8 * n * _EPS * max(abs(lo), abs(hi)) - lo
@@ -304,8 +309,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     into the zero block: the block's touched entries are 0 + v, which is v
     but for a -0 turned into +0, so the two residuals have the same norm.
     """
-    n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
-    at = amap.T
+    n, cols, amap, at, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.at, cmap.gram_pinv
     b2 = _pair_view(b)
     # the least-norm point A^T (A A^T)^+ b, which is affine_project(0): A 0 - b
     # is exactly -b, and adding to zeros keeps the +0 that subtracting gives
@@ -313,12 +317,16 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     x = np.zeros((n, n), dtype=complex)
     x.reshape(-1)[cols] += _complex_view(v)
     if is_positive_definite(x):
-        res = _norm(_real_times(amap, v) - b2)
+        r = _real_times(amap, v)
+        r -= b2
+        res = _norm(r)
         if res <= _TOL_FEASIBLE:
             return FEASIBLE, res, 0.0, 1, x
 
     def residual(y: np.ndarray) -> np.ndarray:
-        return _real_times(amap, _pair_view(y.reshape(-1)[cols])) - b2
+        r = _real_times(amap, _pair_view(y.reshape(-1)[cols]))
+        r -= b2
+        return r
 
     def affine_project(z: np.ndarray) -> np.ndarray:
         # in place; entries outside cols are not constrained

@@ -277,24 +277,51 @@ def test_is_positive_definite_is_numpy_cholesky_success():
     assert {("definite", True), ("singular", False), ("indefinite", False), ("non-finite", True)} <= seen
 
 
+def _error_state():
+    return np.geterr(), np.geterrcall(), np.getbufsize()
+
+
 def test_a_failed_factorization_is_silent_under_any_error_state():
+    # each seam call runs under its own error state and leaves numpy's as it
+    # found it, after a success and after a failure alike
     h = np.diag([1.0, -1.0, 2.0]).astype(complex)
-    nan_diagonal = np.diag([1.0, np.nan, 1.0]).astype(complex)
-    before = np.geterr()
+    # dense: on a diagonal matrix with a NaN, eigh returns without failing
+    nan_diagonal = np.full((3, 3), 0.1, dtype=complex)
+    np.fill_diagonal(nan_diagonal, [1.0, np.nan, 1.0])
+    recorded = []
+
+    def recorder(err, flag):
+        recorded.append((err, flag))
+
+    def check_each_call():
+        state = _error_state()
+        assert is_positive_definite(np.eye(3, dtype=complex)) is True
+        assert _error_state() == state
+        assert is_positive_definite(h) is False
+        assert _error_state() == state
+        assert eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        assert _error_state() == state
+        assert [a.tobytes() for a in eigh(h)] == [a.tobytes() for a in np.linalg.eigh(h)]
+        assert _error_state() == state
+        # eigh and eigvalsh fail as numpy's do, with numpy's message
+        for seam, numpy_seam in ((eigh, np.linalg.eigh), (eigvalsh, np.linalg.eigvalsh)):
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                numpy_seam(nan_diagonal)
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                seam(nan_diagonal)
+            assert _error_state() == state
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_positive_definite(h) is False
-        with np.errstate(all="raise"):
-            assert is_positive_definite(h) is False
-            assert is_positive_definite(np.eye(3, dtype=complex)) is True
-            assert eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
-        # eigvalsh fails as numpy's does, with numpy's message
-        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-            np.linalg.eigvalsh(nan_diagonal)
-        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-            eigvalsh(nan_diagonal)
-    # the error state is restored after a failure
-    assert np.geterr() == before
+        check_each_call()
+        with np.errstate(all="raise", call=recorder):
+            check_each_call()
+        # a user's "call" state would swallow a failure the seam did not own;
+        # the buffer size differs from the one the seam's states were built with
+        with np.errstate(all="call", call=recorder):
+            np.setbufsize(2 * np.getbufsize())
+            check_each_call()
+    assert recorded == []
 
 
 def test_density_matrix_psd_tolerance_and_message():

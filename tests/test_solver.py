@@ -429,28 +429,33 @@ def _count_map_products(monkeypatch) -> list:
     return products
 
 
+# the (k, dA) shapes of the planted benchmark workload
+_PLANTED_SHAPES = ((2, 2), (4, 2), (8, 2), (10, 2), (3, 3), (6, 3), (2, 4), (4, 4))
+
+
 def test_a_decided_planted_instance_needs_no_eigendecomposition(monkeypatch):
     # the least-norm point passes its one Cholesky test, the certificate is
     # PSD by construction and assembled without a check, and the conversion
     # reads cached scales and checks no Hermitian part; three map products:
     # two for the least-norm point and one for its residual
-    k = 10
-    for profile in ("all", PROFILE_EXCLUDE_BOSONIC):
-        rho, _ = gen_random_extendible(k, 2, seed=3, profile=profile)
-        # builds the map, whose Gram pseudo-inverse is an eigh, and fills the scale cache
-        sym_to_bos(solve_symmetric(rho, k).certificate)
-        calls = _count_factorizations(monkeypatch)
-        hermitian = _count_hermitian_parts(monkeypatch)
-        products = _count_map_products(monkeypatch)
-        report = solve_symmetric(rho, k)
-        assert len(hermitian) == 0, profile
-        bos = sym_to_bos(report.certificate)
-        assert len(hermitian) == 0, profile
-        assert (report.status, report.iterations) == (FEASIBLE, 1)
-        assert calls == {"cholesky": 1}, profile
-        assert len(products) == 3, profile
-        monkeypatch.undo()
-        assert verify_extension(bos, rho, k, tol=1e-7).bosonic_ok
+    for k, dA in _PLANTED_SHAPES:
+        for profile in ("all", PROFILE_EXCLUDE_BOSONIC):
+            case = (k, dA, profile)
+            rho, _ = gen_random_extendible(k, dA, seed=3, profile=profile)
+            # builds the map, whose Gram pseudo-inverse is an eigh, and fills the scale cache
+            sym_to_bos(solve_symmetric(rho, k).certificate)
+            calls = _count_factorizations(monkeypatch)
+            hermitian = _count_hermitian_parts(monkeypatch)
+            products = _count_map_products(monkeypatch)
+            report = solve_symmetric(rho, k)
+            assert len(hermitian) == 0, case
+            bos = sym_to_bos(report.certificate)
+            assert len(hermitian) == 0, case
+            assert (report.status, report.iterations) == (FEASIBLE, 1), case
+            assert calls == {"cholesky": 1}, case
+            assert len(products) == 3, case
+            monkeypatch.undo()
+            assert verify_extension(bos, rho, k, tol=1e-7).bosonic_ok, case
 
 
 def _assert_certificate_passes_the_checks_it_skips(report, k):
@@ -488,18 +493,19 @@ def test_a_certificate_passes_every_check_it_skips():
 def test_an_infeasible_instance_still_runs_the_loop_and_the_witness(monkeypatch):
     # certified at iteration 1 with five map products and no step: two for the
     # least-norm point, which fails its Cholesky test, one for the residual r of
-    # its cone shadow, one for the witness G r and one for A^T of it; k = 3 is
-    # the werner workload's INFEASIBLE path
-    for k in (3, 4):
-        rho = _werner((k + 2) / (3 * k) + 0.05)
-        solve_symmetric(rho, k)
-        calls = _count_factorizations(monkeypatch)
-        products = _count_map_products(monkeypatch)
-        report = solve_symmetric(rho, k)
-        assert (report.status, report.iterations) == (INFEASIBLE, 1), k
-        assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 1}, k
-        assert len(products) == 5, k
-        monkeypatch.undo()
+    # its cone shadow, one for the witness G r and one for A^T of it; these
+    # are the INFEASIBLE points of the werner workload
+    for k in range(2, 6):
+        for off in (0.05, 0.005):
+            rho = _werner((k + 2) / (3 * k) + off)
+            solve_symmetric(rho, k)
+            calls = _count_factorizations(monkeypatch)
+            products = _count_map_products(monkeypatch)
+            report = solve_symmetric(rho, k)
+            assert (report.status, report.iterations) == (INFEASIBLE, 1), (k, off)
+            assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 1}, (k, off)
+            assert len(products) == 5, (k, off)
+            monkeypatch.undo()
 
 
 def _werner_singlet_and_qutrit():

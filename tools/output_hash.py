@@ -30,8 +30,14 @@ werner benchmark workload; a k=4 full-space convert and verify; check-bos2
 on the qutrit counterexample (INFEASIBLE) and, with a certificate, on I/9
 (dA = dB = 3) and on a planted two-copy marginal (dA = 2, dB = 4), both
 FEASIBLE; and convert of a missing file and of a full-space file for the
-wrong k. The witnesses hashed last are those of the singlet, the mixture
+wrong k. The witnesses hashed next are those of the singlet, the mixture
 and the Werner state.
+
+Last come the solves of the werner benchmark workload, its states built here
+in closed form: for k = 2..5 and each offset of `WERNER_OFFSETS`, the
+Werner state at p = (k + 2) / (3k) + offset solved at k, hashed as its
+status, the repr of its residual and of its gap estimate, then the bytes of
+each certificate block or the bytes of W and the repr of c.
 """
 
 import hashlib
@@ -55,6 +61,8 @@ from symext.schur import sym_isometry
 
 MARKER = "--- timings ---"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WERNER_KS = range(2, 6)
+WERNER_OFFSETS = (0.05, -0.05, 0.005, -0.005, -0.002)
 
 
 def _planted_pair_marginal(dA: int, dB: int, seed: int) -> DensityMatrix:
@@ -159,6 +167,17 @@ def grid_digest() -> str:
         if report.witness is not None:
             digest.update(report.witness.w.tobytes())
             digest.update(f"{report.witness.c!r}\n".encode())
+    for k in WERNER_KS:
+        for off in WERNER_OFFSETS:
+            report = solve_symmetric(_werner((k + 2) / (3 * k) + off), k)
+            digest.update(f"werner k={k} {off:+g}\n{report.status}\n".encode())
+            digest.update(f"{report.residual!r}\n{report.gap_estimate!r}\n".encode())
+            if report.certificate is not None:
+                for block in report.certificate.blocks.values():
+                    digest.update(block.tobytes())
+            elif report.witness is not None:
+                digest.update(report.witness.w.tobytes())
+                digest.update(f"{report.witness.c!r}\n".encode())
     return digest.hexdigest()
 
 
