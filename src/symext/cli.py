@@ -5,10 +5,12 @@ marker is a deterministic function of the arguments and input files; wall
 times go below the marker. Exit codes: 0 FEASIBLE/PASS, 2 INFEASIBLE/FAIL,
 3 UNDECIDED, 1 usage or file errors.
 
-check-sym and check-bos share one handler: for a qubit B side a k-symmetric
-extension exists if and only if a k-bosonic one does, and both are decided
-by the top-sector problem, so they print the same report and write the same
-certificate.
+check-sym, check-bos and check-bos2 share one handler and one solve,
+`solver.solve_bosonic`. check-sym takes a qubit B side only: there a
+k-symmetric extension exists if and only if a k-bosonic one does, so it
+prints the report and writes the certificate of check-bos. check-bos takes
+any B dimension, read from the input file, and check-bos2 --dB D is its
+k = 2 spelling, with D checked against the file.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from .blocks import (
 )
 from .convert import BosonicState, sym_to_bos, tilde_state, verify_extension
 from .linalg import DensityMatrix
-from .solver import (
-    FEASIBLE,
-    INFEASIBLE,
-    SolverReport,
-    solve_bosonic_k2_generic,
-    solve_symmetric,
-)
+from .solver import FEASIBLE, INFEASIBLE, SolverReport, solve_bosonic, solve_symmetric
 
 _MARKER = "--- timings ---"
 
@@ -85,26 +81,18 @@ def _load_bipartite(path, expect_db: int | None = None) -> DensityMatrix:
     return state
 
 
-def _cmd_check_qubit(args, lines, timings):
-    rho = _load_bipartite(args.infile, expect_db=2)
-    t0 = time.perf_counter()
-    report = solve_symmetric(rho, args.k)
-    timings.append(("solve", time.perf_counter() - t0))
-    lines += _solver_lines(report, rho)
-    if report.certificate is not None and args.cert:
-        mio.save_blocks(report.certificate, args.cert, metadata={"k": args.k})
-        lines.append(f"certificate: {args.cert}")
-    return _status_code(report.status)
-
-
-def _cmd_check_bos2(args, lines, timings):
+def _cmd_check(args, lines, timings):
+    """A block certificate for a qubit B side, a state on A tensor Sym^k(C^dB) otherwise."""
     rho = _load_bipartite(args.infile, expect_db=args.dB)
     t0 = time.perf_counter()
-    report = solve_bosonic_k2_generic(rho)
+    report = solve_bosonic(rho, args.k)
     timings.append(("solve", time.perf_counter() - t0))
     lines += _solver_lines(report, rho)
     if report.certificate is not None and args.cert:
-        mio.save_state(report.certificate, args.cert, metadata={"dB": args.dB, "sym2": True})
+        if isinstance(report.certificate, BlockState):
+            mio.save_blocks(report.certificate, args.cert, metadata={"k": args.k})
+        else:
+            mio.save_state(report.certificate, args.cert, metadata={"dB": rho.dims[1], "k": args.k})
         lines.append(f"certificate: {args.cert}")
     return _status_code(report.status)
 
@@ -142,9 +130,12 @@ def _cmd_convert(args, lines, timings):
 
 
 def _cmd_verify(args, lines, timings):
-    ext = mio.load_extension(args.ext)
+    # positivity is measured against --tol below, not refused at load
+    ext = mio.load_extension(args.ext, check_psd=False)
     rho = _load_bipartite(args.marginal)
-    bosonic_input = isinstance(ext, BosonicState)
+    # a two-factor state at k >= 2 is on A tensor Sym^k(C^dB), or refused
+    lifted = isinstance(ext, DensityMatrix) and len(ext.dims) == 2 and args.k > 1
+    bosonic_input = lifted or isinstance(ext, BosonicState)
     layout = "bosonic" if bosonic_input else "blocks" if isinstance(ext, BlockState) else "full-space"
     lines.append(f"layout: {layout}")
     t0 = time.perf_counter()
@@ -215,19 +206,16 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    for name, helptext in (
-        ("check-sym", "decide k-symmetric extendibility (qubit B)"),
-        ("check-bos", "decide k-bosonic extendibility (qubit B); the same problem as check-sym"),
+    for name, size, helptext in (
+        ("check-sym", "--k", "decide k-symmetric extendibility (qubit B)"),
+        ("check-bos", "--k", "decide k-bosonic extendibility for any B dimension"),
+        ("check-bos2", "--dB", "decide 2-bosonic extendibility: check-bos --k 2, for B of dimension dB"),
     ):
-        p = add(name, _cmd_check_qubit, helptext)
-        p.add_argument("--k", type=int, required=True)
+        p = add(name, _cmd_check, helptext)
+        p.set_defaults(k=2, dB=2 if name == "check-sym" else None)
+        p.add_argument(size, type=int, required=True)
         p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--cert", default=None, help="write a block certificate here when feasible")
-
-    p = add("check-bos2", _cmd_check_bos2, "decide 2-bosonic extendibility for any B dimension")
-    p.add_argument("--dB", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cert", default=None)
+        p.add_argument("--cert", default=None, help="write the certificate here when feasible")
 
     p = add("convert", _cmd_convert, "produce a bosonic extension from a state, certificate, or extension")
     p.add_argument("--k", type=int, required=True)

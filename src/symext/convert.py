@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import isfinite
+from math import comb, isfinite
 
 import numpy as np
 
 from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import block_k, integer_size
+from .caps import block_k, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigvalsh, partial_transpose
 from .schur import sector_tables, sym_isometry
 from .young import hook_dim, top_sector
@@ -45,13 +45,13 @@ class BosonicState(BlockState):
 
     The matrix is that block, on A tensor the k+1 weight slots (A index
     major, weight ascending). It is checked as every BlockState block is,
-    positivity included.
+    positivity included unless check_psd is False.
     """
 
-    def __init__(self, dA: int, k: int, matrix):
+    def __init__(self, dA: int, k: int, matrix, *, check_psd: bool = True):
         # the top sector is built before BlockState checks k
         k = block_k(k)
-        super().__init__(k, dA, {top_sector(k): matrix})
+        super().__init__(k, dA, {top_sector(k): matrix}, check_psd=check_psd)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -186,8 +186,13 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
 
     A BlockState certificate, a BosonicState among them, is checked in sector
     coordinates at every k; a full-space DensityMatrix is checked in the full
-    space. tol must be finite and not negative: an infinite one would pass
-    any candidate, and a NaN would fail every check.
+    space. For k >= 2 a DensityMatrix of layout (dA, C(dB + k - 1, k)), with
+    (dA, dB) the marginal's, is a state on A tensor Sym^k(C^dB) in
+    `sym_isometry(k, dB)` column order, as `solver.solve_bosonic` makes it,
+    and is lifted into the full space first, if `caps` allows the peak bytes
+    of a glued state: four times the 16 (dA dB^k)^2 of the lift. tol must be
+    finite and not negative: an infinite one would pass any candidate, and a
+    NaN would fail every check.
     """
     k = integer_size("k", k)
     if not (isfinite(tol) and tol >= 0):
@@ -195,6 +200,11 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
     if isinstance(sigma, BlockState):
         return _verify_sectors(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
+        dA, dB = rho_ab.dims[0], rho_ab.dims[-1]
+        if k > 1 and sigma.dims == (dA, comb(dB + k - 1, k)):
+            check_dense_bytes(f"the lift of a {sigma.dims} state to {k} legs", 4 * 16 * (dA * dB**k) ** 2)
+            lift = np.kron(np.eye(dA), sym_isometry(k, dB))
+            sigma = DensityMatrix(lift @ sigma.matrix @ lift.T, (dA,) + (dB,) * k, check_psd=False)
         return _verify_full(sigma, rho_ab, k, tol)
     raise TypeError(f"cannot verify extension of type {type(sigma).__name__}")
 

@@ -6,8 +6,8 @@ block, a state on A tensor Sym^k(C^dB), with an affine set pinning the
 block is the top (fully symmetric) sector, of size dA (k + 1): a k-leg
 permutation-invariant extension exists if and only if a bosonic one does, so
 this one problem decides both k-symmetric and k-bosonic extendibility. For
-the two-leg pair solver (k = 2, any dB) the block is the state on A tensor
-the symmetric pair subspace.
+dB >= 3 it decides k-bosonic extendibility alone, which asks more
+(`qutrit_counterexample`).
 
 The solver runs Douglas-Rachford splitting between the two sets: both
 projections are exact (an eigenvalue clip of the block, a precomputed
@@ -76,7 +76,9 @@ cache evicts the least recently used maps once they hold more than 64 MB
 together. Pair maps grow about as dB^5 (4.3 MiB at dA = 2, dB = 8; 133 MiB
 at dB = 16), so a map whose dense array would exceed
 `caps.DENSE_BYTES_LIMIT` (1 GiB) is refused with a ValueError before it is
-allocated (at dA = 2, from dB = 25 on).
+allocated (at dA = 2, from dB = 25 on), and so is a problem whose block
+would take more than that in a DR iteration (`_sym_map`; at dA = dB = 3,
+from k = 43 on).
 """
 
 from __future__ import annotations
@@ -84,12 +86,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import sqrt
+from math import comb, sqrt
 from typing import Any
 
 import numpy as np
 
-from .caps import block_k, check_dense_bytes, integer_size
+from .caps import block_k, check_dense_bytes
 from .convert import BosonicState
 from .linalg import DensityMatrix, eigh, eigvalsh, is_positive_definite
 from .young import top_sector
@@ -359,8 +361,12 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     k legs in `itertools.combinations_with_replacement` order: the weight
     slots, ascending, for dB = 2, and the pairs i <= j for k = 2. Tracing out
     B2..Bk takes |n><m| to sqrt(n_i m_j) / k times |i><j| when n = r + e_i and
-    m = r + e_j for one multiset r of k - 1 legs, and to zero otherwise.
+    m = r + e_j for one multiset r of k - 1 legs, and to zero otherwise. The
+    block is charged first, at eight times its 16 n^2 bytes: a DR iteration
+    peaks at about seven blocks.
     """
+    n = dA * comb(dB + k - 1, k)
+    check_dense_bytes(f"the {n} x {n} block of A tensor Sym^{k}(C^{dB})", 8 * 16 * n * n)
     legs = range(dB)
     slot = {n: s for s, n in enumerate(combinations_with_replacement(legs, k))}
     hops = [
@@ -375,34 +381,6 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     a, c = (x[:, None] for x in np.divmod(np.arange(dA * dA), dA))
     terms = np.broadcast_arrays(a * nsym + s, c * nsym + t, a * dB + i, c * dB + j, coeff)
     return _compact_map(dA * nsym, dA * dB, *(x.ravel() for x in terms))
-
-
-def _solve_sym(rho_ab: DensityMatrix, k: int, certify) -> SolverReport:
-    """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
-
-    On FEASIBLE the certificate is certify(block), with the state's block in
-    the basis of `_sym_map`. The block is PSD by construction (it passed a
-    Cholesky factorization or is an eigenvalue clip), its constraint
-    residual, trace row included, is at most _TOL_FEASIBLE, and its entries
-    are finite: so certify need not check positivity, and the qubit solver's
-    `_certificate` checks nothing at all. On INFEASIBLE the report carries
-    the Farkas witness.
-    """
-    dA, dB = rho_ab.dims
-    cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
-    # the marginal's entries, then the trace
-    m = rho_ab.matrix.size
-    b = np.empty(m + 1, dtype=complex)
-    b[:m] = rho_ab.matrix.reshape(-1)
-    b[m] = 1.0
-    status, res, gap, it, x = _douglas_rachford(cmap, b)
-    report = SolverReport(status, res, gap, it)
-    if status == FEASIBLE:
-        report.certificate = certify(x)
-    elif status == INFEASIBLE:
-        # _farkas leaves the marginal part Hermitian and the trace entry real
-        report.witness = Witness(x[:-1].reshape(dA * dB, dA * dB), float(x[-1].real))
-    return report
 
 
 def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:
@@ -432,40 +410,60 @@ def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:
     return BosonicState._assembled(k, dA, {top_sector(k): h})
 
 
-def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
-    """Decide k-extendibility of rho_ab with the extension confined to the top sector.
+def _solve(rho_ab: DensityMatrix, k: int) -> SolverReport:
+    """Decide whether rho_ab is the (A, B1) marginal of a state on A tensor Sym^k(C^dB).
 
-    For a qubit B side a k-leg permutation-invariant extension exists if and
-    only if a bosonic one does, so this one problem decides both; it is bound
-    to both names, and the certificate is a BosonicState.
+    The FEASIBLE block, in the basis of `_sym_map`, is PSD by construction (a
+    Cholesky factorization passed, or an eigenvalue clip), with finite
+    entries and a residual of at most _TOL_FEASIBLE: so its certificate need
+    not check positivity, and `_certificate` checks nothing. Each public
+    solve calls this and no other, so a wrapper of each sees a solve once.
     """
-    k = integer_size("k", k)
-    if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:
-        raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use the generic pair solver for other B dimensions")
-    block_k(k)
-    dA = rho_ab.dims[0]
-    return _solve_sym(rho_ab, k, lambda x: _certificate(k, dA, x))
-
-
-solve_bosonic = solve_symmetric
-
-
-def solve_bosonic_k2_generic(rho_ab: DensityMatrix) -> SolverReport:
-    """Two-leg bosonic extendibility for a bipartite rho_ab with any B dimension dB.
-
-    The variable lives on A tensor the symmetric pair subspace; the affine set
-    pins the (A, B1) marginal of its embedding. The certificate is the state
-    on that subspace, of layout (dA, dB (dB + 1) / 2), in the basis of the
-    columns of `schur.sym_isometry(2, dB)`: the pairs i <= j in
-    `itertools.combinations_with_replacement` order. Lifted by
-    np.kron(np.eye(dA), sym_isometry(2, dB)) it is a (dA, dB, dB) state
-    that `convert.verify_extension(..., k=2)` checks.
-    """
+    k = block_k(k)
     if len(rho_ab.dims) != 2:
         raise ValueError(f"layout {rho_ab.dims} is not bipartite")
     dA, dB = rho_ab.dims
-    dims = (dA, dB * (dB + 1) // 2)
-    return _solve_sym(rho_ab, 2, lambda pair: DensityMatrix(pair, dims, atol=1e-6, check_psd=False))
+    cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
+    # the marginal's entries, then the trace
+    m = rho_ab.matrix.size
+    b = np.empty(m + 1, dtype=complex)
+    b[:m] = rho_ab.matrix.reshape(-1)
+    b[m] = 1.0
+    status, res, gap, it, x = _douglas_rachford(cmap, b)
+    report = SolverReport(status, res, gap, it)
+    if status == FEASIBLE:
+        dims = (dA, cmap.n // dA)
+        report.certificate = _certificate(k, dA, x) if dB == 2 else DensityMatrix(x, dims, atol=1e-6, check_psd=False)
+    elif status == INFEASIBLE:
+        # _farkas leaves the marginal part Hermitian and the trace entry real
+        report.witness = Witness(x[:-1].reshape(dA * dB, dA * dB), float(x[-1].real))
+    return report
+
+
+def solve_symmetric(rho_ab: DensityMatrix, k: int) -> SolverReport:
+    """Decide k-symmetric extendibility of rho_ab, whose B side is a qubit:
+    then a k-leg permutation-invariant extension exists if and only if a
+    bosonic one does, so the report is solve_bosonic's, bit for bit."""
+    if len(rho_ab.dims) != 2 or rho_ab.dims[1] != 2:
+        raise ValueError(f"layout {rho_ab.dims} is not (A, qubit); use solve_bosonic for other B dimensions")
+    return _solve(rho_ab, k)
+
+
+def solve_bosonic(rho_ab: DensityMatrix, k: int) -> SolverReport:
+    """Decide k-bosonic extendibility of a bipartite rho_ab with any B dimension dB.
+
+    For dB = 2 the certificate is a BosonicState. For dB >= 3 it is the
+    state on A tensor Sym^k(C^dB), of layout (dA, C(dB + k - 1, k)), in the
+    column order of `schur.sym_isometry(k, dB)`; `convert.verify_extension`
+    lifts it through that isometry to check it. dB >= 3 asks more than a
+    symmetric extension does (`qutrit_counterexample`).
+    """
+    return _solve(rho_ab, k)
+
+
+def solve_bosonic_k2_generic(rho_ab: DensityMatrix) -> SolverReport:
+    """solve_bosonic(rho_ab, 2), under the name the benchmark calls."""
+    return _solve(rho_ab, 2)
 
 
 def qutrit_counterexample():

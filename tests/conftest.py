@@ -11,7 +11,8 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 
-from symext import build_schur_basis
+from symext import DensityMatrix, build_schur_basis
+from symext.schur import sym_isometry
 
 
 @pytest.fixture(scope="session")
@@ -92,6 +93,15 @@ def random_density(dim, rng):
     return rho / np.trace(rho).real
 
 
+def planted_two_copy(dA, dB, seed):
+    """A random full-rank state on A tensor Sym^2(C^dB), lifted into A tensor B tensor B."""
+    n = dA * dB * (dB + 1) // 2
+    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+    x = g @ g.conj().T
+    lift = np.kron(np.eye(dA), sym_isometry(2, dB))
+    return DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
+
+
 def dicke(k, omega):
     """Uniform superposition over computational states with k/2 + omega ones."""
     n1 = omega + k / 2
@@ -117,8 +127,6 @@ def full_group_average(m, k):
 
 
 def singlet_state():
-    from symext import DensityMatrix
-
     s = np.zeros((4, 4))
     s[1, 1] = s[2, 2] = 0.5
     s[1, 2] = s[2, 1] = -0.5
@@ -126,8 +134,6 @@ def singlet_state():
 
 
 def product_state(seed=5):
-    from symext import DensityMatrix
-
     gen = np.random.default_rng(seed)
     return DensityMatrix(np.kron(random_density(2, gen), random_density(2, gen)), (2, 2))
 

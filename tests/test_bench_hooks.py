@@ -8,7 +8,10 @@ import importlib.util
 import pathlib
 import sys
 
-import symext  # noqa: F401  (imports every module the tracer patches)
+import numpy as np
+
+import symext
+import symext.cli  # noqa: F401  (the last module the tracer patches)
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -45,3 +48,23 @@ def test_install_and_uninstall_restore_every_patched_attribute():
     finally:
         tracer.uninstall()
     assert {key for key, fn in before.items() if getattr(modules[key[0]], key[1]) is not fn} == set()
+
+
+def test_the_tracer_counts_each_solve_once():
+    # each public solve calls the private one, never another public name, so
+    # a traced solve adds its DR iterations to the count once
+    spans = _spans()
+    solver = sys.modules["symext.solver"]
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    werner = symext.DensityMatrix(0.6 * np.outer(psi, psi) + 0.1 * np.eye(4), (2, 2))
+    qutrit = solver.qutrit_counterexample()[0]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, args in (("solve_bosonic", (werner, 3)), ("solve_bosonic_k2_generic", (qutrit,))):
+            tracer.begin_op(0)
+            report = getattr(solver, name)(*args)
+            assert tracer.op_counts["solver.dr_iterations"] == report.iterations, name
+            assert tracer.op_counts["solver.solve_calls"] == 1, name
+    finally:
+        tracer.uninstall()

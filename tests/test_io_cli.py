@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import product_state, random_density, singlet_state
+from conftest import planted_two_copy, product_state, random_density, singlet_state
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, blocks_to_global, gen_random_extendible, marginal_from_blocks
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
@@ -366,6 +366,106 @@ def test_check_bos2_refuses_an_oversized_map(tmp_path, monkeypatch):
     assert len(errors) == 1 and "above the 1 MiB limit" in errors[0]
     with pytest.raises(pytest.fail.Exception):
         solver._MAPS.get((2, 2, 8), pytest.fail)
+
+
+def test_check_bos2_is_check_bos_at_k2(tmp_path):
+    # one solve for every B dimension: check-bos2 --dB D writes the file and
+    # the report of check-bos --k 2, a block file for a qubit B side
+    for name, state in (("qubit", product_state()), ("qutrit", DensityMatrix(np.eye(9) / 9, (3, 3)))):
+        good = write_state(state, tmp_path / f"{name}.state")
+        heads, certs = [], []
+        for argv in (["check-bos", "--k", "2"], ["check-bos2", "--dB", str(state.dims[1])]):
+            cert = tmp_path / f"{name}-{argv[0]}.cert"
+            code, report = run_command(argv + ["--in", good, "--cert", str(cert)])
+            assert code == 0, report
+            heads.append(above_marker(report).replace(" ".join(argv), "CMD").replace(str(cert), "CERT"))
+            certs.append(cert.read_bytes())
+        assert heads[0] == heads[1] and certs[0] == certs[1]
+        assert (b'"kind": "blocks"' in certs[0]) == (name == "qubit")
+    assert b'"layout": [3, 6]' in certs[0] and b'"metadata": {"dB": 3, "k": 2}' in certs[0]
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_verify_lifts_a_bosonic_certificate_of_any_b_dimension(tmp_path, k):
+    # I/9 has a bosonic extension at every k; its certificate, a state on
+    # A tensor Sym^k(C^3), is lifted into the full space and checked there
+    rho = write_state(DensityMatrix(np.eye(9) / 9, (3, 3)), tmp_path / "rho.state")
+    cert = tmp_path / "cert.state"
+    code, report = run_command(["check-bos", "--k", str(k), "--in", rho, "--cert", str(cert)])
+    assert code == 0 and "status: FEASIBLE" in report, report
+    assert load_state(cert).dims == (3, (k + 2) * (k + 1) // 2)
+    code, report = run_command(["verify", "--k", str(k), "--ext", str(cert), "--marginal", rho])
+    head = above_marker(report)
+    assert code == 0, report
+    assert "layout: bosonic\n" in head and "support: pass" in head and head.endswith("status: PASS\n")
+
+
+def test_verify_reads_check_bos2_certificates(tmp_path):
+    # each certificate passes; a copy with one diagonal entry moved by 1e-6,
+    # and a second moved back to keep the trace, fails on its marginal
+    states = {
+        "mixed": DensityMatrix(np.eye(6) / 6, (2, 3)),
+        "planted": DensityMatrix(planted_two_copy(2, 4, 0).marginal((0, 1)), (2, 4)),
+    }
+    for name, state in states.items():
+        rho, cert, moved = (tmp_path / f"{name}.{x}" for x in ("rho", "cert", "moved"))
+        write_state(state, rho)
+        code, report = run_command(["check-bos2", "--dB", str(state.dims[1]), "--in", str(rho), "--cert", str(cert)])
+        assert code == 0, report
+        code, report = run_command(["verify", "--k", "2", "--ext", str(cert), "--marginal", str(rho)])
+        assert code == 0 and "status: PASS" in report, report
+        doc = json.loads(cert.read_text())
+        n = doc["layout"][0] * doc["layout"][1]
+        doc["entries"][0][0] += 1e-6
+        doc["entries"][n + 1][0] -= 1e-6
+        moved.write_text(json.dumps(doc))
+        code, report = run_command(["verify", "--k", "2", "--ext", str(moved), "--marginal", str(rho)])
+        assert code == 2 and "marginal: FAIL" in report and "status: FAIL" in report, report
+
+
+def test_verify_refuses_a_lift_above_the_dense_limit(tmp_path, monkeypatch):
+    from symext import caps
+
+    rho = write_state(DensityMatrix(np.eye(9) / 9, (3, 3)), tmp_path / "rho.state")
+    cert = tmp_path / "cert.state"
+    assert run_command(["check-bos", "--k", "4", "--in", rho, "--cert", str(cert)])[0] == 0
+    # the 243 x 243 lift is charged four times its 0.9 MiB
+    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
+    code, report = run_command(["verify", "--k", "4", "--ext", str(cert), "--marginal", rho])
+    assert code == 1, report
+    assert "error: the lift of a (3, 15) state to 4 legs needs 3.6 MiB, above the 1 MiB limit\n" in report
+
+
+def _psd_line(ext, marginal, k, tol):
+    code, report = run_command(["verify", "--k", str(k), "--ext", str(ext), "--marginal", marginal, "--tol", tol])
+    return code, next(ln for ln in report.splitlines() if ln.startswith("psd: "))
+
+
+def test_verify_measures_positivity_against_its_tol(tmp_path):
+    # a full-space file with smallest eigenvalue -1e-7 and a bosonic one with
+    # -1e-5, both of unit trace: each loads, and --tol decides its psd line
+    rho_a = random_density(2, np.random.default_rng(5))
+    zero, one = np.eye(2)
+    for name, low, loose, b0, b1 in (
+        ("full", 1e-7, "1e-6", np.kron(zero, np.kron(zero, zero)), np.kron(one, np.kron(one, one))),
+        ("bosonic", 1e-5, "1e-4", np.eye(4)[0], np.eye(4)[3]),
+    ):
+        # rho_a on B in b0, less low times a vector orthogonal to it
+        base = np.kron(rho_a, np.outer(b0, b0))
+        v = np.kron(zero, b1)
+        m = (1 + low) * base - low * np.outer(v, v)
+        ext = tmp_path / f"{name}.ext"
+        if name == "bosonic":
+            save_matrix_file(ext, m, [2, "sym(3)"], kind="bosonic")
+            marg = marginal_from_blocks(BosonicState(2, 3, base))
+        else:
+            save_state(DensityMatrix(m, (2, 2, 2, 2), check_psd=False), ext)
+            marg = DensityMatrix(np.kron(rho_a, np.outer(zero, zero)), (2, 2))
+        marginal = write_state(marg, tmp_path / f"{name}.rho")
+        code, line = _psd_line(ext, marginal, 3, "1e-8")
+        assert code == 2 and line == f"psd: FAIL (min eigenvalue {-low:.6e})", line
+        code, line = _psd_line(ext, marginal, 3, loose)
+        assert code == 0 and line == f"psd: pass (min eigenvalue {-low:.6e})", line
 
 
 def _pipeline(workdir):
@@ -942,9 +1042,9 @@ def test_verify_names_a_non_finite_bosonic_entry(tmp_path):
 
 
 def test_every_extension_file_kind_has_one_load_rule(tmp_path):
-    # one extension written as each kind of file: an eigenvalue below -1e-6
-    # is refused at load, exit 1, whatever the kind; one between -1e-6 and
-    # the verify tol loads, and verify reports "psd: FAIL", exit 2
+    # one extension written as each kind of file: convert refuses an
+    # eigenvalue below -1e-6 at load, exit 1, whatever the kind; verify loads
+    # every one and reports an eigenvalue below its tol as "psd: FAIL", exit 2
     rho, witness = gen_random_extendible(3, 2, 7)
     marginal = write_state(rho, tmp_path / "rho.state")
     top = YoungDiagram(3, 0)
@@ -967,10 +1067,10 @@ def test_every_extension_file_kind_has_one_load_rule(tmp_path):
     assert np.linalg.eigvalsh(full.matrix)[0] < -1.2e-2
     for ext in (bos, blocks, write_state(full, tmp_path / "negative.state")):
         code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", marginal])
-        assert code == 1, report
-        assert re.search(r"^error: .*eigenvalue -1\.240e-02", report, re.M), report
+        assert code == 2, report
+        assert re.search(r"^psd: FAIL \(min eigenvalue -1\.2397\d*e-02\)$", report, re.M), report
         code, report = run_command(["convert", "--k", "3", "--in", str(ext), "--out", str(tmp_path / "out.bos")])
-        assert code == 1 and "\nerror: " in report, report
+        assert code == 1 and re.search(r"^error: .*eigenvalue -1\.240e-02", report, re.M), report
     for ext in files(slight, "slight")[:2]:
         code, report = run_command(["verify", "--k", "3", "--ext", str(ext), "--marginal", marginal])
         assert code == 2, report

@@ -3,7 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import product_state, random_two_qubit_states, singlet_state
+from conftest import planted_two_copy, product_state, random_two_qubit_states, singlet_state
 from symext import caps, linalg, solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import BosonicState, sym_to_bos, verify_extension
@@ -21,9 +21,18 @@ from symext.schur import sym_isometry
 from symext.young import YoungDiagram
 
 
-def test_symmetric_and_bosonic_are_one_solver():
-    # bound to one function, so neither name calls the other
-    assert solve_symmetric is solve_bosonic
+def test_symmetric_and_bosonic_are_one_solver(monkeypatch):
+    # every public name calls the one private solve and none calls another,
+    # so a wrapper around each public name sees every solve once
+    solve, calls = solver._solve, []
+    monkeypatch.setattr(solver, "_solve", lambda rho, k: calls.append(k) or solve(rho, k))
+    for name in ("solve_symmetric", "solve_bosonic", "solve_bosonic_k2_generic"):
+        monkeypatch.setattr(solver, name, pytest.fail)
+    rho = product_state()
+    reports = [solve_symmetric(rho, 2), solve_bosonic(rho, 2), solve_bosonic_k2_generic(rho)]
+    assert calls == [2, 2, 2]
+    for report in reports[1:]:
+        assert report.certificate.matrix.tobytes() == reports[0].certificate.matrix.tobytes()
 
 
 def _werner(p):
@@ -164,7 +173,7 @@ def test_feasibility_is_monotone_in_k_on_random_states():
 
 def test_rejects_non_qubit_b_side():
     rho = DensityMatrix(np.eye(6) / 6, (2, 3))
-    with pytest.raises(ValueError, match="generic pair solver"):
+    with pytest.raises(ValueError, match=r"is not \(A, qubit\); use solve_bosonic for other B dimensions$"):
         solve_symmetric(rho, 2)
 
 
@@ -201,19 +210,10 @@ def test_generic_pair_solver_agrees_on_qubits():
     assert solve_bosonic_k2_generic(singlet_state()).status == INFEASIBLE
 
 
-def _planted_two_copy(dA, dB, seed):
-    """A random full-rank state on A tensor Sym^2(C^dB), lifted into A tensor B tensor B."""
-    n = dA * dB * (dB + 1) // 2
-    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
-    x = g @ g.conj().T
-    lift = np.kron(np.eye(dA), sym_isometry(2, dB))
-    return DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
-
-
 @pytest.mark.parametrize("dA,dB", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
 def test_generic_pair_solver_certificates_verify(dA, dB):
     for seed in range(3):
-        full = _planted_two_copy(dA, dB, seed)
+        full = planted_two_copy(dA, dB, seed)
         rho = DensityMatrix(full.marginal((0, 1)), (dA, dB), check_psd=False)
         report = solve_bosonic_k2_generic(rho)
         assert report.status == FEASIBLE, (dA, dB, seed)
@@ -392,6 +392,18 @@ def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
         solver._MAPS.get((2, 2, 8), pytest.fail)
     # smaller shapes are still built
     assert solve_bosonic_k2_generic(DensityMatrix(np.eye(6) / 6, (2, 3))).status == FEASIBLE
+
+
+def test_a_block_above_the_dense_limit_is_refused_before_its_map(monkeypatch):
+    # a DR iteration holds about seven n x n blocks, so the block is charged
+    # eight times its bytes: at dA = dB = 3, n = 3 C(k + 2, 2) passes to k = 42
+    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    rho = DensityMatrix(np.eye(9) / 9, (3, 3))
+    with pytest.raises(ValueError, match=r"^the 2970 x 2970 block of A tensor Sym\^43\(C\^3\) needs 1076\.8 MiB, above"):
+        solve_bosonic(rho, 43)
+    assert not solver._MAPS._maps
+    with pytest.raises(ValueError, match=r"^k=65 outside 1\.\.64$"):
+        solve_bosonic(rho, 65)
 
 
 def _count_factorizations(monkeypatch) -> dict:

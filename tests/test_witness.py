@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import cjklz_margin, random_two_qubit_states, singlet_state
+from symext.io import save_state
 from symext.linalg import DensityMatrix
 from symext.schur import sym_isometry
-from symext.solver import INFEASIBLE, qutrit_counterexample, solve_bosonic_k2_generic, solve_symmetric
+from symext.cli import run_command
+from symext.solver import INFEASIBLE, qutrit_counterexample, solve_bosonic, solve_bosonic_k2_generic, solve_symmetric
 
 
 def assert_witness_excludes(report, rho: DensityMatrix, k: int):
@@ -23,8 +25,11 @@ def assert_witness_excludes(report, rho: DensityMatrix, k: int):
     assert report.certificate is None
     dA, dB = rho.dims
     w, c = report.witness.w, report.witness.c
-    lift = np.kron(np.eye(dA), sym_isometry(k, dB))
-    compressed = lift.conj().T @ np.kron(w, np.eye(dB ** (k - 1))) @ lift
+    # the rows of the lift are (A, B1) major, so with them split into (A, B1)
+    # and the other legs, W acts on the first index alone: the compression
+    # of W tensor I, without the dB^(k-1) identity
+    lift = np.kron(np.eye(dA), sym_isometry(k, dB)).reshape(dA * dB, dB ** (k - 1), -1)
+    compressed = np.tensordot(lift.conj(), np.tensordot(w, lift, axes=(1, 0)), axes=([0, 1], [0, 1]))
     low = np.linalg.eigvalsh(compressed + c * np.eye(len(compressed)))[0]
     assert low >= -1e-12
     value = float(np.trace(w @ rho.matrix).real) + c
@@ -65,3 +70,18 @@ def test_singlet_witness(k):
 def test_qutrit_counterexample_witness():
     rho, _, _ = qutrit_counterexample()
     assert_witness_excludes(solve_bosonic_k2_generic(rho), rho, 2)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_qutrit_counterexample_is_excluded_at_every_k(tmp_path, k):
+    # no bosonic 2-extension, so none with more legs: check-bos says so, and
+    # the witness of the one solve behind it passes the stricter check
+    rho, _, _ = qutrit_counterexample()
+    path = tmp_path / "qutrit.state"
+    save_state(rho, path)
+    code, report = run_command(["check-bos", "--k", str(k), "--in", str(path), "--cert", str(tmp_path / "cert")])
+    assert code == 2 and "\nstatus: INFEASIBLE\n" in report, report
+    assert not (tmp_path / "cert").exists()
+    solved = solve_bosonic(rho, k)
+    assert_witness_excludes(solved, rho, k)
+    assert f"witness: tr(W rho) + c = {solved.witness.value(rho):.6e}\n" in report

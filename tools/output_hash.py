@@ -29,7 +29,9 @@ threshold (k + 2) / (3k) and INFEASIBLE at DR iteration 1, the path of the
 werner benchmark workload; a k=4 full-space convert and verify; check-bos2
 on the qutrit counterexample (INFEASIBLE) and, with a certificate, on I/9
 (dA = dB = 3) and on a planted two-copy marginal (dA = 2, dB = 4), both
-FEASIBLE; and convert of a missing file and of a full-space file for the
+FEASIBLE; check-bos at k=3 on the qutrit counterexample (INFEASIBLE);
+verify at k=2 of the planted marginal's certificate, lifted into the full
+space; and convert of a missing file and of a full-space file for the
 wrong k. The witnesses hashed next are those of the singlet, the mixture
 and the Werner state.
 
@@ -153,6 +155,8 @@ def grid_digest() -> str:
             pair = root / f"{name}.pair"
             save_state(rho, pair)
             run("check-bos2", "--dB", rho.dims[1], "--in", pair, "--cert", root / f"{name}.pair.cert")
+        run("check-bos", "--k", 3, "--in", qutrit, "--cert", root / "qutrit3.cert")
+        run("verify", "--k", 2, "--ext", root / "planted.pair.cert", "--marginal", root / "planted.pair")
 
         run("convert", "--k", 2, "--in", root / "missing.state", "--out", root / "missing.bos")
         run("convert", "--k", 3, "--in", full, "--out", root / "wrong-k.bos")
