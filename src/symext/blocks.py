@@ -16,7 +16,7 @@ import numpy as np
 from .caps import block_k, check_dense_bytes, integer_size
 from .linalg import DensityMatrix, eigenvalue_below, hermitian_part
 from .schur import build_schur_basis, sector_tables
-from .young import YoungDiagram, hook_dim, list_diagrams
+from .young import YoungDiagram, hook_dim, list_diagrams, top_sector
 
 PROFILE_ALL = "all"
 PROFILE_EXCLUDE_BOSONIC = "exclude-bosonic"
@@ -88,6 +88,25 @@ class BlockState:
     def __repr__(self):
         sectors = ",".join(f"[{l.lambda1},{l.lambda2}]" for l in sorted(self.blocks, key=lambda d: -d.lambda1))
         return f"{type(self).__name__}(k={self.k}, dA={self.dA}, sectors={sectors})"
+
+
+class BosonicState(BlockState):
+    """Extension supported on the symmetric subspace: the block state whose
+    one sector is the top one, [k, 0].
+
+    The matrix is that block, on A tensor the k+1 weight slots (A index
+    major, weight ascending). It is checked as every BlockState block is,
+    positivity included unless check_psd is False.
+    """
+
+    def __init__(self, dA: int, k: int, matrix, *, check_psd: bool = True):
+        # the top sector is built before BlockState checks k
+        k = block_k(k)
+        super().__init__(k, dA, {top_sector(k): matrix}, check_psd=check_psd)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.blocks[top_sector(self.k)]
 
 
 def blocks_to_global(bs: BlockState, basis: MappingProxyType) -> DensityMatrix:

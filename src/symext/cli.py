@@ -29,7 +29,7 @@ from .blocks import (
     gen_random_extendible,
     global_to_blocks,
 )
-from .convert import BosonicState, sym_to_bos, tilde_state, verify_extension
+from .convert import BosonicState, is_bosonic_layout, sym_to_bos, tilde_state, verify_extension
 from .linalg import DensityMatrix
 from .solver import FEASIBLE, INFEASIBLE, SolverReport, solve_bosonic, solve_symmetric
 
@@ -133,9 +133,7 @@ def _cmd_verify(args, lines, timings):
     # positivity is measured against --tol below, not refused at load
     ext = mio.load_extension(args.ext, check_psd=False)
     rho = _load_bipartite(args.marginal)
-    # a two-factor state at k >= 2 is on A tensor Sym^k(C^dB), or refused
-    lifted = isinstance(ext, DensityMatrix) and len(ext.dims) == 2 and args.k > 1
-    bosonic_input = lifted or isinstance(ext, BosonicState)
+    bosonic_input = is_bosonic_layout(ext, rho, args.k)
     layout = "bosonic" if bosonic_input else "blocks" if isinstance(ext, BlockState) else "full-space"
     lines.append(f"layout: {layout}")
     t0 = time.perf_counter()

@@ -18,10 +18,15 @@ blocks hold, whose nonzero spectrum is that of the blocks, whose k
 marginals are all equal, and whose weight outside the symmetric subspace is
 the weighted trace of the non-top sectors. So positivity, trace, marginal
 and that weight are measured on the blocks, and invariance holds by
-construction. A full-space DensityMatrix is checked in the full space:
-positivity, trace, every (A, B_i) marginal, invariance under each adjacent
-transposition of the legs (by permuting the axes of the reshaped matrix, so
-each costs O((dA*d^k)^2)), and the weight outside the symmetric subspace.
+construction. So is a plain state on A tensor Sym^k(C^dB), the dB >= 3
+certificate of `solver.solve_bosonic`: its embedding into A tensor B^k is
+an isometry onto the symmetric subspace, so it adds only zero eigenvalues,
+and the embedded state is invariant, bosonic and has k equal marginals
+whatever the block holds. A full-space DensityMatrix is checked in the full
+space: positivity, trace, every (A, B_i) marginal, invariance under each
+adjacent transposition of the legs (by permuting the axes of the reshaped
+matrix, so each costs O((dA*d^k)^2)), and the weight outside the symmetric
+subspace.
 """
 
 from __future__ import annotations
@@ -32,30 +37,12 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .blocks import BlockState, raw_marginal_from_blocks
-from .caps import block_k, check_dense_bytes, integer_size
+from .blocks import BlockState, BosonicState, raw_marginal_from_blocks
+from .caps import block_k, integer_size
 from .linalg import DensityMatrix, eigvalsh, partial_transpose
 from .schur import sector_tables, sym_isometry
-from .young import hook_dim, top_sector
-
-
-class BosonicState(BlockState):
-    """Extension supported on the symmetric subspace: the block state whose
-    one sector is the top one, [k, 0].
-
-    The matrix is that block, on A tensor the k+1 weight slots (A index
-    major, weight ascending). It is checked as every BlockState block is,
-    positivity included unless check_psd is False.
-    """
-
-    def __init__(self, dA: int, k: int, matrix, *, check_psd: bool = True):
-        # the top sector is built before BlockState checks k
-        k = block_k(k)
-        super().__init__(k, dA, {top_sector(k): matrix}, check_psd=check_psd)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.blocks[top_sector(self.k)]
+from .solver import constraint_map
+from .young import hook_dim
 
 
 def _bosonic_sum(bs: BlockState) -> np.ndarray:
@@ -90,11 +77,12 @@ class ExtensionReport:
 
     nonsymmetric_overlap is the weight outside the symmetric subspace; it is
     only required to vanish for a bosonic extension. by_construction is True
-    when a certificate was checked in sector coordinates: then permutation
-    invariance holds by construction and invariance_deviation reads 0.0
-    without a measurement. nonsymmetric_overlap is still measured there, as
-    the weighted trace of the non-top sectors, which is exactly 0.0 for a
-    BosonicState.
+    when a certificate was checked in sector coordinates or on a block of
+    A tensor Sym^k(C^dB): then permutation invariance holds by construction
+    and invariance_deviation reads 0.0 without a measurement. In sector
+    coordinates nonsymmetric_overlap is still measured, as the weighted
+    trace of the non-top sectors (exactly 0.0 for a BosonicState); on a
+    block of A tensor Sym^k(C^dB) it is 0.0 by construction.
     """
 
     tol: float
@@ -143,10 +131,26 @@ def _swap_adjacent_legs(matrix: np.ndarray, dims: tuple[int, ...], t: int) -> np
     return matrix.reshape(dims + dims).transpose(axes).reshape(matrix.shape)
 
 
+def _sym_layout(rho_ab: DensityMatrix, k: int) -> tuple[int, int]:
+    """(dA, C(dB + k - 1, k)), the layout of a state on A tensor Sym^k(C^dB)."""
+    return rho_ab.dims[0], comb(rho_ab.dims[1] + k - 1, k)
+
+
+def is_bosonic_layout(sigma, rho_ab: DensityMatrix, k: int) -> bool:
+    """Whether verify_extension checks sigma as a state on A tensor
+    Sym^k(C^dB), for a bipartite rho_ab of layout (dA, dB): a BosonicState,
+    or at k >= 2 a DensityMatrix of layout `_sym_layout(rho_ab, k)`."""
+    plain = isinstance(sigma, DensityMatrix) and k > 1 and len(rho_ab.dims) == 2
+    return isinstance(sigma, BosonicState) or (plain and sigma.dims == _sym_layout(rho_ab, k))
+
+
 def _verify_full(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
     dims = sigma.dims
     if len(dims) != k + 1:
-        raise ValueError(f"layout {dims} does not have {k} extension legs")
+        expected = f"{k} extension legs"
+        if len(dims) == 2 and len(rho_ab.dims) == 2:
+            expected += f" or the layout {_sym_layout(rho_ab, k)} of A tensor Sym^{k}(C^{rho_ab.dims[1]})"
+        raise ValueError(f"layout {dims} does not have {expected}")
     d = dims[1]
     if any(x != d for x in dims[1:]):
         raise ValueError(f"extension legs in {dims} are not all equal")
@@ -181,6 +185,22 @@ def _verify_sectors(sigma: BlockState, rho_ab: DensityMatrix, k: int, tol: float
     return ExtensionReport(tol, low, trace_dev, marg_dev, 0.0, max(outside, 0.0), by_construction=True)
 
 
+def _verify_sym(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float) -> ExtensionReport:
+    """Check a state on A tensor Sym^k(C^dB) on its block: one product of the
+    real constraint map with the (rows, 2) float pairs of the touched entries
+    gives the marginal's entries and, in its last row, the trace."""
+    dA, dB = rho_ab.dims
+    # the cap of every state on A tensor Sym^k, as in the solve and BosonicState
+    cmap = constraint_map(block_k(k), dA, dB)
+    x = sigma.matrix
+    low = float(eigvalsh(x)[0])
+    touched = x.reshape(-1)[cmap.cols]
+    image = (cmap.amap @ touched.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+    trace_dev = abs(float(image[-1].real) - 1.0)
+    marg_dev = float(np.linalg.norm(image[:-1].reshape(dA * dB, dA * dB) - rho_ab.matrix))
+    return ExtensionReport(tol, low, trace_dev, marg_dev, 0.0, 0.0, by_construction=True)
+
+
 def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) -> ExtensionReport:
     """Check an extension candidate against its claimed pair marginal.
 
@@ -188,23 +208,20 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
     coordinates at every k; a full-space DensityMatrix is checked in the full
     space. For k >= 2 a DensityMatrix of layout (dA, C(dB + k - 1, k)), with
     (dA, dB) the marginal's, is a state on A tensor Sym^k(C^dB) in
-    `sym_isometry(k, dB)` column order, as `solver.solve_bosonic` makes it,
-    and is lifted into the full space first, if `caps` allows the peak bytes
-    of a glued state: four times the 16 (dA dB^k)^2 of the lift. tol must be
-    finite and not negative: an infinite one would pass any candidate, and a
-    NaN would fail every check.
+    `sym_isometry(k, dB)` column order, as `solver.solve_bosonic` makes it
+    (`is_bosonic_layout`), and is checked on its block with the solver's
+    `constraint_map(k, dA, dB)`, whose charge bounds it as it bounds the
+    solve. tol must be finite and not negative: an infinite one would pass
+    any candidate, and a NaN would fail every check.
     """
     k = integer_size("k", k)
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and not negative, got {float(tol)!r}")
     if isinstance(sigma, BlockState):
         return _verify_sectors(sigma, rho_ab, k, tol)
+    if is_bosonic_layout(sigma, rho_ab, k):
+        return _verify_sym(sigma, rho_ab, k, tol)
     if isinstance(sigma, DensityMatrix):
-        dA, dB = rho_ab.dims[0], rho_ab.dims[-1]
-        if k > 1 and sigma.dims == (dA, comb(dB + k - 1, k)):
-            check_dense_bytes(f"the lift of a {sigma.dims} state to {k} legs", 4 * 16 * (dA * dB**k) ** 2)
-            lift = np.kron(np.eye(dA), sym_isometry(k, dB))
-            sigma = DensityMatrix(lift @ sigma.matrix @ lift.T, (dA,) + (dB,) * k, check_psd=False)
         return _verify_full(sigma, rho_ab, k, tol)
     raise TypeError(f"cannot verify extension of type {type(sigma).__name__}")
 

@@ -43,9 +43,8 @@ from math import prod
 
 import numpy as np
 
-from .blocks import BlockState
+from .blocks import BlockState, BosonicState
 from .caps import integer_size
-from .convert import BosonicState
 from .linalg import DensityMatrix
 from .young import YoungDiagram
 

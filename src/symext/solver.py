@@ -91,8 +91,8 @@ from typing import Any
 
 import numpy as np
 
+from .blocks import BosonicState
 from .caps import block_k, check_dense_bytes
-from .convert import BosonicState
 from .linalg import DensityMatrix, eigh, eigvalsh, is_positive_definite
 from .young import top_sector
 
@@ -383,6 +383,11 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     return _compact_map(dA * nsym, dA * dB, *(x.ravel() for x in terms))
 
 
+def constraint_map(k: int, dA: int, dB: int) -> _ConstraintMap:
+    """`_sym_map(k, dA, dB)`, cached: the solve's map and verify_extension's."""
+    return _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
+
+
 def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:
     """The BosonicState of a FEASIBLE block x, assembled without a check.
 
@@ -423,7 +428,7 @@ def _solve(rho_ab: DensityMatrix, k: int) -> SolverReport:
     if len(rho_ab.dims) != 2:
         raise ValueError(f"layout {rho_ab.dims} is not bipartite")
     dA, dB = rho_ab.dims
-    cmap = _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
+    cmap = constraint_map(k, dA, dB)
     # the marginal's entries, then the trace
     m = rho_ab.matrix.size
     b = np.empty(m + 1, dtype=complex)
@@ -455,8 +460,9 @@ def solve_bosonic(rho_ab: DensityMatrix, k: int) -> SolverReport:
     For dB = 2 the certificate is a BosonicState. For dB >= 3 it is the
     state on A tensor Sym^k(C^dB), of layout (dA, C(dB + k - 1, k)), in the
     column order of `schur.sym_isometry(k, dB)`; `convert.verify_extension`
-    lifts it through that isometry to check it. dB >= 3 asks more than a
-    symmetric extension does (`qutrit_counterexample`).
+    checks it on that block, with the map of `constraint_map(k, dA, dB)`.
+    dB >= 3 asks more than a symmetric extension does
+    (`qutrit_counterexample`).
     """
     return _solve(rho_ab, k)
 

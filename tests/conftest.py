@@ -102,6 +102,20 @@ def planted_two_copy(dA, dB, seed):
     return DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
 
 
+def planted_marginal(dA, dB, k, seed):
+    """The (A, B1) marginal of a random full-rank state on A tensor Sym^k(C^dB).
+
+    The partial trace over B2..Bk of lift x lift^T is taken on the rows of
+    the lift split into (A, B1) and the rest, so the dA dB^k square is never
+    formed.
+    """
+    n = dA * comb(dB + k - 1, k)
+    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+    x = g @ g.conj().T
+    lift = np.kron(np.eye(dA), sym_isometry(k, dB)).reshape(dA * dB, dB ** (k - 1), n)
+    return DensityMatrix(np.einsum("xrp,pq,yrq->xy", lift, x / x.trace().real, lift), (dA, dB))
+
+
 def dicke(k, omega):
     """Uniform superposition over computational states with k/2 + omega ones."""
     n1 = omega + k / 2

@@ -451,6 +451,11 @@ def test_verify_layout_errors():
         verify_extension(sigma, DensityMatrix(np.eye(6) / 6, (3, 2)), 2)
     with pytest.raises(TypeError):
         verify_extension(np.eye(8) / 8, rho, 2)
+    # a plain state on A tensor Sym^k(C^dB) has the k cap of a BosonicState
+    qubit = DensityMatrix(np.eye(2) / 2, (1, 2))
+    with pytest.raises(ValueError, match=r"^k=65 outside 1\.\.64$"):
+        verify_extension(DensityMatrix(np.eye(66) / 66, (1, 66)), qubit, 65)
+    assert verify_extension(DensityMatrix(np.eye(65) / 65, (1, 65)), qubit, 64).bosonic_ok
     # d-level legs at k > 2 are measured too: Sym^3(C^3) holds 10 of the 27
     # dimensions, so the maximally mixed extension has 17/27 outside it
     sig3 = DensityMatrix(np.eye(81) / 81, (3, 3, 3, 3))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import planted_two_copy, product_state, random_density, singlet_state
+from conftest import planted_marginal, planted_two_copy, product_state, random_density, singlet_state
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, blocks_to_global, gen_random_extendible, marginal_from_blocks
 from symext.cli import main, run_command
 from symext.convert import BosonicState, sym_to_bos
@@ -386,9 +386,9 @@ def test_check_bos2_is_check_bos_at_k2(tmp_path):
 
 
 @pytest.mark.parametrize("k", range(2, 6))
-def test_verify_lifts_a_bosonic_certificate_of_any_b_dimension(tmp_path, k):
+def test_verify_checks_a_bosonic_certificate_of_any_b_dimension_on_its_block(tmp_path, k):
     # I/9 has a bosonic extension at every k; its certificate, a state on
-    # A tensor Sym^k(C^3), is lifted into the full space and checked there
+    # A tensor Sym^k(C^3), is checked on its block, with no lift
     rho = write_state(DensityMatrix(np.eye(9) / 9, (3, 3)), tmp_path / "rho.state")
     cert = tmp_path / "cert.state"
     code, report = run_command(["check-bos", "--k", str(k), "--in", rho, "--cert", str(cert)])
@@ -397,7 +397,8 @@ def test_verify_lifts_a_bosonic_certificate_of_any_b_dimension(tmp_path, k):
     code, report = run_command(["verify", "--k", str(k), "--ext", str(cert), "--marginal", rho])
     head = above_marker(report)
     assert code == 0, report
-    assert "layout: bosonic\n" in head and "support: pass" in head and head.endswith("status: PASS\n")
+    assert "layout: bosonic\n" in head and "invariance: structural\nsupport: structural\n" in head
+    assert head.endswith("status: PASS\n")
 
 
 def test_verify_reads_check_bos2_certificates(tmp_path):
@@ -423,17 +424,40 @@ def test_verify_reads_check_bos2_certificates(tmp_path):
         assert code == 2 and "marginal: FAIL" in report and "status: FAIL" in report, report
 
 
-def test_verify_refuses_a_lift_above_the_dense_limit(tmp_path, monkeypatch):
-    from symext import caps
+@pytest.mark.parametrize("name", ["planted", "mixed"])
+def test_verify_reads_check_bos_certificates_at_k7(tmp_path, name):
+    # at k = 7 a lift into A tensor B^7 would have 4,374 (dA = 2) or 6,561
+    # (dA = 3) rows; the block has 72 or 108. A planted marginal at dA = 2,
+    # I/9 at dA = 3: each certificate passes, and a copy with two diagonal
+    # entries moved by +1e-6 and -1e-6, its trace kept, fails on its marginal
+    state = planted_marginal(2, 3, 7, 4) if name == "planted" else DensityMatrix(np.eye(9) / 9, (3, 3))
+    dA = state.dims[0]
+    rho, cert, moved = (tmp_path / x for x in ("rho.state", "cert.state", "moved.state"))
+    write_state(state, rho)
+    code, report = run_command(["check-bos", "--k", "7", "--in", str(rho), "--cert", str(cert)])
+    assert code == 0 and "status: FEASIBLE" in report, report
+    code, report = run_command(["verify", "--k", "7", "--ext", str(cert), "--marginal", str(rho)])
+    assert code == 0 and "layout: bosonic\n" in report and "status: PASS" in report, report
+    doc = json.loads(cert.read_text())
+    assert doc["layout"] == [dA, 36]
+    n = dA * 36
+    doc["entries"][0][0] += 1e-6
+    doc["entries"][n + 1][0] -= 1e-6
+    moved.write_text(json.dumps(doc))
+    code, report = run_command(["verify", "--k", "7", "--ext", str(moved), "--marginal", str(rho)])
+    assert code == 2 and "marginal: FAIL" in report and "status: FAIL" in report, report
 
-    rho = write_state(DensityMatrix(np.eye(9) / 9, (3, 3)), tmp_path / "rho.state")
-    cert = tmp_path / "cert.state"
-    assert run_command(["check-bos", "--k", "4", "--in", rho, "--cert", str(cert)])[0] == 0
-    # the 243 x 243 lift is charged four times its 0.9 MiB
-    monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
-    code, report = run_command(["verify", "--k", "4", "--ext", str(cert), "--marginal", rho])
+
+def test_verify_names_the_bosonic_layout_a_plain_file_misses(tmp_path):
+    # a plain (2, 5) file at k = 3 against a (2, 3) marginal is no state on
+    # A tensor Sym^3(C^3), whose layout is (2, 10): it is not labelled bosonic
+    rho = write_state(DensityMatrix(np.eye(6) / 6, (2, 3)), tmp_path / "rho.state")
+    ext = write_state(DensityMatrix(np.eye(10) / 10, (2, 5)), tmp_path / "ext.state")
+    code, report = run_command(["verify", "--k", "3", "--ext", ext, "--marginal", rho])
+    head = above_marker(report)
     assert code == 1, report
-    assert "error: the lift of a (3, 15) state to 4 legs needs 3.6 MiB, above the 1 MiB limit\n" in report
+    assert "layout: bosonic" not in head and "layout: full-space\n" in head
+    assert "error: layout (2, 5) does not have 3 extension legs or the layout (2, 10) of A tensor Sym^3(C^3)\n" in head
 
 
 def _psd_line(ext, marginal, k, tol):
@@ -442,13 +466,15 @@ def _psd_line(ext, marginal, k, tol):
 
 
 def test_verify_measures_positivity_against_its_tol(tmp_path):
-    # a full-space file with smallest eigenvalue -1e-7 and a bosonic one with
-    # -1e-5, both of unit trace: each loads, and --tol decides its psd line
+    # a full-space file with smallest eigenvalue -1e-7, and a bosonic one and
+    # a plain one on A tensor Sym^3(C^3) with -1e-5, all of unit trace: each
+    # loads, and --tol decides its psd line
     rho_a = random_density(2, np.random.default_rng(5))
     zero, one = np.eye(2)
     for name, low, loose, b0, b1 in (
         ("full", 1e-7, "1e-6", np.kron(zero, np.kron(zero, zero)), np.kron(one, np.kron(one, one))),
         ("bosonic", 1e-5, "1e-4", np.eye(4)[0], np.eye(4)[3]),
+        ("sym", 1e-5, "1e-4", np.eye(10)[0], np.eye(10)[9]),
     ):
         # rho_a on B in b0, less low times a vector orthogonal to it
         base = np.kron(rho_a, np.outer(b0, b0))
@@ -458,6 +484,10 @@ def test_verify_measures_positivity_against_its_tol(tmp_path):
         if name == "bosonic":
             save_matrix_file(ext, m, [2, "sym(3)"], kind="bosonic")
             marg = marginal_from_blocks(BosonicState(2, 3, base))
+        elif name == "sym":
+            # b0 is |000> of Sym^3(C^3), so base's marginal is rho_a x |0><0|
+            save_state(DensityMatrix(m, (2, 10), check_psd=False), ext)
+            marg = DensityMatrix(np.kron(rho_a, np.diag([1.0, 0.0, 0.0])), (2, 3))
         else:
             save_state(DensityMatrix(m, (2, 2, 2, 2), check_psd=False), ext)
             marg = DensityMatrix(np.kron(rho_a, np.outer(zero, zero)), (2, 2))

@@ -1,19 +1,24 @@
 """The sector-coordinate verifier against the full-space reference.
 
 Certificates (BlockState, BosonicState among them) are verified on their
-blocks; the reference glues them into the full space and runs the full-space
-check, which measures invariance and support instead of taking them as
-given. Both must raise the same flags, on valid certificates and on copies
-with a negative eigenvalue, the wrong marginal, or a trace of 1.01.
+blocks, and so are plain states on A tensor Sym^k(C^dB); the reference
+glues the blocks into the full space, or lifts the state through
+`sym_isometry`, and runs the full-space check, which measures invariance
+and support instead of taking them as given. Both must raise the same
+flags, on valid certificates and on copies with a negative eigenvalue, the
+wrong marginal, or a trace of 1.01.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
 
+from conftest import random_density
 from symext.blocks import PROFILES, BlockState, blocks_to_global, gen_random_extendible
 from symext.convert import BosonicState, _verify_full, sym_to_bos, verify_extension
 from symext.linalg import DensityMatrix
-from symext.schur import build_schur_basis
+from symext.schur import build_schur_basis, sym_isometry
 
 FLAGS = ("psd_ok", "trace_ok", "marginal_ok", "invariance_ok", "support_ok", "symmetric_ok", "bosonic_ok")
 
@@ -78,3 +83,33 @@ def test_sector_check_matches_the_full_space_check(k):
             assert not verify_extension(negative_bos, rho, k).psd_ok
             assert not verify_extension(bos, other, k).marginal_ok
             assert not verify_extension(high_bos, rho, k).trace_ok
+
+
+@pytest.mark.parametrize("dB", [2, 3, 4])
+def test_sym_block_check_matches_the_full_space_check(dB):
+    gen = np.random.default_rng(dB)
+    for k in (2, 3, 4):
+        for dA in (1, 2):
+            n = dA * comb(dB + k - 1, k)
+            dims = (dA,) + (dB,) * k
+            lift = np.kron(np.eye(dA), sym_isometry(k, dB))
+
+            def lifted(x):
+                return DensityMatrix(lift @ x @ lift.T, dims, atol=1.0, check_psd=False)
+
+            x, y = random_density(n, gen), random_density(n, gen)
+            rho, other = (DensityMatrix(lifted(z).marginal((0, 1)), (dA, dB)) for z in (x, y))
+            reports = []
+            for block, marginal in ((x, rho), (x, other), (1.01 * x, rho), (_with_negative_eigenvalue(x), rho)):
+                got = verify_extension(DensityMatrix(block, (dA, n // dA), atol=1.0, check_psd=False), marginal, k)
+                reports.append(got)
+                want = _verify_full(lifted(block), marginal, k, 1e-8)
+                assert got.by_construction and not want.by_construction
+                assert [getattr(got, f) for f in FLAGS] == [getattr(want, f) for f in FLAGS], (k, dA, dB)
+                assert abs(got.trace_deviation - want.trace_deviation) <= 1e-12
+                assert abs(got.marginal_deviation - want.marginal_deviation) <= 1e-12
+                # the lift adds only zero eigenvalues
+                assert abs(min(got.min_eigenvalue, 0.0) - min(want.min_eigenvalue, 0.0)) <= 1e-12
+            # the grid reaches every outcome the corruptions aim at
+            _, wrong, high, negative = reports
+            assert not wrong.marginal_ok and not high.trace_ok and not negative.psd_ok

@@ -3,7 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import planted_two_copy, product_state, random_two_qubit_states, singlet_state
+from conftest import planted_two_copy, product_state, random_density, random_two_qubit_states, singlet_state
 from symext import caps, linalg, solver
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, gen_random_extendible, marginal_from_blocks, raw_marginal_from_blocks
 from symext.convert import BosonicState, sym_to_bos, verify_extension
@@ -321,14 +321,33 @@ def test_sector_map_equals_column_by_column_map(dA):
         assert np.array_equal(got, want), (k, dA)
 
 
-@pytest.mark.parametrize("dA,dB", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("dA,dB", [(dA, dB) for dA in range(1, 5) for dB in range(2, 6)])
 def test_pair_map_matches_embedding_loop(dA, dB):
-    lift = np.kron(np.eye(dA), sym_isometry(2, dB))
-    got, want = _on_hermitian_basis(
-        solver._sym_map(2, dA, dB), lambda h: partial_trace(lift @ h @ lift.T, (dA, dB, dB), (0, 1)))
-    # the lift multiplies rounded copies of 1/sqrt(2) where the closed form
-    # has exact 1/2 and sqrt(2)/2, so allow a unit in the last place
-    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    # verify checks a state on A tensor Sym^k(C^dB) with this map, so it is
+    # held to the sym_isometry lift and its partial trace over B2..Bk at
+    # every k with dA dB^k <= 729
+    k = 2
+    while dA * dB**k <= 729:
+        cmap = solver._sym_map(k, dA, dB)
+        n, d = cmap.n, dA * dB
+        lift = np.kron(np.eye(dA), sym_isometry(k, dB))
+        # want[x, y, p, q] = tr_(B2..Bk)(lift E_pq lift^T)[x, y] for every
+        # matrix unit E_pq at once, summed in extended precision so that it
+        # carries only the rounding of the lift's entries; partial_trace
+        # checks it on one Hermitian h
+        rows = lift.reshape(d, dB ** (k - 1), n).astype(np.longdouble)
+        want = np.einsum("xrp,yrq->xypq", rows, rows).reshape(d * d, n * n)
+        h = random_density(n, np.random.default_rng(k))
+        assert np.allclose(
+            want @ h.ravel(), partial_trace(lift @ h @ lift.T, (dA, dB, dB ** (k - 1)), (0, 1)).ravel(),
+            rtol=0, atol=1e-14), k
+        got = np.zeros((d * d + 1, n * n))
+        got[:, cmap.cols] = cmap.amap
+        # the lift holds rounded copies of 1/sqrt(m) where the closed form
+        # has sqrt(n_i m_j) / k, so allow a few units in the last place
+        assert np.allclose(got[:-1], want, rtol=0, atol=1e-15), k
+        assert np.array_equal(got[-1], np.eye(n).ravel()), k
+        k += 1
 
 
 def test_constraint_map_is_cached_per_shape(monkeypatch):

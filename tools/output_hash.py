@@ -30,9 +30,11 @@ werner benchmark workload; a k=4 full-space convert and verify; check-bos2
 on the qutrit counterexample (INFEASIBLE) and, with a certificate, on I/9
 (dA = dB = 3) and on a planted two-copy marginal (dA = 2, dB = 4), both
 FEASIBLE; check-bos at k=3 on the qutrit counterexample (INFEASIBLE);
-verify at k=2 of the planted marginal's certificate, lifted into the full
-space; and convert of a missing file and of a full-space file for the
-wrong k. The witnesses hashed next are those of the singlet, the mixture
+verify at k=2 of the planted marginal's certificate, checked on its block
+of A tensor Sym^2(C^4); check-bos at k=7 with a certificate on a planted
+marginal with dA = 2, dB = 3 (FEASIBLE), and verify at k=7 of that
+certificate, whose lift into the full space would have 4,374 rows; and
+convert of a missing file and of a full-space file for the wrong k. The witnesses hashed next are those of the singlet, the mixture
 and the Werner state.
 
 Last come the solves of the werner benchmark workload, its states built here
@@ -46,6 +48,7 @@ import hashlib
 import os
 import pathlib
 import tempfile
+from math import comb
 
 import numpy as np
 
@@ -75,6 +78,21 @@ def _planted_pair_marginal(dA: int, dB: int, seed: int) -> DensityMatrix:
     lift = np.kron(np.eye(dA), sym_isometry(2, dB))
     full = DensityMatrix(lift @ (x / x.trace().real) @ lift.T, (dA, dB, dB))
     return DensityMatrix(full.marginal((0, 1)), (dA, dB))
+
+
+def _planted_marginal(dA: int, dB: int, k: int, seed: int) -> DensityMatrix:
+    """The (A, B1) marginal of a random full-rank state on A tensor Sym^k(C^dB).
+
+    Its partial trace over B2..Bk is taken on the lift's rows split into
+    (A, B1) and the rest, so the dA dB^k square is never formed. The k = 2
+    grid files come from `_planted_pair_marginal` instead, which forms that
+    square; the two agree to rounding, not bit for bit.
+    """
+    n = dA * comb(dB + k - 1, k)
+    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+    x = g @ g.conj().T
+    lift = np.kron(np.eye(dA), sym_isometry(k, dB)).reshape(dA * dB, dB ** (k - 1), n)
+    return DensityMatrix(np.einsum("xrp,pq,yrq->xy", lift, x / x.trace().real, lift), (dA, dB))
 
 
 def _drawn_states() -> tuple[DensityMatrix, DensityMatrix]:
@@ -157,6 +175,9 @@ def grid_digest() -> str:
             run("check-bos2", "--dB", rho.dims[1], "--in", pair, "--cert", root / f"{name}.pair.cert")
         run("check-bos", "--k", 3, "--in", qutrit, "--cert", root / "qutrit3.cert")
         run("verify", "--k", 2, "--ext", root / "planted.pair.cert", "--marginal", root / "planted.pair")
+        save_state(_planted_marginal(2, 3, 7, 0), root / "planted7.state")
+        run("check-bos", "--k", 7, "--in", root / "planted7.state", "--cert", root / "planted7.cert")
+        run("verify", "--k", 7, "--ext", root / "planted7.cert", "--marginal", root / "planted7.state")
 
         run("convert", "--k", 2, "--in", root / "missing.state", "--out", root / "missing.bos")
         run("convert", "--k", 3, "--in", full, "--out", root / "wrong-k.bos")
