@@ -4,7 +4,9 @@ A state of A plus k exchangeable qubits that commutes with every qubit
 permutation is determined by one PSD block per two-row sector. The block for
 sector lam acts on A tensor the weight space of lam (A index major, weight
 minor); the global state is recovered by gluing each block to the path-summed
-weight transfer operators of the sector.
+weight transfer operators of the sector. The planted blocks of
+`gen_random_extendible` and the states glued from a block state are built
+from checked parts, so they skip trace and positivity (checked=False).
 """
 
 from __future__ import annotations
@@ -29,23 +31,18 @@ _ATOL = 1e-6
 class BlockState:
     """One Hermitian PSD block per sector; missing sectors are zero.
 
-    The weighted normalization sum_lam tableau_count(lam) * tr(X_lam) = 1,
-    required within 1e-6, makes the glued global state unit trace. Every
-    block must have finite entries and be Hermitian within 1e-6, and PSD
-    within 1e-6: its smallest eigenvalue at least -1e-6. Positivity is
-    settled by a Cholesky factorization, and only a block it cannot accept
-    is handed to eigvalsh (see `linalg.eigenvalue_below`). check_psd=False
-    skips the positivity check, as in `DensityMatrix`; callers use it when
-    positivity is structural, as for the Ginibre blocks of
-    `gen_random_extendible`, which are PSD by construction. k and dA must be
+    The weighted normalization sum_lam tableau_count(lam) * tr(X_lam) = 1
+    makes the glued global state unit trace. The checks follow the rule of
+    `linalg`, per block and at 1e-6: every block is finite and Hermitian,
+    and checked=False skips weighted trace and positivity. k and dA must be
     integers (Python or numpy, not bools), k in 1..64 (`caps.block_k`).
 
-    `_assembled` builds a state without any of these checks. Its one
-    caller is `solver._certificate`, whose block the solve has already
-    checked; every state from a file or a conversion goes through __init__.
+    `_assembled` builds a state that checks nothing, not even finiteness or
+    the Hermitian deviation; its one caller is `solver._certificate`, whose
+    block the solve has already checked.
     """
 
-    def __init__(self, k: int, dA: int, blocks, *, check_psd: bool = True):
+    def __init__(self, k: int, dA: int, blocks, *, checked: bool = True):
         self.k = block_k(k)
         self.dA = integer_size("dA", dA)
         if self.dA < 1:
@@ -62,15 +59,14 @@ class BlockState:
                 x = hermitian_part(x, _ATOL, "entries must be finite", "not Hermitian (deviation {dev:.3e})")
             except ValueError as exc:
                 raise ValueError(f"block for {lam} {exc}") from None
-            if check_psd:
+            if checked:
                 low = eigenvalue_below(x, _ATOL)
                 if low is not None:
                     raise ValueError(f"block for {lam} has eigenvalue {low:.3e}")
             x.flags.writeable = False
             clean[lam] = x
         self.blocks = clean
-        total = self.weighted_trace
-        if abs(total - 1.0) > _ATOL:
+        if checked and abs((total := self.weighted_trace) - 1.0) > _ATOL:
             raise ValueError(f"weighted block trace {total!r} is not 1 within {_ATOL:g}")
 
     @classmethod
@@ -95,14 +91,13 @@ class BosonicState(BlockState):
     one sector is the top one, [k, 0].
 
     The matrix is that block, on A tensor the k+1 weight slots (A index
-    major, weight ascending). It is checked as every BlockState block is,
-    positivity included unless check_psd is False.
+    major, weight ascending), checked as every BlockState is.
     """
 
-    def __init__(self, dA: int, k: int, matrix, *, check_psd: bool = True):
+    def __init__(self, dA: int, k: int, matrix, *, checked: bool = True):
         # the top sector is built before BlockState checks k
         k = block_k(k)
-        super().__init__(k, dA, {top_sector(k): matrix}, check_psd=check_psd)
+        super().__init__(k, dA, {top_sector(k): matrix}, checked=checked)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -128,7 +123,7 @@ def blocks_to_global(bs: BlockState, basis: MappingProxyType) -> DensityMatrix:
         # sec[x, mu, w] X[a w, b v] sec[y, mu, v]
         out += np.einsum("xmw,awbv,ymv->axby", sec, x.reshape(dA, nw, dA, nw), sec, optimize=True)
     matrix = out.reshape(dA * n, dA * n)
-    return DensityMatrix(matrix, (dA,) + (2,) * bs.k, check_psd=False)
+    return DensityMatrix(matrix, (dA,) + (2,) * bs.k, checked=False)
 
 
 def global_to_blocks(rho: DensityMatrix) -> BlockState:
@@ -176,8 +171,7 @@ def raw_marginal_from_blocks(dA: int, items) -> np.ndarray:
 def marginal_from_blocks(bs: BlockState) -> DensityMatrix:
     """(A, B1) marginal of the glued state, from the weight coefficient tables."""
     matrix = raw_marginal_from_blocks(bs.dA, bs.blocks.items())
-    # positivity is structural: the glued global state is PSD
-    return DensityMatrix(matrix, (bs.dA, 2), check_psd=False)
+    return DensityMatrix(matrix, (bs.dA, 2), checked=False)
 
 
 def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL) -> tuple[DensityMatrix, BlockState]:
@@ -189,9 +183,11 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
-    k, dA = integer_size("k", k), integer_size("dA", dA)
+    k, dA, seed = integer_size("k", k), integer_size("dA", dA), integer_size("seed", seed)
     if not 1 <= dA <= 4:
         raise ValueError(f"A dimension {dA} outside 1..4")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     # before any block is drawn: the blocks of a large k alone can exhaust memory
     block_k(k)
     diagrams = list_diagrams(k)
@@ -209,6 +205,6 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
         blocks[lam] = x
         total += hook_dim(lam) * float(x.trace().real)
     blocks = {lam: x / total for lam, x in blocks.items()}
-    # every block is a Ginibre product g g^H, PSD by construction
-    bs = BlockState(k, dA, blocks, check_psd=False)
+    # every block is a Ginibre product g g^H, PSD by construction, of weighted trace 1
+    bs = BlockState(k, dA, blocks, checked=False)
     return marginal_from_blocks(bs), bs

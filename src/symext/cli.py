@@ -130,8 +130,8 @@ def _cmd_convert(args, lines, timings):
 
 
 def _cmd_verify(args, lines, timings):
-    # positivity is measured against --tol below, not refused at load
-    ext = mio.load_extension(args.ext, check_psd=False)
+    # trace and positivity are measured against --tol below, not refused at load
+    ext = mio.load_extension(args.ext, checked=False)
     rho = _load_bipartite(args.marginal)
     bosonic_input = is_bosonic_layout(ext, rho, args.k)
     layout = "bosonic" if bosonic_input else "blocks" if isinstance(ext, BlockState) else "full-space"

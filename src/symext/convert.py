@@ -256,7 +256,7 @@ def tilde_state(rho_ab: DensityMatrix, k: int) -> TildeReport:
         matrix = (mix + k * rho_ab.matrix) / (k + 2)
     else:
         matrix = (dB * mix + k * rho_ab.matrix) / (dB * dB + k)
-    state = DensityMatrix(matrix, (dA, dB), check_psd=False)
+    state = DensityMatrix(matrix, (dA, dB), checked=False)
     # the partial transpose of the Hermitian state.matrix is Hermitian
     low = float(eigvalsh(partial_transpose(state.matrix, (dA, dB)))[0])
     return TildeReport(state, low >= -1e-10, low)

@@ -30,7 +30,9 @@ only when, without its number bytes (-+.0-9eE), it is "[, ]" a pair joined by
 one flat JSON list of numbers that fit in a float. Any other file, and every
 file of at most one slice, is parsed whole, and that path gives every
 error: a file loads to the same arrays, or fails with the same message,
-either way. A file that is not ASCII is an error naming it.
+either way. A file that is not ASCII is an error naming it. Every loader
+checks the state it builds in full (see `linalg`), but for verify's
+`load_extension(path, checked=False)`, which skips trace and positivity.
 """
 
 from __future__ import annotations
@@ -239,11 +241,11 @@ def save_state(state: DensityMatrix, path, metadata: dict | None = None) -> None
     save_matrix_file(path, state.matrix, list(state.dims), kind="state", metadata=metadata)
 
 
-def _state(path, layout: list, matrix: np.ndarray, check_psd: bool = True) -> DensityMatrix:
+def _state(path, layout: list, matrix: np.ndarray, checked: bool = True) -> DensityMatrix:
     if any(not isinstance(e, int) for e in layout):
         raise MatrixFileError(f"{path}: layout {layout} is not a plain state layout")
     try:
-        return DensityMatrix(matrix, layout, check_psd=check_psd)
+        return DensityMatrix(matrix, layout, checked=checked)
     except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 
@@ -258,23 +260,21 @@ def save_bosonic(sigma: BosonicState, path, metadata: dict | None = None) -> Non
     )
 
 
-def load_extension(path, *, check_psd: bool = True) -> DensityMatrix | BlockState:
+def load_extension(path, *, checked: bool = True) -> DensityMatrix | BlockState:
     """Load a full-space extension, a bosonic one (by layout tag) or a block
-    certificate (by kind), parsing the file once. check_psd=False skips the
-    positivity check of the state's constructor, for a caller that measures
-    positivity itself."""
+    certificate (by kind), parsing the file once."""
     doc = _read_json(path)
     if isinstance(doc, dict) and doc.get("kind") == "blocks":
-        return _blocks(path, doc, check_psd)
+        return _blocks(path, doc, checked)
     layout, matrix = _matrix_file(path, doc)
     tags = [e for e in layout if isinstance(e, str)]
     if not tags:
-        return _state(path, layout, matrix, check_psd)
+        return _state(path, layout, matrix, checked)
     if len(layout) != 2 or not isinstance(layout[0], int) or tags != [layout[1]]:
         raise MatrixFileError(f"{path}: bosonic layout must be [dA, \"sym(k)\"], got {layout}")
     k = int(_SYM_TAG.match(layout[1]).group(1))
     try:
-        return BosonicState(layout[0], k, matrix, check_psd=check_psd)
+        return BosonicState(layout[0], k, matrix, checked=checked)
     except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 
@@ -291,7 +291,7 @@ def save_blocks(bs: BlockState, path, metadata: dict | None = None) -> None:
     _write(path, "blocks", {"k": bs.k, "dA": bs.dA}, metadata, ("blocks", chunks()))
 
 
-def _blocks(path, doc, check_psd: bool = True) -> BlockState:
+def _blocks(path, doc, checked: bool = True) -> BlockState:
     if not isinstance(doc, dict) or doc.get("kind") != "blocks":
         raise MatrixFileError(f"{path}: not a blocks certificate file")
     _check_version(path, doc)
@@ -309,7 +309,7 @@ def _blocks(path, doc, check_psd: bool = True) -> BlockState:
             if len(entries) != n * n:
                 raise MatrixFileError(f"{path}: expected {n * n} entries for diagram [{l1},{l2}], found {len(entries)}")
             blocks[lam] = _complex_entries(f"{path}: diagram [{l1},{l2}]", entries).reshape(n, n)
-        return BlockState(k, dA, blocks, check_psd=check_psd)
+        return BlockState(k, dA, blocks, checked=checked)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 

@@ -32,6 +32,14 @@ their gufuncs (timeit medians, one process, one BLAS thread, 2-core Xeon).
 `_make_extobj` and `_extobj_contextvar` are the names `np.errstate` is
 built on since numpy 2.0, the floor in pyproject.toml; there is no
 fallback, so a numpy that renames them or the gufuncs fails at import.
+
+One rule decides what a state's constructor checks, in `DensityMatrix` at
+1e-8 and in `blocks.BlockState` at 1e-6. Each takes the Hermitian part of
+its matrix and refuses a non-finite entry or a larger Hermitian deviation.
+A checked state, as every one read from outside is, also refuses a trace
+that far from 1 or an eigenvalue below minus the tolerance; checked=False
+skips those two, for a state built from checked parts or measured by
+`convert.verify_extension`.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .caps import integer_size
 
 _EPS = np.finfo(float).eps
+_TOL = 1e-8  # of every DensityMatrix check: Hermitian deviation, trace and positivity
 
 # numpy.linalg's error state around its LAPACK gufuncs: a failed
 # factorization sets the invalid flag, which calls the raiser
@@ -191,16 +200,10 @@ def eigenvalue_below(h: np.ndarray, atol: float) -> float | None:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite operator with a layout.
+    """Hermitian, unit-trace, positive semidefinite operator with a layout,
+    checked by the rule of the module docstring (positivity by `eigenvalue_below`)."""
 
-    check_psd=False skips the positivity check; callers use it when positivity
-    is structural (for example a matrix assembled from PSD blocks). The check
-    accepts a matrix whose smallest eigenvalue is at least -atol; a Cholesky
-    factorization settles most matrices, and only one it cannot accept is
-    handed to eigvalsh (see `eigenvalue_below`).
-    """
-
-    def __init__(self, matrix, dims, *, atol: float = 1e-8, check_psd: bool = True):
+    def __init__(self, matrix, dims, *, checked: bool = True):
         # no copy: hermitian_part returns a new array
         matrix = np.asarray(matrix, dtype=complex)
         dims = tuple(integer_size("layout entry", d) for d in dims)
@@ -210,15 +213,15 @@ class DensityMatrix:
         if matrix.shape != (total, total):
             raise ValueError(f"matrix shape {matrix.shape} does not match layout {dims}")
         matrix = hermitian_part(
-            matrix, atol, "matrix entries must be finite", "matrix is not Hermitian within {atol:g} (deviation {dev:.3e})"
+            matrix, _TOL, "matrix entries must be finite", "matrix is not Hermitian within {atol:g} (deviation {dev:.3e})"
         )
-        tr = float(matrix.trace().real)
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"trace {tr!r} is not 1 within {atol:g}")
-        if check_psd:
-            low = eigenvalue_below(matrix, atol)
+        if checked:
+            tr = float(matrix.trace().real)
+            if abs(tr - 1.0) > _TOL:
+                raise ValueError(f"trace {tr!r} is not 1 within {_TOL:g}")
+            low = eigenvalue_below(matrix, _TOL)
             if low is not None:
-                raise ValueError(f"minimum eigenvalue {low:.3e} below -{atol:g}")
+                raise ValueError(f"minimum eigenvalue {low:.3e} below -{_TOL:g}")
         matrix.flags.writeable = False
         self.matrix = matrix
         self.dims = dims
@@ -229,7 +232,7 @@ class DensityMatrix:
         nrm = float(np.linalg.norm(ket))
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"ket norm {nrm!r} is not 1 within 1e-08")
-        return cls(np.outer(ket, ket.conj()), dims, check_psd=False)
+        return cls(np.outer(ket, ket.conj()), dims, checked=False)
 
     def marginal(self, keep) -> np.ndarray:
         return partial_trace(self.matrix, self.dims, keep)

@@ -27,10 +27,11 @@ test's `linalg.eigvalsh`, goes through the seam in `linalg`, which calls
 numpy's LAPACK gufuncs without the `numpy.linalg` wrapper and gives its
 results bit for bit.
 Either way the FEASIBLE block is PSD by construction, with a residual,
-trace row included, of at most 1e-8 and finite entries. So the certificate,
-the block's Hermitian part (x + x^H) / 2, is assembled with no check at all
-(`_certificate` gives the reason each check holds); the checked constructor
-stays for every block that comes from a file, a user or a conversion.
+trace row included, of at most 1e-8 and finite entries. So the qubit
+certificate, the block's Hermitian part (x + x^H) / 2, is the one state
+assembled with no check at all (`_certificate` gives the reason each check
+holds); the dB >= 3 one is a DensityMatrix built with checked=False, which
+keeps the Hermitian checks. Every state from a file or a user is checked.
 
 Infeasibility is certified too. When the sets are disjoint, the DR
 displacement d = x_n - x_{n+1} converges to the shortest vector from the
@@ -438,7 +439,7 @@ def _solve(rho_ab: DensityMatrix, k: int) -> SolverReport:
     report = SolverReport(status, res, gap, it)
     if status == FEASIBLE:
         dims = (dA, cmap.n // dA)
-        report.certificate = _certificate(k, dA, x) if dB == 2 else DensityMatrix(x, dims, atol=1e-6, check_psd=False)
+        report.certificate = _certificate(k, dA, x) if dB == 2 else DensityMatrix(x, dims, checked=False)
     elif status == INFEASIBLE:
         # _farkas leaves the marginal part Hermitian and the trace entry real
         report.witness = Witness(x[:-1].reshape(dA * dB, dA * dB), float(x[-1].real))
@@ -489,5 +490,5 @@ def qutrit_counterexample():
         ket[9 * x + 3 * z + y] = -amp
     ket /= sqrt(28.0)
     full = DensityMatrix.from_ket(ket, (3, 3, 3))
-    marginal = DensityMatrix(full.marginal((0, 1)), (3, 3), check_psd=False)
+    marginal = DensityMatrix(full.marginal((0, 1)), (3, 3), checked=False)
     return marginal, full, ket

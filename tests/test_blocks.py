@@ -313,6 +313,23 @@ def test_gen_rejects_bad_arguments():
         gen_random_extendible(3, 5, 0)
     with pytest.raises(ValueError, match="k >= 2"):
         gen_random_extendible(1, 2, 0, PROFILE_EXCLUDE_BOSONIC)
-    for k, dA, field in ((3.0, 2, "k"), (True, 2, "k"), (3, 2.0, "dA")):
+    for k, dA, seed, field in ((3.0, 2, 0, "k"), (True, 2, 0, "k"), (3, 2.0, 0, "dA"), (3, 2, True, "seed")):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
-            gen_random_extendible(k, dA, 0)
+            gen_random_extendible(k, dA, seed)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        gen_random_extendible(3, 2, -1)
+    # a numpy integer seed draws what its Python int draws
+    assert np.array_equal(gen_random_extendible(3, 2, np.int64(5))[0].matrix, gen_random_extendible(3, 2, 5)[0].matrix)
+
+
+def test_glue_and_marginal_take_a_state_within_its_trace_check():
+    # a block state of weighted trace 1 + 5e-7 passes BlockState's 1e-6, so
+    # the states built from it are not held to DensityMatrix's 1e-8
+    _, bs = gen_random_extendible(3, 2, 0)
+    scaled = BlockState(3, 2, {lam: (1 + 5e-7) * x for lam, x in bs.blocks.items()})
+    assert abs(scaled.weighted_trace - 1 - 5e-7) < 1e-15
+    full = blocks_to_global(scaled, build_schur_basis(3))
+    marginal = marginal_from_blocks(scaled)
+    for state in (full, marginal):
+        assert abs(np.trace(state.matrix).real - 1 - 5e-7) < 1e-14
+    assert np.allclose(full.marginal((0, 1)), marginal.matrix, rtol=0, atol=1e-15)

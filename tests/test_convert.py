@@ -93,26 +93,26 @@ def test_conversion_keeps_the_trace_and_finiteness_checks():
     # finite blocks whose scaled entries overflow: sector [3,1] scales its
     # diagonal by 3
     x = np.diag([8e307, -8e307, 1 / 3]).astype(complex)
-    overflow = BlockState(4, 1, {YoungDiagram(3, 1): x}, check_psd=False)
+    overflow = BlockState(4, 1, {YoungDiagram(3, 1): x}, checked=False)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^block for \[4,0\] entries must be finite$"):
         sym_to_bos(overflow)
     # entries too large for a finite squared norm but finite reach the
     # positivity check, which refuses this matrix: it is not a state
     top = np.diag([1e200, -1e200, 1.0, 0.0, 0.0]).astype(complex)
-    unchecked = BlockState(4, 1, {YoungDiagram(4, 0): top}, check_psd=False)
+    unchecked = BlockState(4, 1, {YoungDiagram(4, 0): top}, checked=False)
     with pytest.raises(ValueError, match=r"^block for \[4,0\] has eigenvalue -1\.000e\+200$"):
         sym_to_bos(unchecked)
 
 
 def test_conversion_refuses_a_block_state_that_is_not_psd():
-    # check_psd=False lets a block with a negative eigenvalue in; the
+    # checked=False lets a block with a negative eigenvalue in; the
     # converted sum is checked as every BosonicState is, and refused. Sector
     # [3,1] scales its diagonal by its tableau count 3.
     for lam, x, low in (
         (YoungDiagram(2, 0), np.diag([1.5, -0.5, 0.0]), "-5.000e-01"),
         (YoungDiagram(3, 1), np.diag([0.5, -0.5, 1 / 3]), "-1.500e\\+00"),
     ):
-        bs = BlockState(lam.k, 1, {lam: x}, check_psd=False)
+        bs = BlockState(lam.k, 1, {lam: x}, checked=False)
         with pytest.raises(ValueError, match=rf"^block for \[{lam.k},0\] has eigenvalue {low}$"):
             sym_to_bos(bs)
 
@@ -122,15 +122,15 @@ def test_constructors_hold_finite_entries_where_the_hermitian_sum_overflows():
     m = np.array([[0.5, 1e308 - 1.5e308j], [1e308 + 1.5e308j, 0.5]])
     top = YoungDiagram(1, 0)
     held = (
-        DensityMatrix(m, (2,), check_psd=False).matrix,
-        BlockState(1, 1, {top: m}, check_psd=False).blocks[top],
+        DensityMatrix(m, (2,), checked=False).matrix,
+        BlockState(1, 1, {top: m}, checked=False).blocks[top],
         BosonicState(1, 1, m).matrix,
     )
     for matrix in held:
         assert np.array_equal(matrix, m)
     # a finite sum is still (x + x^H) * 0.5: halving 5e-324 first would give 0
     tiny = np.array([[0.5, 5e-324], [5e-324, 0.5]])
-    assert DensityMatrix(tiny, (2,), check_psd=False).matrix[0, 1] == 5e-324
+    assert DensityMatrix(tiny, (2,), checked=False).matrix[0, 1] == 5e-324
     assert BosonicState(1, 1, tiny).matrix[1, 0] == 5e-324
 
 

@@ -486,16 +486,69 @@ def test_verify_measures_positivity_against_its_tol(tmp_path):
             marg = marginal_from_blocks(BosonicState(2, 3, base))
         elif name == "sym":
             # b0 is |000> of Sym^3(C^3), so base's marginal is rho_a x |0><0|
-            save_state(DensityMatrix(m, (2, 10), check_psd=False), ext)
+            save_state(DensityMatrix(m, (2, 10), checked=False), ext)
             marg = DensityMatrix(np.kron(rho_a, np.diag([1.0, 0.0, 0.0])), (2, 3))
         else:
-            save_state(DensityMatrix(m, (2, 2, 2, 2), check_psd=False), ext)
+            save_state(DensityMatrix(m, (2, 2, 2, 2), checked=False), ext)
             marg = DensityMatrix(np.kron(rho_a, np.outer(zero, zero)), (2, 2))
         marginal = write_state(marg, tmp_path / f"{name}.rho")
         code, line = _psd_line(ext, marginal, 3, "1e-8")
         assert code == 2 and line == f"psd: FAIL (min eigenvalue {-low:.6e})", line
         code, line = _psd_line(ext, marginal, 3, loose)
         assert code == 0 and line == f"psd: pass (min eigenvalue {-low:.6e})", line
+
+
+def _moved(path, shift):
+    """A copy of the file at path with entry (0, 0) of its first block or matrix moved by shift."""
+    doc = json.loads(path.read_text())
+    entries = doc["blocks"][0]["entries"] if doc["kind"] == "blocks" else doc["entries"]
+    entries[0][0] += shift
+    moved = path.with_name("moved-" + path.name)
+    moved.write_text(json.dumps(doc))
+    return str(moved)
+
+
+def test_verify_measures_the_trace_against_its_tol(tmp_path):
+    # verify loads each kind of extension file with its trace off and
+    # measures it against --tol; every command that builds on a file still
+    # refuses it at load: a check-sym certificate and its convert output
+    # moved by 2e-6 (outside the 1e-6 of a block), a full-space file and a
+    # dB = 3 check-bos certificate moved by 2e-8 (outside the 1e-8 of a state)
+    qubit, witness = gen_random_extendible(3, 2, 6)
+    rho2 = write_state(qubit, tmp_path / "rho2.state")
+    rho3 = write_state(planted_marginal(2, 3, 3, 1), tmp_path / "rho3.state")
+    cert, bos, full, plain = (tmp_path / n for n in ("cert.blocks", "cert.bos", "full.state", "plain.state"))
+    assert run_command(["check-sym", "--k", "3", "--in", rho2, "--cert", str(cert)])[0] == 0
+    assert run_command(["convert", "--k", "3", "--in", str(cert), "--out", str(bos)])[0] == 0
+    save_state(blocks_to_global(witness, build_schur_basis(3)), full)
+    assert run_command(["check-bos", "--k", "3", "--in", rho3, "--cert", str(plain)])[0] == 0
+    for ext, rho, shift, loose, refusal in (
+        (cert, rho2, 2e-6, "1e-5", r"weighted block trace \S+ is not 1 within 1e-06"),
+        (bos, rho2, 2e-6, "1e-5", r"weighted block trace \S+ is not 1 within 1e-06"),
+        (full, rho2, 2e-8, "1e-7", r"trace \S+ is not 1 within 1e-08"),
+        (plain, rho3, 2e-8, "1e-7", r"trace \S+ is not 1 within 1e-08"),
+    ):
+        moved = _moved(ext, shift)
+        code, report = run_command(["verify", "--k", "3", "--ext", moved, "--marginal", rho])
+        dev = re.search(r"^trace: FAIL \(deviation (\S+)\)$", report, re.M)
+        assert code == 2 and dev and float(dev.group(1)) == pytest.approx(shift, rel=1e-6), report
+        assert "status: FAIL\n" in report, report
+        code, report = run_command(["verify", "--k", "3", "--ext", moved, "--marginal", rho, "--tol", loose])
+        assert code == 0 and "trace: pass" in report and "status: PASS\n" in report, report
+        code, report = run_command(["convert", "--k", "3", "--in", moved, "--out", str(tmp_path / "out.bos")])
+        assert code == 1 and re.search(rf"^error: {re.escape(moved)}: {refusal}$", report, re.M), report
+        for command in (["check-sym", "--k", "3"], ["check-bos", "--k", "3"], ["tilde", "--k", "3"]):
+            code, report = run_command(command + ["--in", moved])
+            assert code == 1 and "status: ERROR" in report, report
+            if ext in (full, plain):
+                assert re.search(rf"^error: {re.escape(moved)}: {refusal}$", report, re.M), report
+
+
+def test_gen_refuses_a_negative_seed(tmp_path):
+    out = str(tmp_path / "rho.state")
+    code, report = run_command(["gen", "--k", "3", "--dA", "2", "--seed", "-1", "--out", out])
+    assert code == 1 and "error: seed must be a non-negative integer, got -1\nstatus: ERROR" in report, report
+    assert run_command(["gen", "--k", "3", "--dA", "2", "--seed", "0", "--out", out])[0] == 0
 
 
 def _pipeline(workdir):

@@ -345,6 +345,10 @@ def test_density_matrix_from_ket_and_marginal():
     # the norm is printed as a plain float, not as numpy's repr of its scalar
     with pytest.raises(ValueError, match=r"^ket norm 1\.4142135623730951 is not 1 within 1e-08$"):
         DensityMatrix.from_ket([1, 1], (2,))
+    # a ket within its norm check gives a state whose trace, (1 + 8e-9)^2, is
+    # outside the 1e-8 a checked DensityMatrix allows: it is built unchecked
+    near = DensityMatrix.from_ket([1 + 8e-9, 0], (2,))
+    assert near.matrix[0, 0] == (1 + 8e-9) ** 2 and abs(near.matrix[0, 0] - 1) > 1e-8
 
 
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 6))

@@ -41,7 +41,7 @@ def _scaled(full, scale):
     # the glue is linear, so the full state of a certificate
     # scaled by 1.01 is the scaled full state; the DensityMatrix checks of
     # gluing would refuse its trace
-    return DensityMatrix(scale * full.matrix, full.dims, atol=1.0, check_psd=False)
+    return DensityMatrix(scale * full.matrix, full.dims, checked=False)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -95,13 +95,13 @@ def test_sym_block_check_matches_the_full_space_check(dB):
             lift = np.kron(np.eye(dA), sym_isometry(k, dB))
 
             def lifted(x):
-                return DensityMatrix(lift @ x @ lift.T, dims, atol=1.0, check_psd=False)
+                return DensityMatrix(lift @ x @ lift.T, dims, checked=False)
 
             x, y = random_density(n, gen), random_density(n, gen)
             rho, other = (DensityMatrix(lifted(z).marginal((0, 1)), (dA, dB)) for z in (x, y))
             reports = []
             for block, marginal in ((x, rho), (x, other), (1.01 * x, rho), (_with_negative_eigenvalue(x), rho)):
-                got = verify_extension(DensityMatrix(block, (dA, n // dA), atol=1.0, check_psd=False), marginal, k)
+                got = verify_extension(DensityMatrix(block, (dA, n // dA), checked=False), marginal, k)
                 reports.append(got)
                 want = _verify_full(lifted(block), marginal, k, 1e-8)
                 assert got.by_construction and not want.by_construction

@@ -204,7 +204,7 @@ def test_generic_pair_solver_agrees_on_qubits():
     # certificate embeds to a valid two-leg extension
     lift = np.kron(np.eye(2), sym_isometry(2, 2))
     full = lift @ generic.certificate.matrix @ lift.T
-    sigma = DensityMatrix(full, (2, 2, 2), check_psd=False)
+    sigma = DensityMatrix(full, (2, 2, 2), checked=False)
     assert verify_extension(sigma, rho, 2, tol=1e-7).symmetric_ok
 
     assert solve_bosonic_k2_generic(singlet_state()).status == INFEASIBLE
@@ -214,13 +214,13 @@ def test_generic_pair_solver_agrees_on_qubits():
 def test_generic_pair_solver_certificates_verify(dA, dB):
     for seed in range(3):
         full = planted_two_copy(dA, dB, seed)
-        rho = DensityMatrix(full.marginal((0, 1)), (dA, dB), check_psd=False)
+        rho = DensityMatrix(full.marginal((0, 1)), (dA, dB), checked=False)
         report = solve_bosonic_k2_generic(rho)
         assert report.status == FEASIBLE, (dA, dB, seed)
         cert = report.certificate
         assert cert.dims == (dA, dB * (dB + 1) // 2)
         lift = np.kron(np.eye(dA), sym_isometry(2, dB))
-        sigma = DensityMatrix(lift @ cert.matrix @ lift.T, (dA, dB, dB), check_psd=False)
+        sigma = DensityMatrix(lift @ cert.matrix @ lift.T, (dA, dB, dB), checked=False)
         assert verify_extension(sigma, rho, 2, tol=1e-7).bosonic_ok, (dA, dB, seed)
 
 
@@ -497,7 +497,7 @@ def _assert_certificate_passes_the_checks_it_skips(report, k):
     assert type(cert) is BosonicState
     ((lam, block),) = cert.blocks.items()
     assert lam == YoungDiagram(k, 0) and not block.flags.writeable
-    checked = BlockState(k, cert.dA, cert.blocks, check_psd=False)
+    checked = BlockState(k, cert.dA, cert.blocks)
     assert checked.blocks[lam].tobytes() == block.tobytes()
     assert BosonicState(cert.dA, k, block).matrix.tobytes() == block.tobytes()
     assert abs(cert.weighted_trace - 1.0) <= 1e-8 + 64 * np.finfo(float).eps

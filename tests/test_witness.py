@@ -4,9 +4,12 @@ A witness (W, c) proves that rho has no extension on A tensor Sym^k(C^dB)
 when W tensor I, compressed to that space through the symmetric isometry,
 plus c I is PSD while tr(W rho) + c < 0. Here the compression is built from
 `schur.sym_isometry` and a plain Kronecker product, and the state's value is
-a plain trace.
+a plain trace. Where the isometry's dB^k rows are too many, the compression
+is built in the occupation basis from the hopping operators a_i^+ a_j
+(`occupation_compression`), which is pinned to the isometry's where both fit.
 """
 
+from itertools import product
 from math import sqrt
 
 import numpy as np
@@ -20,16 +23,44 @@ from symext.cli import run_command
 from symext.solver import INFEASIBLE, qutrit_counterexample, solve_bosonic, solve_bosonic_k2_generic, solve_symmetric
 
 
-def assert_witness_excludes(report, rho: DensityMatrix, k: int):
-    assert report.status == INFEASIBLE
-    assert report.certificate is None
-    dA, dB = rho.dims
-    w, c = report.witness.w, report.witness.c
+def lift_compression(w, dA, dB, k):
+    """W tensor I on A tensor B^k, compressed through the symmetric isometry."""
     # the rows of the lift are (A, B1) major, so with them split into (A, B1)
     # and the other legs, W acts on the first index alone: the compression
     # of W tensor I, without the dB^(k-1) identity
     lift = np.kron(np.eye(dA), sym_isometry(k, dB)).reshape(dA * dB, dB ** (k - 1), -1)
-    compressed = np.tensordot(lift.conj(), np.tensordot(w, lift, axes=(1, 0)), axes=([0, 1], [0, 1]))
+    return np.tensordot(lift.conj(), np.tensordot(w, lift, axes=(1, 0)), axes=([0, 1], [0, 1]))
+
+
+def occupation_compression(w, dA, dB, k):
+    """lift_compression(w, dA, dB, k), built in the occupation basis.
+
+    On the symmetric subspace W tensor I acts as the average of W over the k
+    legs, and the sum over legs of |i><j| on one leg is a_i^+ a_j, which takes
+    the occupation vector m to sqrt((m_i + 1 - [i = j]) m_j) times
+    m - e_j + e_i. The vectors are listed in descending lexicographic order,
+    the column order of `sym_isometry`.
+    """
+    occupations = sorted((n for n in product(range(k + 1), repeat=dB) if sum(n) == k), reverse=True)
+    index = {n: p for p, n in enumerate(occupations)}
+    hops = np.zeros((dB, dB, len(occupations), len(occupations)))
+    for q, m in enumerate(occupations):
+        for i, j in product(range(dB), repeat=2):
+            if m[j]:
+                n = list(m)
+                n[j] -= 1
+                n[i] += 1
+                hops[i, j, index[tuple(n)], q] = sqrt(n[i] * m[j]) / k
+    z = np.einsum("aibj,ijpq->apbq", w.reshape(dA, dB, dA, dB), hops)
+    return z.reshape(dA * len(occupations), -1)
+
+
+def assert_witness_excludes(report, rho: DensityMatrix, k: int, compression=lift_compression):
+    assert report.status == INFEASIBLE
+    assert report.certificate is None
+    dA, dB = rho.dims
+    w, c = report.witness.w, report.witness.c
+    compressed = compression(w, dA, dB, k)
     low = np.linalg.eigvalsh(compressed + c * np.eye(len(compressed)))[0]
     assert low >= -1e-12
     value = float(np.trace(w @ rho.matrix).real) + c
@@ -72,10 +103,12 @@ def test_qutrit_counterexample_witness():
     assert_witness_excludes(solve_bosonic_k2_generic(rho), rho, 2)
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(2, 17))
 def test_qutrit_counterexample_is_excluded_at_every_k(tmp_path, k):
     # no bosonic 2-extension, so none with more legs: check-bos says so, and
-    # the witness of the one solve behind it passes the stricter check
+    # the witness of the one solve behind it passes the stricter check, on
+    # the occupation-basis compression; up to k = 8, where the isometry's
+    # 3^k rows are affordable, that compression equals the lift's
     rho, _, _ = qutrit_counterexample()
     path = tmp_path / "qutrit.state"
     save_state(rho, path)
@@ -83,5 +116,8 @@ def test_qutrit_counterexample_is_excluded_at_every_k(tmp_path, k):
     assert code == 2 and "\nstatus: INFEASIBLE\n" in report, report
     assert not (tmp_path / "cert").exists()
     solved = solve_bosonic(rho, k)
-    assert_witness_excludes(solved, rho, k)
+    if k <= 8:
+        w = solved.witness.w
+        assert np.allclose(occupation_compression(w, 3, 3, k), lift_compression(w, 3, 3, k), rtol=0, atol=1e-12)
+    assert_witness_excludes(solved, rho, k, occupation_compression)
     assert f"witness: tr(W rho) + c = {solved.witness.value(rho):.6e}\n" in report
