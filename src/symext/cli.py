@@ -2,8 +2,9 @@
 
 Every subcommand prints a report whose content above the "--- timings ---"
 marker is a deterministic function of the arguments and input files; wall
-times go below the marker. Exit codes: 0 FEASIBLE/PASS, 2 INFEASIBLE/FAIL,
-3 UNDECIDED, 1 usage or file errors.
+times go below the marker; with --help the help text is the report. Exit
+codes: 0 FEASIBLE/PASS or help, 2 INFEASIBLE/FAIL, 3 UNDECIDED, 1 usage or
+file errors.
 
 check-sym, check-bos and check-bos2 share one handler and one solve,
 `solver.solve_bosonic`. check-sym takes a qubit B side only: there a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 import time
@@ -40,8 +42,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """--help was given; the message is the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        # a fixed width, so that the help text does not depend on the terminal
+        kwargs.setdefault("formatter_class", functools.partial(argparse.HelpFormatter, width=80))
         super().__init__(*args, **kwargs)
         # a negative number in any form float() reads, like -1e-8 or -inf, is a
         # value, not an option
@@ -50,6 +58,10 @@ class _Parser(argparse.ArgumentParser):
     # exit code 1 for bad usage, and no direct sys.exit from library calls
     def error(self, message):
         raise _UsageError(message)
+
+    # --help makes the help text the report, with exit code 0
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _num(x: float) -> str:
@@ -249,6 +261,9 @@ def run_command(argv) -> tuple[int, str]:
     try:
         args = build_parser().parse_args(list(argv))
         code = args.func(args, lines, timings)
+    except _Help as text:
+        lines.append(str(text).rstrip("\n"))
+        code = 0
     except (_UsageError, mio.MatrixFileError, OSError, ValueError) as exc:
         # a failure after a verdict, such as a file that cannot be written,
         # makes ERROR the report's only status
@@ -265,7 +280,12 @@ def run_command(argv) -> tuple[int, str]:
 
 def main(argv=None) -> None:
     code, report = run_command(sys.argv[1:] if argv is None else argv)
-    print(report)
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        # the reader is gone, as after `| head`: the rest of the report goes
+        # to devnull, the flush at exit too, and the report's code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -66,20 +66,19 @@ on the (rows, 2) float pair view of a complex vector (`_real_times`): b is
 viewed once per solve, and a complex view is taken only where complex
 numbers are needed, to gather or scatter the block's entries, for the Farkas
 vector and its tests. The map depends only on the shape (k, dA, dB) of the
-problem, not on the state. It is built in closed form in the occupation
-basis |n> of Sym^k(C^dB): tracing out B2..Bk takes |n><m| to sqrt(n_i m_j) /
-k times |i><j| when m = n - e_i + e_j, and to zero otherwise. The map keeps
-only the columns of the entries it touches and is cached, read-only, with
-its Gram pseudo-inverse under the key (k, dA, dB); only the target vector is
-built per state, and the affine projection works on the touched entries
-alone. At the block cap (k = 64, dA = 4, dB = 2) the map takes 1.6 MB. The
-cache evicts the least recently used maps once they hold more than 64 MB
-together. Pair maps grow about as dB^5 (4.3 MiB at dA = 2, dB = 8; 133 MiB
-at dB = 16), so a map whose dense array would exceed
-`caps.DENSE_BYTES_LIMIT` (1 GiB) is refused with a ValueError before it is
-allocated (at dA = 2, from dB = 25 on), and so is a problem whose block
-would take more than that in a DR iteration (`_sym_map`; at dA = dB = 3,
-from k = 43 on).
+problem, not on the state. One function, `_sym_map`, builds it in closed
+form in the occupation basis of Sym^k(C^dB), keeping only the columns of
+the entries it touches, and one cache, `constraint_map`, holds it,
+read-only, with its Gram pseudo-inverse under the key (k, dA, dB); only the
+target vector is built per state, and the affine projection works on the
+touched entries alone. At the block cap (k = 64, dA = 4, dB = 2) the map
+takes 1.6 MB. The cache evicts the least recently used maps once they hold
+more than 64 MB together. At k = 2 the map grows about as dB^5 (4.3 MiB at dA = 2,
+dB = 8; 133 MiB at dB = 16). `_sym_map` refuses with a ValueError, before it
+allocates either, a problem whose block would take more than
+`caps.DENSE_BYTES_LIMIT` (1 GiB) in a DR iteration (at dA = dB = 3, from
+k = 43 on), then one whose dense map would (at dA = 2, k = 2, from dB = 25
+on).
 """
 
 from __future__ import annotations
@@ -153,8 +152,10 @@ class SolverReport:
     witness: Witness | None = None
 
 
-# Bound on the bytes of the cached constraint maps: room for many shapes, so
+# The cached constraint maps by key (k, dA, dB), least recently used first
+# (`constraint_map`), and the bound on their bytes: room for many shapes, so
 # that a batch cycling through a handful of them builds each map once.
+_MAPS: OrderedDict = OrderedDict()
 _MAP_CACHE_BYTES = 64 * 2**20
 
 
@@ -216,56 +217,6 @@ class _ConstraintMap:
     @property
     def nbytes(self) -> int:
         return self.cols.nbytes + self.amap.nbytes + self.gram_pinv.nbytes
-
-
-def _compact_map(n: int, dim_out: int, p, q, i, j, coeff) -> _ConstraintMap:
-    """Constraint map of a linear map from an n x n block to a marginal.
-
-    p, q, i, j and coeff are arrays of one length: entry (p, q) of the block
-    adds coeff (real) times itself to entry (i, j) of the dim_out x dim_out
-    marginal; repeated terms add up. The last row is the trace.
-    """
-    trace_row = dim_out * dim_out
-    rows = np.concatenate([i * dim_out + j, np.full(n, trace_row)])
-    cols = np.concatenate([p * n + q, np.arange(n) * (n + 1)])
-    vals = np.concatenate([coeff, np.ones(n)])
-    is_touched = np.zeros(n * n, dtype=bool)
-    is_touched[cols] = True
-    touched = np.flatnonzero(is_touched)
-    check_dense_bytes(
-        f"constraint map of a {n} x {n} block onto a {dim_out} x {dim_out} marginal", (trace_row + 1) * len(touched) * 8
-    )
-    flat = rows * len(touched) + np.searchsorted(touched, cols)
-    amap = np.bincount(flat, weights=vals, minlength=(trace_row + 1) * len(touched)).reshape(trace_row + 1, -1)
-    gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
-    for a in (touched, amap, gram_pinv):
-        a.flags.writeable = False
-    return _ConstraintMap(n, dim_out, touched, amap, amap.T, gram_pinv)
-
-
-class _MapCache:
-    """Constraint maps by key, least recently used first out, bounded in bytes.
-
-    The bound is `_MAP_CACHE_BYTES`, read at each eviction. The newest map
-    always stays, so one map larger than the bound is built once per solve
-    rather than refused.
-    """
-
-    def __init__(self):
-        self._maps: OrderedDict = OrderedDict()
-
-    def get(self, key, build) -> _ConstraintMap:
-        cmap = self._maps.get(key)
-        if cmap is not None:
-            self._maps.move_to_end(key)
-            return cmap
-        cmap = self._maps[key] = build()
-        while len(self._maps) > 1 and sum(m.nbytes for m in self._maps.values()) > _MAP_CACHE_BYTES:
-            self._maps.popitem(last=False)
-        return cmap
-
-
-_MAPS = _MapCache()
 
 
 def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
@@ -356,15 +307,16 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
 
 def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     """Map of a state on A tensor Sym^k(C^dB) to the (A, B1) marginal of its
-    embedding in A tensor B^k, and its trace.
+    embedding in A tensor B^k, and its trace: the solver's one map builder.
 
     The basis of Sym^k(C^dB) is the occupation vectors n, one per multiset of
     k legs in `itertools.combinations_with_replacement` order: the weight
     slots, ascending, for dB = 2, and the pairs i <= j for k = 2. Tracing out
     B2..Bk takes |n><m| to sqrt(n_i m_j) / k times |i><j| when n = r + e_i and
-    m = r + e_j for one multiset r of k - 1 legs, and to zero otherwise. The
-    block is charged first, at eight times its 16 n^2 bytes: a DR iteration
-    peaks at about seven blocks.
+    m = r + e_j for one multiset r of k - 1 legs, and to zero otherwise;
+    repeated terms add up, and the last row is the trace. The block is
+    charged first, at eight times its 16 n^2 bytes: a DR iteration peaks at
+    about seven blocks; then the dense map over the touched columns.
     """
     n = dA * comb(dB + k - 1, k)
     check_dense_bytes(f"the {n} x {n} block of A tensor Sym^{k}(C^{dB})", 8 * 16 * n * n)
@@ -378,15 +330,42 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
         for j in legs
     ]
     s, t, i, j, coeff = (np.array(x) for x in zip(*hops))
-    nsym = len(slot)
+    nsym, d = len(slot), dA * dB
+    trace_row = d * d
     a, c = (x[:, None] for x in np.divmod(np.arange(dA * dA), dA))
-    terms = np.broadcast_arrays(a * nsym + s, c * nsym + t, a * dB + i, c * dB + j, coeff)
-    return _compact_map(dA * nsym, dA * dB, *(x.ravel() for x in terms))
+    rows = np.concatenate([((a * dB + i) * d + c * dB + j).ravel(), np.full(n, trace_row)])
+    cols = np.concatenate([((a * nsym + s) * n + c * nsym + t).ravel(), np.arange(n) * (n + 1)])
+    vals = np.concatenate([np.tile(coeff, dA * dA), np.ones(n)])
+    # a mask, not np.unique, which imports numpy.ma (1.2 MB of RSS) on numpy 2.4
+    is_touched = np.zeros(n * n, dtype=bool)
+    is_touched[cols] = True
+    touched = np.flatnonzero(is_touched)
+    check_dense_bytes(
+        f"constraint map of a {n} x {n} block onto a {d} x {d} marginal", (trace_row + 1) * len(touched) * 8
+    )
+    flat = rows * len(touched) + np.searchsorted(touched, cols)
+    amap = np.bincount(flat, weights=vals, minlength=(trace_row + 1) * len(touched)).reshape(trace_row + 1, -1)
+    gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
+    for x in (touched, amap, gram_pinv):
+        x.flags.writeable = False
+    return _ConstraintMap(n, d, touched, amap, amap.T, gram_pinv)
 
 
 def constraint_map(k: int, dA: int, dB: int) -> _ConstraintMap:
-    """`_sym_map(k, dA, dB)`, cached: the solve's map and verify_extension's."""
-    return _MAPS.get((k, dA, dB), lambda: _sym_map(k, dA, dB))
+    """`_sym_map(k, dA, dB)`, cached in `_MAPS`: the solve's map and verify_extension's.
+
+    Past `_MAP_CACHE_BYTES`, read at each eviction, the least recently used
+    maps go first; the newest always stays, so a map above the bound is kept.
+    """
+    key = (k, dA, dB)
+    cmap = _MAPS.get(key)
+    if cmap is not None:
+        _MAPS.move_to_end(key)
+        return cmap
+    cmap = _MAPS[key] = _sym_map(k, dA, dB)
+    while len(_MAPS) > 1 and sum(m.nbytes for m in _MAPS.values()) > _MAP_CACHE_BYTES:
+        _MAPS.popitem(last=False)
+    return cmap
 
 
 def _certificate(k: int, dA: int, x: np.ndarray) -> BosonicState:

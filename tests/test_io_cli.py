@@ -1,6 +1,9 @@
 import json
+import os
 import re
+import sys
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -357,15 +360,14 @@ def test_a_run_whose_output_cannot_be_written_has_one_status(tmp_path, argv):
 def test_check_bos2_refuses_an_oversized_map(tmp_path, monkeypatch):
     from symext import caps, solver
 
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
     state = write_state(DensityMatrix(np.eye(16) / 16, (2, 8)), tmp_path / "big.state")
     code, report = run_command(["check-bos2", "--dB", "8", "--in", state])
     assert code == 1
     errors = [ln for ln in report.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "above the 1 MiB limit" in errors[0]
-    with pytest.raises(pytest.fail.Exception):
-        solver._MAPS.get((2, 2, 8), pytest.fail)
+    assert (2, 2, 8) not in solver._MAPS
 
 
 def test_check_bos2_is_check_bos_at_k2(tmp_path):
@@ -723,6 +725,40 @@ def test_main_prints_and_exits(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: FEASIBLE" in out
     assert MARKER in out
+
+
+def test_main_keeps_the_report_code_when_stdout_is_closed(tmp_path, monkeypatch):
+    # as after `symext check-sym ... | head -3`: the reader is gone before the
+    # report is written, and no BrokenPipeError escapes
+    singlet = write_state(singlet_state(), tmp_path / "singlet.state")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-sym", "--k", "2", "--in", singlet])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["check-sym", "--help"], ["verify", "-h"]])
+def test_help_is_the_report_with_exit_code_zero(argv, capsys, monkeypatch):
+    code, report = run_command(argv)
+    assert code == 0 and capsys.readouterr().out == ""
+    head, _ = report.split(MARKER)
+    usage = "usage: symext " + (argv[0] + " [-h] --k K" if len(argv) == 2 else "[-h] {check-sym,")
+    assert head.startswith(f"command: {' '.join(argv)}\n{usage}")
+    assert "status:" not in head and "error:" not in head
+    # the text is wrapped at a fixed width, whatever the terminal's
+    monkeypatch.setenv("COLUMNS", "40")
+    assert run_command(argv)[1].split(MARKER)[0] == head
+
+
+def test_main_prints_the_help_report(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-bos", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("command: check-bos --help\nusage: symext check-bos [-h]") and MARKER in out
 
 
 def test_convert_and_verify_parse_each_file_once(tmp_path, monkeypatch):

@@ -215,7 +215,7 @@ def _werner_least_norm_blocks():
     # threshold (k + 2) / (3k)
     psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     for k in range(2, 6):
-        cmap = solver._MAPS.get((k, 2, 2), lambda: solver._sym_map(k, 2, 2))
+        cmap = solver.constraint_map(k, 2, 2)
         for off in (-0.05, -0.005, 0.005, 0.05):
             p = (k + 2) / (3 * k) + off
             b = np.append((p * np.outer(psi, psi) + (1 - p) * np.eye(4) / 4).reshape(-1), 1.0)

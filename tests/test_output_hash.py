@@ -6,6 +6,7 @@ solve depend on the BLAS build.
 
 import importlib.util
 import pathlib
+from collections import OrderedDict
 
 from symext import schur, solver
 
@@ -21,9 +22,9 @@ def _tool():
 
 def test_the_grid_digest_does_not_depend_on_cache_state(monkeypatch):
     tool = _tool()
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     schur._build_schur_basis_cached.cache_clear()
     schur.sector_tables.cache_clear()
     cold = tool.grid_digest()
-    assert solver._MAPS._maps and schur.sector_tables.cache_info().currsize
+    assert solver._MAPS and schur.sector_tables.cache_info().currsize
     assert tool.grid_digest() == cold

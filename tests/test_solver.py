@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from math import sqrt
 
 import numpy as np
@@ -183,16 +184,16 @@ def test_rejects_bad_k():
 
 
 def test_sizes_must_be_integers_before_any_map_is_built(monkeypatch):
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     rho = product_state()
     for k in (3.0, True, np.True_, np.float64(3), "3"):
         with pytest.raises(ValueError, match="^k must be an integer, got "):
             solve_symmetric(rho, k)
-    assert not solver._MAPS._maps
+    assert not solver._MAPS
     # numpy integers are integers: the same solve, under the same map key
     report = solve_symmetric(rho, np.int64(3))
     assert report.status == FEASIBLE and report.certificate.k == 3
-    assert list(solver._MAPS._maps) == [(3, 2, 2)] and type(next(iter(solver._MAPS._maps))[0]) is int
+    assert list(solver._MAPS) == [(3, 2, 2)] and type(next(iter(solver._MAPS))[0]) is int
 
 
 def test_generic_pair_solver_agrees_on_qubits():
@@ -351,7 +352,7 @@ def test_pair_map_matches_embedding_loop(dA, dB):
 
 
 def test_constraint_map_is_cached_per_shape(monkeypatch):
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     built = []
     build = solver._sym_map
     monkeypatch.setattr(solver, "_sym_map", lambda *key: built.append(key) or build(*key))
@@ -362,7 +363,7 @@ def test_constraint_map_is_cached_per_shape(monkeypatch):
     warm = solve_symmetric(second, 5)
     assert len(built) == 1
 
-    cmap = solver._MAPS.get((5, 2, 2), pytest.fail)
+    cmap = solver._MAPS[(5, 2, 2)]
     for a in (cmap.cols, cmap.amap, cmap.gram_pinv):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
@@ -376,17 +377,39 @@ def test_constraint_map_is_cached_per_shape(monkeypatch):
 
 
 def test_cache_bound_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     monkeypatch.setattr(solver, "_MAP_CACHE_BYTES", 3000)
-    cache = solver._MapCache()
-    maps = {key: solver._sym_map(key, 1, 2) for key in (6, 7, 8)}
+    maps = {key: solver._sym_map(*key) for key in ((6, 1, 2), (7, 1, 2), (8, 1, 2))}
     assert all(1000 < m.nbytes < 1500 for m in maps.values())
-    for key in (6, 7, 6, 8):
-        assert cache.get(key, lambda key=key: maps[key]) is maps[key]
+    built = []
+    monkeypatch.setattr(solver, "_sym_map", lambda *key: built.append(key) or maps[key])
+    for k in (6, 7, 6, 8):
+        assert solver.constraint_map(k, 1, 2) is maps[(k, 1, 2)]
+    assert built == [(6, 1, 2), (7, 1, 2), (8, 1, 2)]
     # 6 was used after 7, so 7 goes first
-    assert cache.get(6, pytest.fail) is maps[6]
-    assert cache.get(8, pytest.fail) is maps[8]
-    with pytest.raises(pytest.fail.Exception):
-        cache.get(7, pytest.fail)
+    assert list(solver._MAPS) == [(6, 1, 2), (8, 1, 2)]
+    assert solver.constraint_map(6, 1, 2) is maps[(6, 1, 2)]
+    assert solver.constraint_map(8, 1, 2) is maps[(8, 1, 2)]
+    assert len(built) == 3
+    assert solver.constraint_map(7, 1, 2) is maps[(7, 1, 2)]
+    assert built[3:] == [(7, 1, 2)] and list(solver._MAPS) == [(8, 1, 2), (7, 1, 2)]
+
+
+def test_a_map_above_the_cache_bound_stays_as_the_newest(monkeypatch):
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
+    monkeypatch.setattr(solver, "_MAP_CACHE_BYTES", 3000)
+    built = []
+    build = solver._sym_map
+    monkeypatch.setattr(solver, "_sym_map", lambda *key: built.append(key) or build(*key))
+    solver.constraint_map(6, 1, 2)
+    rho = product_state()
+    first, second = solve_symmetric(rho, 3), solve_symmetric(rho, 3)
+    big = solver._MAPS[(3, 2, 2)]
+    assert big.nbytes > 3000
+    # the older map goes, the oversized one stays and is built once
+    assert list(solver._MAPS) == [(3, 2, 2)] and built == [(6, 1, 2), (3, 2, 2)]
+    assert solver.constraint_map(3, 2, 2) is big
+    assert first.status == second.status == FEASIBLE
 
 
 def test_block_cap_planted_state_is_feasible():
@@ -395,20 +418,19 @@ def test_block_cap_planted_state_is_feasible():
     report = solve_symmetric(rho, k)
     assert report.status == FEASIBLE
     assert np.linalg.norm(marginal_from_blocks(report.certificate).matrix - rho.matrix) <= 1e-8
-    cmap = solver._MAPS.get((k, dA, 2), pytest.fail)
+    cmap = solver._MAPS[(k, dA, 2)]
     assert cmap.n == dA * (k + 1)
     assert cmap.nbytes < 2 * 2**20
 
 
 def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
     # the dA = 2, dB = 8 pair map takes 3.8 MiB dense, over a 1 MiB bound
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     monkeypatch.setattr(caps, "DENSE_BYTES_LIMIT", 2**20)
     rho = DensityMatrix(np.eye(16) / 16, (2, 8))
     with pytest.raises(ValueError, match=r"needs 3\.8 MiB, above the 1 MiB limit"):
         solve_bosonic_k2_generic(rho)
-    with pytest.raises(pytest.fail.Exception):
-        solver._MAPS.get((2, 2, 8), pytest.fail)
+    assert (2, 2, 8) not in solver._MAPS
     # smaller shapes are still built
     assert solve_bosonic_k2_generic(DensityMatrix(np.eye(6) / 6, (2, 3))).status == FEASIBLE
 
@@ -416,11 +438,11 @@ def test_oversized_map_is_refused_before_it_is_built(monkeypatch):
 def test_a_block_above_the_dense_limit_is_refused_before_its_map(monkeypatch):
     # a DR iteration holds about seven n x n blocks, so the block is charged
     # eight times its bytes: at dA = dB = 3, n = 3 C(k + 2, 2) passes to k = 42
-    monkeypatch.setattr(solver, "_MAPS", solver._MapCache())
+    monkeypatch.setattr(solver, "_MAPS", OrderedDict())
     rho = DensityMatrix(np.eye(9) / 9, (3, 3))
     with pytest.raises(ValueError, match=r"^the 2970 x 2970 block of A tensor Sym\^43\(C\^3\) needs 1076\.8 MiB, above"):
         solve_bosonic(rho, 43)
-    assert not solver._MAPS._maps
+    assert not solver._MAPS
     with pytest.raises(ValueError, match=r"^k=65 outside 1\.\.64$"):
         solve_bosonic(rho, 65)
 
@@ -554,7 +576,7 @@ def test_witness_multiplier_is_the_pseudo_inverse_image_of_the_residual():
     # y, since A P_aff(z) = Pi b for every z and G Pi = G
     for rho, k in _werner_singlet_and_qutrit():
         dA, dB = rho.dims
-        cmap = solver._MAPS.get((k, dA, dB), lambda: solver._sym_map(k, dA, dB))
+        cmap = solver.constraint_map(k, dA, dB)
         a, g, cols = cmap.amap, cmap.gram_pinv, cmap.cols
         b = np.concatenate([rho.matrix.reshape(-1), [1.0]])
 
