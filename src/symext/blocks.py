@@ -183,13 +183,12 @@ def gen_random_extendible(k: int, dA: int, seed: int, profile: str = PROFILE_ALL
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
-    k, dA, seed = integer_size("k", k), integer_size("dA", dA), integer_size("seed", seed)
+    # before any block is drawn: the blocks of a large k alone can exhaust memory
+    k, dA, seed = block_k(k), integer_size("dA", dA), integer_size("seed", seed)
     if not 1 <= dA <= 4:
         raise ValueError(f"A dimension {dA} outside 1..4")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    # before any block is drawn: the blocks of a large k alone can exhaust memory
-    block_k(k)
     diagrams = list_diagrams(k)
     if profile == PROFILE_EXCLUDE_BOSONIC:
         diagrams = diagrams[1:]

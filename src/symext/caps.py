@@ -1,14 +1,17 @@
 """Size policy, and the check of a size argument.
 
-Block-coordinate work caps k at BLOCK_CAP. A dense array over the full 2^k
-space, or a constraint map, is refused with a ValueError before it is
-allocated when the bytes charged for it would exceed DENSE_BYTES_LIMIT
-(1 GiB). A full-space array is charged the peak of the call that builds it,
-not only its own bytes: the Schur basis (8 * 4^k bytes, built at a peak of
-about twice that) is charged 3 * 8 * 4^k and refused above k = 12; a glued
-state (16 (dA 2^k)^2 bytes, built at a peak of about three times that) is
-charged 4 * 16 (dA 2^k)^2 and refused above dA 2^k = 4096: above k = 12, 11,
-10 and 10 at dA = 1..4.
+Two rules check k. `block_k` takes k in 1..BLOCK_CAP, for block-coordinate
+work: the solves, both block-state types, `gen_random_extendible`,
+`verify_extension` and `build_schur_basis`. `convert.tilde_state` and
+`young.list_diagrams` build no block and take any integer k >= 1. A dense
+array over the full 2^k space, or a constraint map, is refused with a
+ValueError before it is allocated when the bytes charged for it would exceed
+DENSE_BYTES_LIMIT (1 GiB). A full-space array is charged the peak of the
+call that builds it, not only its own bytes: the Schur basis (8 * 4^k bytes,
+built at a peak of about twice that) is charged 3 * 8 * 4^k and refused
+above k = 12; a glued state (16 (dA 2^k)^2 bytes, built at a peak of about
+three times that) is charged 4 * 16 (dA 2^k)^2 and refused above dA 2^k =
+4096: above k = 12, 11, 10 and 10 at dA = 1..4.
 """
 
 from __future__ import annotations

@@ -190,8 +190,7 @@ def _verify_sym(sigma: DensityMatrix, rho_ab: DensityMatrix, k: int, tol: float)
     real constraint map with the (rows, 2) float pairs of the touched entries
     gives the marginal's entries and, in its last row, the trace."""
     dA, dB = rho_ab.dims
-    # the cap of every state on A tensor Sym^k, as in the solve and BosonicState
-    cmap = constraint_map(block_k(k), dA, dB)
+    cmap = constraint_map(k, dA, dB)
     x = sigma.matrix
     low = float(eigvalsh(x)[0])
     touched = x.reshape(-1)[cmap.cols]
@@ -205,16 +204,16 @@ def verify_extension(sigma, rho_ab: DensityMatrix, k: int, tol: float = 1e-8) ->
     """Check an extension candidate against its claimed pair marginal.
 
     A BlockState certificate, a BosonicState among them, is checked in sector
-    coordinates at every k; a full-space DensityMatrix is checked in the full
-    space. For k >= 2 a DensityMatrix of layout (dA, C(dB + k - 1, k)), with
-    (dA, dB) the marginal's, is a state on A tensor Sym^k(C^dB) in
-    `sym_isometry(k, dB)` column order, as `solver.solve_bosonic` makes it
-    (`is_bosonic_layout`), and is checked on its block with the solver's
-    `constraint_map(k, dA, dB)`, whose charge bounds it as it bounds the
-    solve. tol must be finite and not negative: an infinite one would pass
-    any candidate, and a NaN would fail every check.
+    coordinates; a full-space DensityMatrix is checked in the full space. For
+    k >= 2 a DensityMatrix of layout (dA, C(dB + k - 1, k)), with (dA, dB) the
+    marginal's, is a state on A tensor Sym^k(C^dB) in `sym_isometry(k, dB)`
+    column order, as `solver.solve_bosonic` makes it (`is_bosonic_layout`),
+    and is checked on its block with the solver's `constraint_map(k, dA, dB)`,
+    whose charge bounds it as it bounds the solve. k must be in 1..64
+    (`caps.block_k`), and tol finite and not negative: an infinite tol would
+    pass any candidate, and a NaN would fail every check.
     """
-    k = integer_size("k", k)
+    k = block_k(k)
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and not negative, got {float(tol)!r}")
     if isinstance(sigma, BlockState):

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .caps import check_dense_bytes, integer_size
+from .caps import block_k, check_dense_bytes
 from .young import YoungDiagram, hook_dim, list_diagrams
 
 
@@ -39,11 +39,9 @@ def build_schur_basis(k: int) -> MappingProxyType:
     array of shape (2^k, paths, weights), with coupling paths in
     lexicographic order and weights ascending. It takes 8 * 4^k bytes; the
     build peaks at about twice that, the last coupling level beside the
-    stacked sectors, and is charged three times.
+    stacked sectors, and is charged three times. k is in 1..64 (`caps.block_k`).
     """
-    k = integer_size("k", k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = block_k(k)
     check_dense_bytes(f"the Schur basis of k={k}", 3 * 8 * 4**k)
     return _build_schur_basis_cached(k)
 

@@ -1,6 +1,8 @@
 import json
 import os
+import pathlib
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import OrderedDict
@@ -8,10 +10,11 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+import symext
 from conftest import planted_marginal, planted_two_copy, product_state, random_density, singlet_state
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, blocks_to_global, gen_random_extendible, marginal_from_blocks
 from symext.cli import main, run_command
-from symext.convert import BosonicState, sym_to_bos
+from symext.convert import BosonicState, sym_to_bos, verify_extension
 from symext.io import (
     MatrixFileError,
     _entries_chunks,
@@ -715,6 +718,58 @@ def test_usage_errors_exit_one(tmp_path):
     save_matrix_file(zero, np.eye(2) / 2, [2, "sym(0)"])
     code, report = run_command(["verify", "--k", "0", "--ext", str(zero), "--marginal", good])
     assert code == 1 and f"error: {zero}: k=0 outside 1..64\nstatus: ERROR" in report
+
+
+@pytest.mark.parametrize("k", [0, -3, 65])
+def test_verify_refuses_a_k_outside_the_block_range_for_every_file_kind(tmp_path, k):
+    # one rule, caps.block_k, for every kind of extension file: a report that
+    # ends in one error line, never a traceback, and the library raises it too
+    rho, witness = gen_random_extendible(3, 2, 4)
+    marginal = write_state(rho, tmp_path / "rho.state")
+    files = {
+        "one-factor": write_state(DensityMatrix(np.eye(4) / 4, (4,)), tmp_path / "one.state"),
+        "two-factor": marginal,
+        "full-space": write_state(blocks_to_global(witness, build_schur_basis(3)), tmp_path / "full.state"),
+        "blocks": str(tmp_path / "cert.blocks"),
+        "bosonic": str(tmp_path / "sigma.state"),
+    }
+    assert run_command(["check-sym", "--k", "3", "--in", marginal, "--cert", files["blocks"]])[0] == 0
+    assert run_command(["convert", "--k", "3", "--in", files["blocks"], "--out", files["bosonic"]])[0] == 0
+    message = f"k={k} outside 1..64"
+    for kind, path in files.items():
+        code, report = run_command(["verify", "--k", str(k), "--ext", path, "--marginal", marginal])
+        assert code == 1 and above_marker(report).endswith(f"\nerror: {message}\nstatus: ERROR\n"), (kind, report)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_extension(load_extension(path, checked=False), rho, k)
+
+
+@pytest.mark.parametrize("k", [0, -3, 65])
+def test_every_command_ends_in_one_error_line_at_a_k_outside_the_block_range(tmp_path, k):
+    marginal = write_state(gen_random_extendible(3, 2, 4)[0], tmp_path / "rho.state")
+    commands = [
+        ["gen", "--dA", "2", "--seed", "0", "--out", str(tmp_path / "gen.state")],
+        ["check-sym", "--in", marginal],
+        ["check-bos", "--in", marginal],
+        ["convert", "--in", marginal, "--out", str(tmp_path / "sigma.state")],
+    ]
+    # tilde builds no block: it takes any k >= 1
+    if k < 1:
+        commands.append(["tilde", "--in", marginal])
+    else:
+        assert run_command(["tilde", "--k", str(k), "--in", marginal])[0] == 0
+    for argv in commands:
+        code, report = run_command([argv[0], "--k", str(k), *argv[1:]])
+        head = above_marker(report)
+        assert code == 1 and head.count("error:") == 1 and head.endswith("\nstatus: ERROR\n"), report
+
+
+def test_the_module_runs_as_a_program():
+    # the one statement no in-process test reaches: main() under the
+    # `__main__` guard, run in a child process on this package's sources
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symext.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "symext.cli", "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("command: --help\nusage: symext [-h] {check-sym,") and MARKER in proc.stdout
 
 
 def test_main_prints_and_exits(tmp_path, capsys):

@@ -333,8 +333,9 @@ def test_sector_tables_over_the_block_cap():
 
 
 def test_build_rejects_bad_k():
-    with pytest.raises(ValueError, match="^k must be at least 1$"):
-        build_schur_basis(0)
+    for k in (0, 65):
+        with pytest.raises(ValueError, match=f"^k={k} outside 1\\.\\.64$"):
+            build_schur_basis(k)
     for k in (2.0, True):
         with pytest.raises(ValueError, match="^k must be an integer, got "):
             build_schur_basis(k)

@@ -7,8 +7,12 @@ plus c I is PSD while tr(W rho) + c < 0. Here the compression is built from
 a plain trace. Where the isometry's dB^k rows are too many, the compression
 is built in the occupation basis from the hopping operators a_i^+ a_j
 (`occupation_compression`), which is pinned to the isometry's where both fit.
+The verdicts, certificates and witnesses of the werner grid are also checked
+to follow a local unitary or an isometry on A.
 """
 
+from dataclasses import replace
+from functools import reduce
 from itertools import product
 from math import sqrt
 
@@ -16,11 +20,13 @@ import numpy as np
 import pytest
 
 from conftest import cjklz_margin, random_two_qubit_states, singlet_state
+from symext.blocks import BosonicState
+from symext.convert import verify_extension
 from symext.io import save_state
 from symext.linalg import DensityMatrix
 from symext.schur import sym_isometry
 from symext.cli import run_command
-from symext.solver import INFEASIBLE, qutrit_counterexample, solve_bosonic, solve_bosonic_k2_generic, solve_symmetric
+from symext.solver import FEASIBLE, INFEASIBLE, qutrit_counterexample, solve_bosonic, solve_bosonic_k2_generic, solve_symmetric
 
 
 def lift_compression(w, dA, dB, k):
@@ -82,6 +88,43 @@ def test_werner_witnesses_above_the_threshold(k):
     for off in (0.05, 0.005, 0.002, 1e-3, 1e-4):
         rho = _werner(pc + off)
         assert_witness_excludes(solve_symmetric(rho, k), rho, k)
+
+
+def _haar_columns(rng, n, m):
+    """The first m columns of a Haar-random n x n unitary."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * (np.diag(r) / abs(np.diag(r))))[:, :m]
+
+
+# three Haar-random U tensor V, and one isometry C^2 -> C^3 on A with the
+# identity on B, drawn once from a fixed seed
+_RNG = np.random.default_rng(2018)
+_LOCAL_MAPS = [(_haar_columns(_RNG, 2, 2), _haar_columns(_RNG, 2, 2)) for _ in range(3)]
+_LOCAL_MAPS.append((_haar_columns(_RNG, 3, 2), np.eye(2)))
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_werner_verdicts_follow_local_maps(k):
+    # on the werner grid of the benchmark, decided at the first iteration: a
+    # local map keeps the verdict, U tensor D_k(V), with D_k(V) = S^T V^(x k) S
+    # on Sym^k(C^2), maps the certificate to one of the mapped state, and a
+    # local unitary maps the witness to one of the mapped state
+    iso = sym_isometry(k, 2)
+    for off in (0.05, -0.05, 0.005, -0.005, -0.002):
+        rho = _werner((k + 2) / (3 * k) + off)
+        report = solve_symmetric(rho, k)
+        assert report.iterations == 1
+        for u, v in _LOCAL_MAPS:
+            uv = np.kron(u, v)
+            mapped = DensityMatrix(uv @ rho.matrix @ uv.conj().T, (len(u), 2))
+            assert solve_symmetric(mapped, k).status == report.status, (off, u.shape)
+            if report.status == FEASIBLE:
+                m = np.kron(u, iso.T @ reduce(np.kron, [v] * k) @ iso)
+                sigma = BosonicState(len(u), k, m @ report.certificate.matrix @ m.conj().T)
+                assert verify_extension(sigma, mapped, k).bosonic_ok, (off, u.shape)
+            elif len(u) == 2:
+                witness = replace(report.witness, w=uv @ report.witness.w @ uv.conj().T)
+                assert_witness_excludes(replace(report, witness=witness), mapped, k)
 
 
 def test_cjklz_witnesses():
