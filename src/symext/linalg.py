@@ -14,16 +14,19 @@ that `numpy.linalg` itself calls, `numpy.linalg._umath_linalg.cholesky_lo`,
 `D->d`, so every output equals numpy's bit for bit; it skips only the
 wrapper's type resolution and shape checks, which a square complex input
 does not need. Each call runs under numpy's own error state for these
-gufuncs: `invalid="call"` with a raiser of `LinAlgError`, and `over`,
-`divide` and `under` ignored. So a failed factorization raises as it does in
-numpy (where `is_positive_definite` answers False instead), and a user's
-`np.seterr` changes nothing. The two error states, one per raiser, are built
-once at import with `numpy._core.umath._make_extobj`; a call sets numpy's
-`_extobj_contextvar` to one and resets the token in a `finally` block, which
-is what `np.errstate` does, less the building of a new state and a context
-manager on every call. An error state also holds the ufunc buffer size, so
-the prebuilt ones keep the `np.getbufsize()` of import time; these gufuncs
-do not buffer, and the caller's buffer size is back once a call returns.
+gufuncs: `invalid="call"`, `over`, `divide` and `under` ignored, and a
+raiser of `LinAlgError("Eigenvalues did not converge")`, numpy's own for
+eigh and eigvalsh. So a failed factorization raises as it does in numpy,
+and a user's `np.seterr` changes nothing. A failed Cholesky test raises the
+same `LinAlgError`, which `is_positive_definite` catches to answer False,
+so no caller sees its message. That one error state is built once at
+import with `numpy._core.umath._make_extobj`; `_lapack`, through which all
+three calls go, sets numpy's `_extobj_contextvar` to it and resets the
+token in a `finally` block, which is what `np.errstate` does, less the
+building of a new state and a context manager on every call. An error
+state also holds the ufunc buffer size, so the prebuilt one keeps the
+`np.getbufsize()` of import time; these gufuncs do not buffer, and the
+caller's buffer size is back once a call returns.
 On a 10 x 10 complex PD block `np.linalg.cholesky` took 4.7 us, the bare
 gufunc 1.8 us, and `is_positive_definite` 3.4 us under a fresh
 `np.errstate` against 2.3 us with a prebuilt state; `eigvalsh` took 9.3 us
@@ -55,22 +58,23 @@ from .caps import integer_size
 _EPS = np.finfo(float).eps
 _TOL = 1e-8  # of every DensityMatrix check: Hermitian deviation, trace and positivity
 
-# numpy.linalg's error state around its LAPACK gufuncs: a failed
-# factorization sets the invalid flag, which calls the raiser
-_LAPACK_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
-
-
-def _not_positive_definite(err, flag):
-    raise LinAlgError("Matrix is not positive definite")
-
-
 def _no_convergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
-# the error states np.errstate would build on each call, built once
-_CHOLESKY_STATE = _make_extobj(call=_not_positive_definite, **_LAPACK_FLAGS)
-_EIGEN_STATE = _make_extobj(call=_no_convergence, **_LAPACK_FLAGS)
+# numpy.linalg's error state around its LAPACK gufuncs, built once where
+# np.errstate would build it on every call: a failed factorization sets the
+# invalid flag, which calls the raiser
+_LAPACK_STATE = _make_extobj(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _lapack(gufunc, h: np.ndarray, signature: str):
+    """gufunc(h) under _LAPACK_STATE, with the caller's error state back after."""
+    token = _extobj_contextvar.set(_LAPACK_STATE)
+    try:
+        return gufunc(h, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def is_positive_definite(h: np.ndarray) -> bool:
@@ -79,32 +83,21 @@ def is_positive_definite(h: np.ndarray) -> bool:
     It reads the lower triangle alone, as np.linalg.cholesky does, and is
     False exactly where np.linalg.cholesky raises LinAlgError.
     """
-    token = _extobj_contextvar.set(_CHOLESKY_STATE)
     try:
-        _umath_linalg.cholesky_lo(h, signature="D->D")
+        _lapack(_umath_linalg.cholesky_lo, h, "D->D")
     except LinAlgError:
         return False
-    finally:
-        _extobj_contextvar.reset(token)
     return True
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) of np.linalg.eigh(h) for a square complex h, bit for bit."""
-    token = _extobj_contextvar.set(_EIGEN_STATE)
-    try:
-        return _umath_linalg.eigh_lo(h, signature="D->dD")
-    finally:
-        _extobj_contextvar.reset(token)
+    return _lapack(_umath_linalg.eigh_lo, h, "D->dD")
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(h) for a square complex h, bit for bit."""
-    token = _extobj_contextvar.set(_EIGEN_STATE)
-    try:
-        return _umath_linalg.eigvalsh_lo(h, signature="D->d")
-    finally:
-        _extobj_contextvar.reset(token)
+    return _lapack(_umath_linalg.eigvalsh_lo, h, "D->d")
 
 
 def hermitian_part(x: np.ndarray, atol: float, nonfinite: str, not_hermitian: str) -> np.ndarray:

@@ -317,7 +317,7 @@ def test_a_failed_factorization_is_silent_under_any_error_state():
         with np.errstate(all="raise", call=recorder):
             check_each_call()
         # a user's "call" state would swallow a failure the seam did not own;
-        # the buffer size differs from the one the seam's states were built with
+        # the buffer size differs from the one the seam's state was built with
         with np.errstate(all="call", call=recorder):
             np.setbufsize(2 * np.getbufsize())
             check_each_call()

@@ -7,8 +7,9 @@ plus c I is PSD while tr(W rho) + c < 0. Here the compression is built from
 a plain trace. Where the isometry's dB^k rows are too many, the compression
 is built in the occupation basis from the hopping operators a_i^+ a_j
 (`occupation_compression`), which is pinned to the isometry's where both fit.
-The verdicts, certificates and witnesses of the werner grid are also checked
-to follow a local unitary or an isometry on A.
+The verdicts, certificates and witnesses of the werner grid, and of a random
+draw that needs DR iterations, are also checked to follow a local unitary or
+an isometry on A.
 """
 
 from dataclasses import replace
@@ -42,10 +43,20 @@ def occupation_compression(w, dA, dB, k):
     """lift_compression(w, dA, dB, k), built in the occupation basis.
 
     On the symmetric subspace W tensor I acts as the average of W over the k
-    legs, and the sum over legs of |i><j| on one leg is a_i^+ a_j, which takes
-    the occupation vector m to sqrt((m_i + 1 - [i = j]) m_j) times
-    m - e_j + e_i. The vectors are listed in descending lexicographic order,
-    the column order of `sym_isometry`.
+    legs, and the sum over legs of |i><j| on one leg is a_i^+ a_j
+    (`hopping_operators`).
+    """
+    hops = hopping_operators(dB, k) / k
+    z = np.einsum("aibj,ijpq->apbq", w.reshape(dA, dB, dA, dB), hops)
+    return z.reshape(dA * hops.shape[2], -1)
+
+
+def hopping_operators(dB, k):
+    """a_i^+ a_j on Sym^k(C^dB) for every i, j, as an array indexed [i, j].
+
+    a_i^+ a_j takes the occupation vector m to sqrt((m_i + 1 - [i = j]) m_j)
+    times m - e_j + e_i. The vectors are listed in descending lexicographic
+    order, the column order of `sym_isometry`.
     """
     occupations = sorted((n for n in product(range(k + 1), repeat=dB) if sum(n) == k), reverse=True)
     index = {n: p for p, n in enumerate(occupations)}
@@ -56,9 +67,8 @@ def occupation_compression(w, dA, dB, k):
                 n = list(m)
                 n[j] -= 1
                 n[i] += 1
-                hops[i, j, index[tuple(n)], q] = sqrt(n[i] * m[j]) / k
-    z = np.einsum("aibj,ijpq->apbq", w.reshape(dA, dB, dA, dB), hops)
-    return z.reshape(dA * len(occupations), -1)
+                hops[i, j, index[tuple(n)], q] = sqrt(n[i] * m[j])
+    return hops
 
 
 def assert_witness_excludes(report, rho: DensityMatrix, k: int, compression=lift_compression):
@@ -101,6 +111,8 @@ def _haar_columns(rng, n, m):
 _RNG = np.random.default_rng(2018)
 _LOCAL_MAPS = [(_haar_columns(_RNG, 2, 2), _haar_columns(_RNG, 2, 2)) for _ in range(3)]
 _LOCAL_MAPS.append((_haar_columns(_RNG, 3, 2), np.eye(2)))
+# and for the random draw, one more isometry C^2 -> C^4 on A, drawn after them
+_DRAW_MAPS = _LOCAL_MAPS + [(_haar_columns(_RNG, 4, 2), np.eye(2))]
 
 
 @pytest.mark.parametrize("k", range(2, 6))
@@ -125,6 +137,51 @@ def test_werner_verdicts_follow_local_maps(k):
             elif len(u) == 2:
                 witness = replace(report.witness, w=uv @ report.witness.w @ uv.conj().T)
                 assert_witness_excludes(replace(report, witness=witness), mapped, k)
+
+
+def symmetric_power(v, k):
+    """D_k(V) = S^T V^(x k) S on Sym^k(C^2), for a unitary V, without V^(x k).
+
+    With V = exp(iH), D_k(V) = exp(i dpi(H)) for dpi(H) = sum_ij H_ij a_i^+ a_j,
+    built in the weight basis of `hopping_operators`.
+    """
+    phases, q = np.linalg.eig(v)
+    h = q @ np.diag(np.angle(phases)) @ np.linalg.inv(q)
+    lam, p = np.linalg.eigh(np.einsum("ij,ijpq->pq", (h + h.conj().T) / 2, hopping_operators(2, k)))
+    return (p * np.exp(1j * lam)) @ p.conj().T
+
+
+@pytest.mark.parametrize("k, count", [(8, 16), (64, 6)])
+def test_random_draw_verdicts_follow_local_maps(k, count):
+    # the laws of the werner test on a random draw that needs DR iterations,
+    # where D_k(V) is built in the weight basis, pinned to S^T V^(x 8) S at
+    # k = 8; and a mixture of consecutive FEASIBLE certificates is one of
+    # the mixed states
+    iso = sym_isometry(8, 2)
+    for _, v in _DRAW_MAPS:
+        assert np.allclose(symmetric_power(v, 8), iso.T @ reduce(np.kron, [v] * 8) @ iso, rtol=0, atol=1e-12)
+    compression = lift_compression if k <= 8 else occupation_compression
+    feasible = []
+    for matrix in random_two_qubit_states(16, seed=7)[:count]:
+        rho = DensityMatrix(matrix, (2, 2))
+        report = solve_symmetric(rho, k)
+        assert report.status in (FEASIBLE, INFEASIBLE)
+        for u, v in _DRAW_MAPS:
+            uv = np.kron(u, v)
+            mapped = DensityMatrix(uv @ rho.matrix @ uv.conj().T, (len(u), 2))
+            assert solve_symmetric(mapped, k).status == report.status, u.shape
+            if report.status == FEASIBLE:
+                m = np.kron(u, symmetric_power(v, k))
+                sigma = BosonicState(len(u), k, m @ report.certificate.matrix @ m.conj().T)
+                assert verify_extension(sigma, mapped, k).bosonic_ok, u.shape
+            elif len(u) == 2:
+                witness = replace(report.witness, w=uv @ report.witness.w @ uv.conj().T)
+                assert_witness_excludes(replace(report, witness=witness), mapped, k, compression)
+        if report.status == FEASIBLE:
+            feasible.append((rho.matrix, report.certificate.matrix))
+    for (rho1, x1), (rho2, x2) in zip(feasible, feasible[1:]):
+        sigma = BosonicState(2, k, 0.3 * x1 + 0.7 * x2)
+        assert verify_extension(sigma, DensityMatrix(0.3 * rho1 + 0.7 * rho2, (2, 2)), k).bosonic_ok
 
 
 def test_cjklz_witnesses():
