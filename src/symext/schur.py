@@ -22,6 +22,7 @@ per diagram: all of them up to the block cap of 64 take about 6.8 MiB.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from math import sqrt
 from types import MappingProxyType
 
@@ -84,23 +85,21 @@ def _build_schur_basis_cached(k: int) -> MappingProxyType:
     return MappingProxyType(sectors)
 
 
-def sym_isometry(k: int, d: int) -> np.ndarray:
-    """Isometry from Sym^k(C^d), in the occupation basis, into k d-level legs.
+def sym_slots(k: int, d: int) -> dict[tuple[int, ...], int]:
+    """The column of each multiset of k legs over d levels, a sorted tuple, in
+    `itertools.combinations_with_replacement(range(d), k)` order: the column order
+    of Sym^k(C^d) in the solver's constraint maps, `sym_isometry` and certificate files."""
+    return {legs: s for s, legs in enumerate(combinations_with_replacement(range(d), k))}
 
-    Columns follow `itertools.combinations_with_replacement(range(d), k)`, the
-    basis of the solver's constraint maps: the weight slots, ascending, for
-    d = 2 and the pairs i <= j for k = 2. Each of the d^k words (leg 1 the
-    most significant digit) lands in the column of its multiset, with
-    amplitude one over the square root of the number of words that share it.
-    """
-    words = np.indices((d,) * k).reshape(k, -1).T
-    occupation = (words[:, :, None] == np.arange(d)).sum(axis=1)
-    # combinations_with_replacement order is the descending lexicographic
-    # order of the occupation vectors
-    _, col, count = np.unique(-occupation, axis=0, return_inverse=True, return_counts=True)
-    col = col.reshape(-1)  # numpy 2.0.0 returns the inverse as a column
-    v = np.zeros((len(col), len(count)))
-    v[np.arange(len(col)), col] = 1.0 / np.sqrt(count[col])
+
+def sym_isometry(k: int, d: int) -> np.ndarray:
+    """Isometry from Sym^k(C^d), in `sym_slots(k, d)` column order, into k d-level legs: each
+    of the d^k words (leg 1 the most significant digit) lands in the column of its
+    multiset, with amplitude one over the square root of the number of words that share it."""
+    slots = sym_slots(k, d)
+    col = np.array([slots[tuple(sorted(word))] for word in product(range(d), repeat=k)])
+    v = np.zeros((len(col), len(slots)))
+    v[np.arange(len(col)), col] = 1.0 / np.sqrt(np.bincount(col)[col])
     return v
 
 

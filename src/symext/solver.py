@@ -94,6 +94,7 @@ import numpy as np
 from .blocks import BosonicState
 from .caps import block_k, check_dense_bytes
 from .linalg import DensityMatrix, eigh, eigvalsh, is_positive_definite
+from .schur import sym_slots
 from .young import top_sector
 
 FEASIBLE = "FEASIBLE"
@@ -203,15 +204,13 @@ class _ConstraintMap:
     p * n + q. The map is real: its rows are the entries i * dim_out + j of
     the dim_out x dim_out pinned marginal, then the trace; `amap` holds the
     columns of the entries `cols` (ascending), and every other column of the
-    full map is zero. `at` is the view amap.T, and dim_out the marginal's
-    side, so that a solve takes neither afresh. All arrays are read-only.
+    full map is zero. All arrays are read-only.
     """
 
     n: int
     dim_out: int
     cols: np.ndarray
     amap: np.ndarray
-    at: np.ndarray
     gram_pinv: np.ndarray
 
     @property
@@ -240,7 +239,7 @@ def _farkas(cmap: _ConstraintMap, b: np.ndarray, y: np.ndarray):
     marginal *= 0.5
     y[-1, 1] = 0.0
     z = np.zeros(n * n, dtype=complex)
-    z[cmap.cols] = _complex_view(_real_times(cmap.at, y))
+    z[cmap.cols] = _complex_view(_real_times(cmap.amap.T, y))
     w = eigvalsh(z.reshape(n, n))
     lo, hi = float(w[0]), float(w[-1])
     shift = 8 * n * _EPS * max(abs(lo), abs(hi)) - lo
@@ -263,11 +262,11 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
     into the zero block: the block's touched entries are 0 + v, which is v
     but for a -0 turned into +0, so the two residuals have the same norm.
     """
-    n, cols, amap, at, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.at, cmap.gram_pinv
+    n, cols, amap, gram_pinv = cmap.n, cmap.cols, cmap.amap, cmap.gram_pinv
     b2 = _pair_view(b)
     # the least-norm point A^T (A A^T)^+ b, which is affine_project(0): A 0 - b
     # is exactly -b, and adding to zeros keeps the +0 that subtracting gives
-    v = _real_times(at, _real_times(gram_pinv, b2))
+    v = _real_times(amap.T, _real_times(gram_pinv, b2))
     x = np.zeros((n, n), dtype=complex)
     x.reshape(-1)[cols] += _complex_view(v)
     if is_positive_definite(x):
@@ -284,7 +283,7 @@ def _douglas_rachford(cmap: _ConstraintMap, b: np.ndarray):
 
     def affine_project(z: np.ndarray) -> np.ndarray:
         # in place; entries outside cols are not constrained
-        z.reshape(-1)[cols] -= _complex_view(_real_times(at, _real_times(gram_pinv, residual(z))))
+        z.reshape(-1)[cols] -= _complex_view(_real_times(amap.T, _real_times(gram_pinv, residual(z))))
         return z
 
     best_res = np.inf
@@ -310,8 +309,7 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     embedding in A tensor B^k, and its trace: the solver's one map builder.
 
     The basis of Sym^k(C^dB) is the occupation vectors n, one per multiset of
-    k legs in `itertools.combinations_with_replacement` order: the weight
-    slots, ascending, for dB = 2, and the pairs i <= j for k = 2. Tracing out
+    k legs, in the column order of `schur.sym_slots(k, dB)`. Tracing out
     B2..Bk takes |n><m| to sqrt(n_i m_j) / k times |i><j| when n = r + e_i and
     m = r + e_j for one multiset r of k - 1 legs, and to zero otherwise;
     repeated terms add up, and the last row is the trace. The block is
@@ -321,7 +319,7 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     n = dA * comb(dB + k - 1, k)
     check_dense_bytes(f"the {n} x {n} block of A tensor Sym^{k}(C^{dB})", 8 * 16 * n * n)
     legs = range(dB)
-    slot = {n: s for s, n in enumerate(combinations_with_replacement(legs, k))}
+    slot = sym_slots(k, dB)
     hops = [
         (slot[tuple(sorted(r + (i,)))], slot[tuple(sorted(r + (j,)))], i, j,
          sqrt((r.count(i) + 1) * (r.count(j) + 1)) / k)
@@ -336,7 +334,7 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     rows = np.concatenate([((a * dB + i) * d + c * dB + j).ravel(), np.full(n, trace_row)])
     cols = np.concatenate([((a * nsym + s) * n + c * nsym + t).ravel(), np.arange(n) * (n + 1)])
     vals = np.concatenate([np.tile(coeff, dA * dA), np.ones(n)])
-    # a mask, not np.unique, which imports numpy.ma (1.2 MB of RSS) on numpy 2.4
+    # a mask: numpy's unique imports numpy.ma (1.2 MB of RSS) on numpy 2.4
     is_touched = np.zeros(n * n, dtype=bool)
     is_touched[cols] = True
     touched = np.flatnonzero(is_touched)
@@ -348,7 +346,7 @@ def _sym_map(k: int, dA: int, dB: int) -> _ConstraintMap:
     gram_pinv = np.linalg.pinv(amap @ amap.T, hermitian=True)
     for x in (touched, amap, gram_pinv):
         x.flags.writeable = False
-    return _ConstraintMap(n, d, touched, amap, amap.T, gram_pinv)
+    return _ConstraintMap(n, d, touched, amap, gram_pinv)
 
 
 def constraint_map(k: int, dA: int, dB: int) -> _ConstraintMap:
@@ -439,7 +437,7 @@ def solve_bosonic(rho_ab: DensityMatrix, k: int) -> SolverReport:
 
     For dB = 2 the certificate is a BosonicState. For dB >= 3 it is the
     state on A tensor Sym^k(C^dB), of layout (dA, C(dB + k - 1, k)), in the
-    column order of `schur.sym_isometry(k, dB)`; `convert.verify_extension`
+    column order of `schur.sym_slots(k, dB)`; `convert.verify_extension`
     checks it on that block, with the map of `constraint_map(k, dA, dB)`.
     dB >= 3 asks more than a symmetric extension does
     (`qutrit_counterexample`).

@@ -371,6 +371,26 @@ def test_sym_isometry_equals_the_dicke_and_pair_bases():
         assert np.array_equal(sym_isometry(2, d), want)
 
 
+def _sym_isometry_by_occupation_sort(k, d):
+    """The former construction of `sym_isometry`: combinations_with_replacement
+    order is the descending lexicographic order of the occupation vectors."""
+    words = np.indices((d,) * k).reshape(k, -1).T
+    occupation = (words[:, :, None] == np.arange(d)).sum(axis=1)
+    _, col, count = np.unique(-occupation, axis=0, return_inverse=True, return_counts=True)
+    col = col.reshape(-1)  # numpy 2.0.0 returns the inverse as a column
+    v = np.zeros((len(col), len(count)))
+    v[np.arange(len(col)), col] = 1.0 / np.sqrt(count[col])
+    return v
+
+
+def test_sym_isometry_is_the_occupation_sort_bit_for_bit():
+    # every shape with d <= 6 and d^k <= 5000, 46 of them
+    shapes = [(k, d) for d in range(1, 7) for k in range(1, 13) if d**k <= 5000]
+    assert len(shapes) == 46
+    for k, d in shapes:
+        assert np.array_equal(sym_isometry(k, d), _sym_isometry_by_occupation_sort(k, d)), (k, d)
+
+
 @pytest.mark.parametrize("k,d", [(3, 3), (4, 3), (3, 4), (12, 2)])
 def test_sym_isometry_spans_the_symmetric_subspace(k, d):
     v = sym_isometry(k, d)

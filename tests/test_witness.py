@@ -9,7 +9,10 @@ is built in the occupation basis from the hopping operators a_i^+ a_j
 (`occupation_compression`), which is pinned to the isometry's where both fit.
 The verdicts, certificates and witnesses of the werner grid, and of a random
 draw that needs DR iterations, are also checked to follow a local unitary or
-an isometry on A.
+an isometry on A. Two verdict laws hold on a random draw: a state whose
+mixture tau_k with its A marginal is NPT is INFEASIBLE, and excluded by a
+witness read off tau_k's partial transpose in closed form; and a PPT state
+is FEASIBLE, with a certificate that passes `verify_extension`.
 """
 
 from dataclasses import replace
@@ -22,9 +25,9 @@ import pytest
 
 from conftest import cjklz_margin, random_two_qubit_states, singlet_state
 from symext.blocks import BosonicState
-from symext.convert import verify_extension
+from symext.convert import tilde_state, verify_extension
 from symext.io import save_state
-from symext.linalg import DensityMatrix
+from symext.linalg import DensityMatrix, partial_transpose
 from symext.schur import sym_isometry
 from symext.cli import run_command
 from symext.solver import FEASIBLE, INFEASIBLE, qutrit_counterexample, solve_bosonic, solve_bosonic_k2_generic, solve_symmetric
@@ -71,11 +74,10 @@ def hopping_operators(dB, k):
     return hops
 
 
-def assert_witness_excludes(report, rho: DensityMatrix, k: int, compression=lift_compression):
-    assert report.status == INFEASIBLE
-    assert report.certificate is None
+def assert_excludes(w, c, rho: DensityMatrix, k: int, compression=lift_compression) -> float:
+    """The stricter witness check: Z, W tensor I compressed plus c I, is PSD
+    and tr(W rho) + c is below both 0 and lambda_min(Z). Returns the value."""
     dA, dB = rho.dims
-    w, c = report.witness.w, report.witness.c
     compressed = compression(w, dA, dB, k)
     low = np.linalg.eigvalsh(compressed + c * np.eye(len(compressed)))[0]
     assert low >= -1e-12
@@ -83,6 +85,13 @@ def assert_witness_excludes(report, rho: DensityMatrix, k: int, compression=lift
     # every state sigma has tr(Z sigma) >= lambda_min(Z), so the witness
     # excludes rho only if its value is below that as well as below 0
     assert value < min(0.0, low)
+    return value
+
+
+def assert_witness_excludes(report, rho: DensityMatrix, k: int, compression=lift_compression):
+    assert report.status == INFEASIBLE
+    assert report.certificate is None
+    value = assert_excludes(report.witness.w, report.witness.c, rho, k, compression)
     # the witness is scaled to unit norm of its operator, so -value is the gap bound
     assert value == pytest.approx(-report.gap_estimate, rel=1e-9, abs=1e-15)
 
@@ -182,6 +191,54 @@ def test_random_draw_verdicts_follow_local_maps(k, count):
     for (rho1, x1), (rho2, x2) in zip(feasible, feasible[1:]):
         sigma = BosonicState(2, k, 0.3 * x1 + 0.7 * x2)
         assert verify_extension(sigma, DensityMatrix(0.3 * rho1 + 0.7 * rho2, (2, 2)), k).bosonic_ok
+
+
+# the draw of the two verdict laws below, fixed before their first run
+_LAW_DRAW = random_two_qubit_states(400, seed=7)
+
+
+def _law_states(k):
+    """The draw at k in {2, 3, 5, 8}, and the werner grid at pc + 0.05 and pc + 0.005 for k = 2..5."""
+    states = [DensityMatrix(m, (2, 2)) for m in _LAW_DRAW] if k in (2, 3, 5, 8) else []
+    if k <= 5:
+        states += [_werner((k + 2) / (3 * k) + off) for off in (0.05, 0.005)]
+    return states
+
+
+@pytest.mark.parametrize("k, count", [(2, 5), (3, 17), (4, 2), (5, 38), (8, 51)])
+def test_npt_tilde_state_is_infeasible_and_its_eigenvector_excludes_it(k, count):
+    # Navascues, Owari and Plenio (PRA 80, 052306): a k-bosonic extension of
+    # rho makes tau_k = (rho_A tensor I + k rho) / (k + 2) PPT. So an NPT tau_k
+    # is INFEASIBLE, and the eigenvector v of tau_k^(T_B) at its negative
+    # eigenvalue lambda gives, with W_pt = (|v><v|)^(T_B), the witness
+    # W = (tr_B(W_pt) tensor I + k W_pt) / (k + 2) and c = 0, of value
+    # tr(W rho) = tr(W_pt tau_k) = lambda
+    npt = 0
+    for rho in _law_states(k):
+        tilde = tilde_state(rho, k)
+        if tilde.pt_min_eigenvalue >= -1e-10:
+            continue
+        npt += 1
+        assert solve_symmetric(rho, k).status == INFEASIBLE
+        v = np.linalg.eigh(partial_transpose(tilde.state.matrix, (2, 2)))[1][:, 0]
+        w_pt = partial_transpose(np.outer(v, v.conj()), (2, 2))
+        w = (np.kron(np.einsum("abcb->ac", w_pt.reshape(2, 2, 2, 2)), np.eye(2)) + k * w_pt) / (k + 2)
+        assert abs(np.trace(w @ rho.matrix).real - tilde.pt_min_eigenvalue) <= 1e-12
+        assert_excludes(w, 0.0, rho, k)
+    assert npt == count
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_ppt_two_qubit_states_are_feasible(k):
+    # a PPT two-qubit state is separable (Horodecki, Phys. Lett. A 223, 1),
+    # so it has a k-symmetric extension for every k, and a certificate of it
+    ppt = [m for m in _LAW_DRAW if np.linalg.eigvalsh(partial_transpose(m, (2, 2)))[0] >= 0]
+    assert len(ppt) == 272
+    for matrix in ppt:
+        rho = DensityMatrix(matrix, (2, 2))
+        report = solve_symmetric(rho, k)
+        assert report.status == FEASIBLE
+        assert verify_extension(report.certificate, rho, k).bosonic_ok
 
 
 def test_cjklz_witnesses():
