@@ -206,10 +206,13 @@ def build_parser() -> _Parser:
     """The command parser, built on first use and shared by every call.
 
     Parsing reads the parser and never changes it, so one instance serves
-    all calls of run_command.
+    all calls of run_command. Its `commands` maps each command name to the
+    command's own parser, the one the top-level parser hands the rest of the
+    arguments to.
     """
     parser = _Parser(prog="symext", description="symmetric and bosonic extendibility of bipartite states")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, func, helptext):
         p = sub.add_parser(name, help=helptext)
@@ -255,11 +258,21 @@ def build_parser() -> _Parser:
 
 
 def run_command(argv) -> tuple[int, str]:
+    """Run the command argv names; returns its exit code and its report.
+
+    When argv[0] names a command, the rest of argv goes straight to that
+    command's own parser, which gives the same arguments and the same errors
+    as the top-level parser that would pass it on. The top-level parser runs
+    for help, an unknown command and an empty argv.
+    """
+    argv = list(argv)
     lines = ["command: " + " ".join(str(a) for a in argv)]
     timings: list[tuple[str, float]] = []
     start = time.perf_counter()
     try:
-        args = build_parser().parse_args(list(argv))
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         code = args.func(args, lines, timings)
     except _Help as text:
         lines.append(str(text).rstrip("\n"))

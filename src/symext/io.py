@@ -3,8 +3,10 @@
 States and certificates are stored as JSON with every float written with 17
 significant digits, which round-trips IEEE doubles exactly, with one
 exception: -0.0 is written as -0, which JSON reads as the integer 0, so it
-loads as +0.0 (equal to -0.0, with the sign bit clear). Writing the same
-object twice yields identical bytes. A layout entry is either a local
+loads as +0.0 (equal to -0.0, with the sign bit clear). A file is written
+in binary mode, as the ASCII bytes of its text (json.dumps escapes any other
+character of the metadata), and writing the same object twice yields
+identical bytes. A layout entry is either a local
 dimension or the tag "sym(k)" marking the symmetric weight space of k qubits.
 
 Every file is one JSON object, one field a line, in the one order all kinds
@@ -19,7 +21,8 @@ an error names the first entry (and its block's diagram) that is not a pair
 of numbers or does not fit in a float. JSON true and false are not numbers
 there. Sizes (format_version, k, dA, the rows of a diagram and the
 dimensions of a layout) must be JSON integers; true, false and 3.0 are
-refused.
+refused. A missing or malformed field of a blocks certificate is an error
+that names the field and its block.
 
 A file longer than one slice (64 KiB) is parsed without a Python list for
 every entry: each "entries": [[ array in the writer's spacing is cut out and
@@ -84,10 +87,10 @@ def _write(path, kind: str, head: dict, metadata: dict | None, body: tuple[str, 
     lines = ["{", f'"format_version": {FORMAT_VERSION},', f'"kind": {json.dumps(kind)},']
     lines += [f'"{name}": {json.dumps(value)},' for name, value in head.items()]
     lines += [f'"metadata": {json.dumps(metadata or {}, sort_keys=True)},', f'"{body[0]}": ']
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.writelines(body[1])
-        fh.write("\n}\n")
+    with open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("ascii"))
+        fh.writelines(chunk.encode("ascii") for chunk in body[1])
+        fh.write(b"\n}\n")
 
 
 def save_matrix_file(path, matrix, layout, kind: str = "state", metadata: dict | None = None) -> None:
@@ -296,22 +299,40 @@ def _blocks(path, doc, checked: bool = True) -> BlockState:
         raise MatrixFileError(f"{path}: not a blocks certificate file")
     _check_version(path, doc)
     try:
-        k = integer_size("k", doc["k"])
-        dA = integer_size("dA", doc["dA"])
+        k = integer_size("k", _field(path, doc, "k"))
+        dA = integer_size("dA", _field(path, doc, "dA"))
+        parts = _field(path, doc, "blocks")
+        if not isinstance(parts, list):
+            raise MatrixFileError(f"{path}: blocks is not a list")
         blocks = {}
-        for part in doc["blocks"]:
-            l1, l2 = (integer_size("diagram row", v) for v in part["diagram"])
+        for i, part in enumerate(parts):
+            if not isinstance(part, dict):
+                raise MatrixFileError(f"{path}: block {i} is not an object")
+            diagram = _field(f"{path}: block {i}", part, "diagram")
+            if not (isinstance(diagram, list) and len(diagram) == 2):
+                raise MatrixFileError(f"{path}: block {i}: diagram is not a list of 2 rows")
+            l1, l2 = (integer_size("diagram row", v) for v in diagram)
             lam = YoungDiagram(l1, l2)
             if lam in blocks:
                 raise MatrixFileError(f"{path}: diagram [{l1},{l2}] appears twice")
+            where = f"{path}: diagram [{l1},{l2}]"
+            entries = _field(where, part, "entries")
+            if not isinstance(entries, (list, np.ndarray)):
+                raise MatrixFileError(f"{where}: entries is not a list")
             n = dA * lam.num_weights
-            entries = part["entries"]
             if len(entries) != n * n:
                 raise MatrixFileError(f"{path}: expected {n * n} entries for diagram [{l1},{l2}], found {len(entries)}")
-            blocks[lam] = _complex_entries(f"{path}: diagram [{l1},{l2}]", entries).reshape(n, n)
+            blocks[lam] = _complex_entries(where, entries).reshape(n, n)
         return BlockState(k, dA, blocks, checked=checked)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
+
+
+def _field(where, obj: dict, name: str):
+    """obj[name], or a MatrixFileError that names the field and where it is missing."""
+    if name not in obj:
+        raise MatrixFileError(f"{where}: missing field {name}")
+    return obj[name]
 
 
 def load_blocks(path) -> BlockState:

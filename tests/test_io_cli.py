@@ -13,7 +13,7 @@ import pytest
 import symext
 from conftest import planted_marginal, planted_two_copy, product_state, random_density, singlet_state
 from symext.blocks import PROFILE_EXCLUDE_BOSONIC, BlockState, blocks_to_global, gen_random_extendible, marginal_from_blocks
-from symext.cli import main, run_command
+from symext.cli import _Help, _UsageError, build_parser, main, run_command
 from symext.convert import BosonicState, sym_to_bos, verify_extension
 from symext.io import (
     MatrixFileError,
@@ -244,28 +244,6 @@ def test_malformed_files_rejected(tmp_path):
     path.write_text('{"format_version": true, "layout": [1], "entries": [[1, 0]]}')
     with pytest.raises(MatrixFileError, match="format_version"):
         load_matrix_file(path)
-    marginal, witness = gen_random_extendible(3, 2, 0)
-    marginal_path = tmp_path / "rho.state"
-    save_state(marginal, marginal_path)
-    save_blocks(witness, path)
-    good = json.loads(path.read_text())
-    for field, value, message in (
-        ("k", 3.9, "k must be an integer, got 3.9"),
-        ("k", True, "k must be an integer, got True"),
-        ("dA", 2.2, "dA must be an integer, got 2.2"),
-        ("diagram", [3.5, 0.25], "diagram row must be an integer, got 3.5"),
-        ("diagram", [True, False], "diagram row must be an integer, got True"),
-    ):
-        doc = json.loads(json.dumps(good))
-        if field == "diagram":
-            doc["blocks"][0]["diagram"] = value
-        else:
-            doc[field] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(MatrixFileError, match=re.escape(message)):
-            load_blocks(path)
-        code, report = run_command(["verify", "--k", "3", "--ext", str(path), "--marginal", str(marginal_path)])
-        assert code == 1 and message in report
 
 
 def write_state(state, path):
@@ -816,6 +794,56 @@ def test_main_prints_the_help_report(capsys):
     assert out.startswith("command: check-bos --help\nusage: symext check-bos [-h]") and MARKER in out
 
 
+# valid arguments of each command, its size option first; no file is read
+_VALID_ARGS = {
+    "check-sym": ["--k", "3", "--in", "rho.state", "--cert", "w.blocks"],
+    "check-bos": ["--k", "3", "--in", "rho.state", "--cert", "w.blocks"],
+    "check-bos2": ["--dB", "3", "--in", "rho.state"],
+    "convert": ["--k", "3", "--in", "w.blocks", "--out", "sigma.bos"],
+    "verify": ["--k", "3", "--ext", "sigma.bos", "--marginal", "rho.state", "--tol", "1e-6"],
+    "tilde": ["--k", "3", "--in", "rho.state"],
+    "gen": ["--k", "3", "--dA", "2", "--seed", "1", "--profile", PROFILE_EXCLUDE_BOSONIC, "--out", "rho.state"],
+}
+
+
+def _parsed(parse, argv):
+    """The arguments parse gives for argv, less the command's name, or the
+    name and text of the usage error or help it raises."""
+    try:
+        args = vars(parse(argv))
+    except (_UsageError, _Help) as exc:
+        return type(exc).__name__, str(exc)
+    args.pop("command", None)  # set by the top-level parser alone
+    return args
+
+
+@pytest.mark.parametrize("command", _VALID_ARGS)
+def test_a_command_parses_alike_through_its_own_parser_and_the_top_level_one(command, monkeypatch):
+    valid = _VALID_ARGS[command]
+    inputs = [
+        valid,
+        valid[2:],  # the size option missing
+        [valid[0], "x", *valid[2:]],  # a size that is not an integer
+        [*valid, "--bogus", "1"],
+        [*valid, "--ce", "c.blocks"],  # --cert abbreviated, where there is one
+        [*valid, "--help"],
+        [*valid, "--tol", "-1e-8"],
+    ]
+    parser = build_parser()
+    own = parser.commands[command]
+    outcomes = []
+    for argv in inputs:
+        want = _parsed(parser.parse_args, [command, *argv])
+        assert _parsed(own.parse_args, argv) == want, argv
+        outcomes.append(want)
+    assert isinstance(outcomes[0], dict) and outcomes[1][0] == outcomes[2][0] == "_UsageError"
+    assert outcomes[5][0] == "_Help"
+    # run_command takes the command's own parser; the top-level one is left for help
+    monkeypatch.setattr(parser, "parse_args", lambda argv: pytest.fail(f"top-level parse of {argv}"))
+    code, report = run_command([command, "--help"])
+    assert code == 0 and f"usage: symext {command} [-h]" in report
+
+
 def test_convert_and_verify_parse_each_file_once(tmp_path, monkeypatch):
     import symext.io as mio
     from symext.blocks import blocks_to_global
@@ -1104,6 +1132,49 @@ def test_a_diagram_listed_twice_is_refused(tmp_path):
         load_blocks(path)
     code, report = run_command(["convert", "--k", "3", "--in", str(path), "--out", str(tmp_path / "s.bos")])
     assert code == 1 and "diagram [3,0] appears twice" in report
+
+
+# edits of the parsed k = 3, dA = 2 certificate, whose block 1 is diagram [2,1],
+# and the error each gives after the file name; sizes must be JSON integers
+_MALFORMED_BLOCKS = {
+    "float-k": (lambda doc: doc.__setitem__("k", 3.9), "k must be an integer, got 3.9"),
+    "bool-k": (lambda doc: doc.__setitem__("k", True), "k must be an integer, got True"),
+    "float-dA": (lambda doc: doc.__setitem__("dA", 2.2), "dA must be an integer, got 2.2"),
+    "float-row": (lambda doc: doc["blocks"][0].__setitem__("diagram", [3.5, 0.25]), "diagram row must be an integer, got 3.5"),
+    "bool-row": (lambda doc: doc["blocks"][0].__setitem__("diagram", [True, False]), "diagram row must be an integer, got True"),
+    "no-k": (lambda doc: doc.pop("k"), "missing field k"),
+    "no-dA": (lambda doc: doc.pop("dA"), "missing field dA"),
+    "no-blocks": (lambda doc: doc.pop("blocks"), "missing field blocks"),
+    "no-diagram": (lambda doc: doc["blocks"][1].pop("diagram"), "block 1: missing field diagram"),
+    "no-entries": (lambda doc: doc["blocks"][1].pop("entries"), "diagram [2,1]: missing field entries"),
+    "int-blocks": (lambda doc: doc.__setitem__("blocks", 7), "blocks is not a list"),
+    "int-diagram": (lambda doc: doc["blocks"][1].__setitem__("diagram", 7), "block 1: diagram is not a list of 2 rows"),
+    "int-block": (lambda doc: doc["blocks"].__setitem__(1, 7), "block 1 is not an object"),
+    "three-rows": (lambda doc: doc["blocks"][1]["diagram"].append(0), "block 1: diagram is not a list of 2 rows"),
+    "one-row": (lambda doc: doc["blocks"][1]["diagram"].pop(), "block 1: diagram is not a list of 2 rows"),
+    "int-entries": (lambda doc: doc["blocks"][1].__setitem__("entries", 7), "diagram [2,1]: entries is not a list"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_BLOCKS)
+def test_a_malformed_blocks_file_names_the_bad_field(tmp_path, case):
+    damage, message = _MALFORMED_BLOCKS[case]
+    marginal, witness = gen_random_extendible(3, 2, 0)
+    rho = write_state(marginal, tmp_path / "rho.state")
+    path = tmp_path / "w.blocks"
+    save_blocks(witness, path)
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    want = f"{path}: {message}"
+    with pytest.raises(MatrixFileError, match=f"^{re.escape(want)}$"):
+        load_blocks(path)
+    for argv in (
+        ["convert", "--k", "3", "--in", str(path), "--out", str(tmp_path / "sigma.bos")],
+        ["verify", "--k", "3", "--ext", str(path), "--marginal", rho],
+    ):
+        code, report = run_command(argv)
+        assert code == 1 and above_marker(report).endswith(f"\nerror: {want}\nstatus: ERROR\n"), report
 
 
 def test_entries_too_large_for_a_float_are_file_errors(tmp_path):
